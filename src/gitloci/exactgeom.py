@@ -1,10 +1,16 @@
-"""Exact rational linear algebra and central hyperplane-arrangement enumeration.
+"""Exact linear algebra and central hyperplane-arrangement enumeration.
 
-Everything in this module computes over `fractions.Fraction`; there is no
-floating point anywhere. The two arrangement operations enumerate witnesses
-for the rays (1-dimensional faces) and the full-dimensional open cells of a
-central arrangement of hyperplanes ``{x : n . x = 0}`` restricted to a
-polyhedral cone ``{x : c . x >= 0 for every chamber constraint c}``.
+There is no floating point anywhere in this module. The two arrangement
+operations enumerate witnesses for the rays (1-dimensional faces) and the
+full-dimensional open cells of a central arrangement of hyperplanes
+``{x : n . x = 0}`` restricted to a polyhedral cone
+``{x : c . x >= 0 for every chamber constraint c}``.
+
+Rays come from a walk over flats with fraction-free integer elimination.
+Cells come from an exact angular sweep in dimension 2; in higher dimension
+they are localised at the rays, and only the small local systems of rank-4
+and larger arrangements reach the `Fraction` simplex of `lp_feasible`. The
+simplex also decides the relative-interior test.
 
 Strict feasibility is decided by homogenization (``f > 0`` becomes
 ``f >= 1``), which is valid here because every system handled by this module
@@ -18,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
 from math import gcd, lcm
 
 from .errors import ResourceGuardError
@@ -259,10 +264,17 @@ class ArrangementFaceWitness:
     zero_set: frozenset[int]
 
 
+def _integer_direction(v):
+    """The primitive integer vector spanning the same line as the nonzero
+    integer vector v, with its first nonzero entry positive."""
+    g = gcd(*v)
+    if next(x for x in v if x != 0) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
 def _canonical_line(v):
-    p = primitive_vector(v)
-    lead = next(x for x in p if x != 0)
-    return p if lead > 0 else tuple(-x for x in p)
+    return _integer_direction(primitive_vector(v))
 
 
 def _dedupe_lines(vectors):
@@ -273,34 +285,80 @@ def _dedupe_lines(vectors):
     return list(seen)
 
 
+def _annihilate(basis, line):
+    """Integer basis of {z in span(basis) : line . z = 0}.
+
+    One fraction-free elimination step: the first basis vector that pairs
+    nonzero with `line` is the pivot, every other vector z becomes
+    ``(line . pivot) z - (line . z) pivot``, reduced by its gcd, and the
+    pivot is dropped. The input must contain a vector pairing nonzero with
+    `line`."""
+    values = [dot(line, z) for z in basis]
+    pivot = next(k for k, v in enumerate(values) if v != 0)
+    p, zp = values[pivot], basis[pivot]
+    out = []
+    for k, (v, z) in enumerate(zip(values, basis)):
+        if k == pivot:
+            continue
+        if v != 0:
+            z = [p * a - v * b for a, b in zip(z, zp)]
+            g = gcd(*z)
+            z = tuple(a // g for a in z)
+        out.append(z)
+    return out
+
+
 def arrangement_rays(normals, chamber, dim):
     """Rays (1-dimensional intersection faces) of the arrangement, in the chamber.
 
-    Candidates are the kernel lines of every (dim-1)-subset of independent
-    constraints drawn from the normals and the chamber walls together,
-    oriented into the chamber and deduplicated up to positive scaling.
+    A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
+    drawn from the normals and the chamber walls together, oriented into the
+    chamber. The flats are walked depth first over index-increasing subsets
+    of the distinct constraint lines, keeping a gcd-reduced integer basis of
+    the prefix's kernel (`_annihilate`); at depth dim-1 that basis is the ray.
+    Two cuts keep the walk to one visit per flat:
+
+    * a line in the span of the prefix (it pairs to zero with the whole
+      kernel basis) is never appended, since every subset through it is
+      dependent;
+    * the other lines fall into the flats one rank up, two lines sharing a
+      flat exactly when their pairings with the kernel basis are parallel.
+      Each such flat is entered once, through its smallest line, and only
+      when that line comes after the prefix's last one. So every prefix is
+      the greedy basis of its span; every flat has exactly one greedy basis
+      and each prefix of it is the greedy basis of its own span, so every
+      flat is still reached.
     """
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]
     lines = _dedupe_lines([*normals, *chamber])
-    found = {}
-    for subset in combinations(lines, dim - 1):
-        if matrix_rank(subset) != dim - 1:
-            continue
-        kernel = kernel_basis(list(subset), dim)
-        if len(kernel) != 1:
-            continue
-        direction = primitive_vector(kernel[0])
-        for cand in (direction, tuple(-x for x in direction)):
-            if cand in found:
-                continue
-            if all(dot(c, cand) >= 0 for c in chamber):
-                zero_set = frozenset(
-                    i for i, n in enumerate(normals) if any(x != 0 for x in n) and dot(n, cand) == 0
-                )
-                found[cand] = ArrangementFaceWitness(point=cand, kind="ray", zero_set=zero_set)
-    return sorted(found.values(), key=lambda w: w.point)
+    found = []
+
+    def walk(kernel, closure, last, depth):
+        if depth == dim - 1:
+            direction = kernel[0]
+            for cand in (direction, tuple(-x for x in direction)):
+                if all(dot(c, cand) >= 0 for c in chamber):
+                    zero_set = frozenset(
+                        i for i, n in enumerate(normals)
+                        if any(x != 0 for x in n) and dot(n, cand) == 0
+                    )
+                    found.append(ArrangementFaceWitness(point=cand, kind="ray", zero_set=zero_set))
+            return
+        flats = {}
+        for m, line in enumerate(lines):
+            if m not in closure:
+                key = _integer_direction([dot(line, z) for z in kernel])
+                flats.setdefault(key, []).append(m)
+        for members in flats.values():
+            j = members[0]
+            if j > last:
+                walk(_annihilate(kernel, lines[j]), closure | set(members), j, depth + 1)
+
+    identity = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    walk(identity, set(), -1, 0)
+    return sorted(found, key=lambda w: w.point)
 
 
 def _rot90(v):
@@ -402,17 +460,70 @@ def _cell_witnesses_by_lp(normals, chamber, dim, guard):
     return [primitive_vector(witness) for _, witness in regions]
 
 
-def arrangement_cells(normals, chamber, dim, guard=DEFAULT_CELL_GUARD):
+def _cells_localised_at_rays(normals, chamber, dim, guard, rays):
+    """Cell witnesses in dimension >= 3, one local problem per ray.
+
+    At a ray r keep the normals and chamber walls that vanish at r. They
+    are forms on the quotient by r, which is the coordinate hyperplane
+    ``x_j = 0`` for any j with r_j != 0, so dropping coordinate j gives the
+    local system in dimension dim-1. Being a ray, r is cut out by dim-1
+    independent constraints, so the local system has full rank dim-1 and is
+    already essential. Its cells come from the planar sweep in local
+    dimension 2 and from `_cell_witnesses_by_lp` above that. A local witness
+    y (with 0 put back at coordinate j) lifts to ``K r + y``: a form f with
+    f . r != 0 keeps the sign of f . r there once K |f . r| > |f . y|, which
+    ``K = 1 + max(|f . y| // |f . r|)`` guarantees, and a form vanishing at
+    r takes the sign f . y it has in the local cell. Lifts are deduplicated
+    by their sign vector against the normals.
+    """
+    chamber = [tuple(c) for c in chamber]
+    constraints = [*normals, *chamber]
+    by_signs = {}
+    for ray in rays:
+        r = ray.point
+        j = next(i for i, x in enumerate(r) if x != 0)
+        local_normals = [n[:j] + n[j + 1:] for n in normals if dot(n, r) == 0]
+        local_walls = [c[:j] + c[j + 1:] for c in chamber if dot(c, r) == 0]
+        if dim == 3:
+            local = _planar_cell_witnesses(local_normals, local_walls)
+        else:
+            local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard)
+        far = [(f, abs(dot(f, r))) for f in constraints if dot(f, r) != 0]
+        for y in local:
+            y = (*y[:j], 0, *y[j:])
+            k = 1 + max((abs(dot(f, y)) // fr for f, fr in far), default=0)
+            point = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
+            signs = tuple(dot(n, point) > 0 for n in normals)
+            by_signs.setdefault(signs, point)
+            if len(by_signs) > guard:
+                raise ResourceGuardError(f"cell enumeration exceeded the guard of {guard} cells")
+    return list(by_signs.values())
+
+
+def arrangement_cells(normals, chamber, dim, guard=DEFAULT_CELL_GUARD, rays=None):
     """One interior witness per full-dimensional cell of the arrangement
     restricted to the open chamber; every witness pairs strictly nonzero
-    with every nonzero normal and strictly positive with every chamber wall."""
+    with every nonzero normal and strictly positive with every chamber wall.
+
+    Dimension 2 uses the exact angular sweep. In dimension >= 3 the chamber
+    must be pointed (its walls of full rank): then the closure of every cell
+    is a pointed cone whose extreme rays are arrangement rays, so every cell
+    is found by localising at the rays (`_cells_localised_at_rays`). `rays`
+    may pass in `arrangement_rays(normals, chamber, dim)` when the caller has
+    it already; otherwise it is computed here."""
     if dim <= 0:
         return []
     nonzero = [tuple(n) for n in normals if any(Fraction(x) != 0 for x in n)]
-    if dim == 2:
+    if dim == 1:
+        witnesses = _cell_witnesses_by_lp(nonzero, chamber, dim, guard)
+    elif dim == 2:
         witnesses = _planar_cell_witnesses(nonzero, chamber)
     else:
-        witnesses = _cell_witnesses_by_lp(nonzero, chamber, dim, guard)
+        if matrix_rank(chamber) != dim:
+            raise ValueError("cells in dimension >= 3 need a pointed chamber")
+        if rays is None:
+            rays = arrangement_rays(nonzero, chamber, dim)
+        witnesses = _cells_localised_at_rays(nonzero, chamber, dim, guard, rays)
     if len(witnesses) > guard:
         raise ResourceGuardError(f"cell enumeration exceeded the guard of {guard} cells")
     out = []

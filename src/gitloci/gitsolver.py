@@ -26,13 +26,16 @@ constant on each relatively open face.
   adjacent full-dimensional cell F with the same strict sign, and signs are
   constant on F. So the > 0 state of any lam is contained in the > 0 state
   of an adjacent open cell, and the maximal ones are attained on cells.
-* The = 0 states of all rays and all cell witnesses cover every zero set
-  attainable in the chamber up to the solver's Weyl deduplication, because
-  the = 0 state is constant on faces and every face's sign data is realized
-  through the ray/cell skeleton enumerated above.
+* The = 0 states are read off the rays and the cell witnesses. In rank 2
+  every nonzero point of the chamber lies on a ray or in an open cell, and
+  the = 0 state is constant on faces, so these candidates cover every zero
+  set attainable in the chamber, up to the solver's Weyl deduplication.
+  In rank >= 3 that is not proven and not true: zero sets realised only on
+  faces of dimension 2 and more are missed (for instance A3 ``3,0,0`` at
+  lam = (1, 1, 3)). The fix is open item 2 of ROADMAP.md.
 
-The dense-sampling acceptance test exercises exactly this containment claim
-against brute force.
+The dense-sampling acceptance test exercises the containment claims against
+brute force, in rank 2.
 """
 
 from __future__ import annotations
@@ -110,7 +113,9 @@ class GITProblem:
     """A stability problem: a group acting on the span of a weight support.
 
     Ray and cell candidates are computed lazily from the nonzero weights (as
-    pairing normals) and the fundamental chamber, then cached.
+    pairing normals) and the fundamental chamber, then cached; cells are
+    localised at the cached rays. `classify_torus` caches the unstable and
+    non-stable loci it scans the same way.
     """
 
     def __init__(
@@ -141,6 +146,7 @@ class GITProblem:
         )
         self._rays = None
         self._cells = None
+        self._torus_loci = None
         self._set_canonical_cache = {}
 
     def rays(self):
@@ -154,7 +160,11 @@ class GITProblem:
         if self._cells is None:
             self._cells = tuple(
                 arrangement_cells(
-                    self._normals, self._chamber, self.group.rank, guard=self.cell_guard
+                    self._normals,
+                    self._chamber,
+                    self.group.rank,
+                    guard=self.cell_guard,
+                    rays=self.rays(),
                 )
             )
         return self._cells
@@ -383,10 +393,12 @@ def classify_torus(problem, point_support):
             raise ValueError(f"weight {w.coeffs} is not in the problem's support")
     target = frozenset(w.coeffs for w in weights)
     elements = weyl_elements(problem.group, guard=problem.weyl_guard)
-    for states, verdict in (
-        (solve_unstable(problem), "T-unstable"),
-        (solve_non_stable(problem), "T-non-stable-semistable"),
-    ):
+    if problem._torus_loci is None:
+        problem._torus_loci = (
+            (solve_unstable(problem), "T-unstable"),
+            (solve_non_stable(problem), "T-non-stable-semistable"),
+        )
+    for states, verdict in problem._torus_loci:
         for state in states:
             state_set = state.coeff_set()
             for element in elements:

@@ -229,3 +229,39 @@ def primitive_direction(vector):
     for v in ints:
         g = gcd(g, abs(v))
     return tuple(v // g for v in ints)
+
+
+def subset_rref_rays(normals, chamber, dim):
+    """Rays of the arrangement in the chamber, by brute force over subsets.
+
+    Every (dim-1)-subset of the distinct constraint lines (normals and
+    chamber walls, each up to sign) of rank dim-1 has a kernel line; both of
+    its primitive directions that lie in the chamber are rays. Returns the
+    sorted list of (point, zero set) pairs, where the zero set holds the
+    indices of the nonzero normals that vanish at the point.
+    """
+    lines = []
+    for row in (*normals, *chamber):
+        if any(Fraction(v) != 0 for v in row):
+            direction = primitive_direction(row)
+            if direction not in lines and tuple(-v for v in direction) not in lines:
+                lines.append(direction)
+    found = set()
+    for subset in combinations(lines, dim - 1):
+        if _rank_exact(list(subset)) != dim - 1:
+            continue
+        kernel = primitive_direction(_kernel_vector(list(subset), dim))
+        for point in (kernel, tuple(-v for v in kernel)):
+            if all(sum(c * p for c, p in zip(wall, point)) >= 0 for wall in chamber):
+                found.add(point)
+    return [
+        (
+            point,
+            frozenset(
+                i
+                for i, n in enumerate(normals)
+                if any(v != 0 for v in n) and sum(a * b for a, b in zip(n, point)) == 0
+            ),
+        )
+        for point in sorted(found)
+    ]

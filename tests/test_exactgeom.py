@@ -17,7 +17,10 @@ from gitloci.exactgeom import (
     _cell_witnesses_by_lp,
     _planar_cell_witnesses,
 )
-from _oracles import sign_vector, zero_in_relative_interior_oracle
+from gitloci.gitsolver import new_problem, pairing_vector
+from gitloci.repsupport import parse_highest_weight
+from gitloci.rootdata import make_group
+from _oracles import sign_vector, subset_rref_rays, zero_in_relative_interior_oracle
 
 QUADRANT = ((1, 0), (0, 1))
 
@@ -219,3 +222,117 @@ def test_three_dimensional_rays_lie_on_plane_intersections():
         assert any(x != 0 for x in ray.point)
         expected = frozenset(i for i, n in enumerate(normals) if dot(n, ray.point) == 0)
         assert ray.zero_set == expected
+
+
+def orthant(dim):
+    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+
+
+@st.composite
+def orthant_arrangements(draw, dims):
+    """Integer normals in the orthant of a drawn dimension, with repeated,
+    parallel (rescaled, either sign) and wall-equal normals mixed in."""
+    dim = draw(st.sampled_from(dims))
+    vector = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    normals = draw(st.lists(vector, max_size=5))
+    if normals:
+        for base in draw(st.lists(st.sampled_from(normals), max_size=2)):
+            scale = draw(st.sampled_from((1, -1, 2, -3)))
+            normals.append(tuple(scale * x for x in base))
+    for axis in draw(st.lists(st.integers(0, dim - 1), max_size=2)):
+        scale = draw(st.sampled_from((1, -1, 2)))
+        normals.append(tuple(scale if j == axis else 0 for j in range(dim)))
+    return dim, tuple(draw(st.permutations(normals)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(orthant_arrangements(dims=(2, 3, 4, 5)))
+def test_rays_match_subset_rref_enumeration(arrangement):
+    dim, normals = arrangement
+    rays = arrangement_rays(normals, orthant(dim), dim)
+    assert [(r.point, r.zero_set) for r in rays] == subset_rref_rays(normals, orthant(dim), dim)
+
+
+def test_rays_of_repeated_and_wall_equal_normals():
+    normals = ((1, -1, 0), (2, -2, 0), (-1, 1, 0), (0, 0, 3), (0, 0, 0))
+    rays = arrangement_rays(normals, orthant(3), 3)
+    assert [(r.point, r.zero_set) for r in rays] == [
+        ((0, 0, 1), frozenset({0, 1, 2})),
+        ((0, 1, 0), frozenset({3})),
+        ((1, 0, 0), frozenset({3})),
+        ((1, 1, 0), frozenset({0, 1, 2, 3})),
+    ]
+
+
+def cell_signatures(points, normals):
+    nonzero = [n for n in normals if any(n)]
+    return {sign_vector(p, nonzero) for p in points}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(orthant_arrangements(dims=(3, 4)))
+def test_localised_cells_match_global_lp(arrangement):
+    dim, normals = arrangement
+    nonzero = [n for n in normals if any(n)]
+    cells = [c.point for c in arrangement_cells(normals, orthant(dim), dim)]
+    by_lp = _cell_witnesses_by_lp(nonzero, orthant(dim), dim, 10**6)
+    assert cell_signatures(cells, normals) == cell_signatures(by_lp, normals)
+    assert len(cells) == len(by_lp)
+
+
+# Sign vectors of the cells of five representations that the global LP
+# path (`_cell_witnesses_by_lp`) took 2-20 s each to enumerate, frozen from
+# it: one string per cell, one sign per nonzero pairing normal in support
+# order.
+LP_CELLS = {
+    ("A3", "3,0,0"): (
+        "------+----++++-++++", "------+----+++++++++", "+-----+----++---++++",
+        "+-----+----+++--++++", "++----+----++---++++", "++----+----+++--++++",
+        "++-+--+----+++--++++", "++-+--++---+-+--++-+", "++-+--++---+-+--++++",
+        "+++---+----++---++++", "+++---+----+++--++++", "++++--+----+++--++++",
+    ),
+    ("A3", "4,0,0"): (
+        "------+----++----+--+----+++++++++", "------+----++----+--++---+++++++++",
+        "+-----+----++----+--+----+++++++++", "+-----+----++----+--++---+++++++++",
+        "++----+----++----+--+----+++++++++", "++----+----++----+--++---+++++++++",
+        "++-+--+----++----+--++---++++-++++", "++-+--++---++----+--++---++++-++++",
+        "++-+--++---+++---+--++---++++-++++", "+++---+----++----+--+----+++++++++",
+        "++++--+----++----+--+----++++-++++", "++++--+----++----+--++---++++-++++",
+        "++++--++---++----+--++---++++-++++", "++++--++---+++---+--++---++++-++++",
+    ),
+    ("B3", "1,0,1"): (
+        "---------+-+--+-+-++-+-+++++++++", "--+------+-+--+-+-++-+-++++++-++",
+        "--+--+---+-+--+-+-++-+-+++-++-++", "--++-----+-+--+-+-++-+-+++++--++",
+        "--++-+---+-+--+-+-++-+-+++-+--++", "--++-+-+-+-+--+-+-++-+-+-+-+--++",
+        "--++-+-+-+-++-+-+-+--+-+-+-+--++",
+    ),
+    ("A4", "2,0,0,0"): (
+        "----------+++++", "+---------+++++", "++--------+++++", "++--+-----++--+",
+        "++--+-----+++-+", "++--+-----+++++", "+++-------+++-+", "+++-------+++++",
+        "+++-+-----+++-+", "+++-++----+++-+", "+++-++-+--+++-+", "++++------+++++",
+    ),
+    ("C4", "0,0,0,1"): (
+        "--------+-+++---++--++--+++---+-++++++++",
+        "+-------+-+++---++--++--+++---+-+++++++-",
+        "++------+-+++---++--++--+++---+-++++++--",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, highest", sorted(LP_CELLS))
+def test_localised_cells_match_frozen_lp_cells(name, highest):
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, highest))
+    normals = [pairing_vector(group, w.coeffs) for w in problem.support]
+    normals = [n for n in normals if any(n)]
+    cells = arrangement_cells(normals, orthant(group.rank), group.rank)
+    signatures = {
+        "".join("+" if s > 0 else "-" for s in sign_vector(c.point, normals)) for c in cells
+    }
+    assert signatures == set(LP_CELLS[(name, highest)])
+    assert len(cells) == len(LP_CELLS[(name, highest)])
+
+
+def test_cells_need_a_pointed_chamber_from_dimension_three():
+    with pytest.raises(ValueError):
+        arrangement_cells(((1, -1, 0),), ((1, 0, 0), (0, 1, 0)), 3)
