@@ -27,6 +27,7 @@ from .errors import (
 from .exactgeom import DEFAULT_CELL_GUARD, primitive_vector
 from .gitsolver import (
     GITProblem,
+    parse_loci,
     solve_all,
 )
 from .repsupport import (
@@ -92,6 +93,13 @@ class _Display:
         self.highest = highest
         self.use_l_coords = group.dynkin.letter == "A" and highest is not None
         self._trace = _natural_trace(highest.coeffs) if self.use_l_coords else None
+        self.highest_l = (
+            convert_coordinates(
+                group, highest.coeffs, "fundamental-weight", "L", trace=self._trace
+            )
+            if self.use_l_coords
+            else None
+        )
 
     @property
     def weight_coords(self):
@@ -115,12 +123,7 @@ class _Display:
     def representation_name(self, support):
         if self.highest is None:
             return f"{self.group.name}[custom support of {len(support)} weights]"
-        if self.use_l_coords:
-            hw = convert_coordinates(
-                self.group, self.highest.coeffs, "fundamental-weight", "L", trace=self._trace
-            )
-        else:
-            hw = self.highest.coeffs
+        hw = self.highest_l if self.use_l_coords else self.highest.coeffs
         return f"{self.group.name}({','.join(str(x) for x in hw)})"
 
 
@@ -175,12 +178,7 @@ def _render_structured(solution, loci, display):
         ),
     }
     if display.use_l_coords:
-        representation["highest_weight_L"] = list(
-            convert_coordinates(
-                group, display.highest.coeffs, "fundamental-weight", "L",
-                trace=_natural_trace(display.highest.coeffs),
-            )
-        )
+        representation["highest_weight_L"] = list(display.highest_l)
     doc = {
         "format": "gitloci/1",
         "group": {"letter": group.dynkin.letter, "rank": group.rank, "name": group.name},
@@ -201,21 +199,6 @@ def _render_structured(solution, loci, display):
         "warnings": list(group.warnings),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _parse_loci(text):
-    names = [p.strip().lower() for p in str(text).split(",") if p.strip()]
-    if not names:
-        raise ParseError("no loci requested")
-    ordered = []
-    for name in names:
-        if name not in _LOCI_TEXT:
-            raise ParseError(
-                f"unknown locus {name!r}; expected any of nonstable, unstable, polystable"
-            )
-        if name not in ordered:
-            ordered.append(name)
-    return ordered
 
 
 def _read_weights_file(path, rank):
@@ -261,7 +244,7 @@ def _warn(group):
 def _run_solve(args):
     group = make_group(args.group)
     _warn(group)
-    loci = _parse_loci(args.loci)
+    loci = parse_loci(args.loci)
     support_guard = _guard_from_env("GITLOCI_SUPPORT_GUARD", DEFAULT_SUPPORT_GUARD)
     cell_guard = _guard_from_env("GITLOCI_CELL_GUARD", DEFAULT_CELL_GUARD)
     weyl_guard = _guard_from_env("GITLOCI_WEYL_GUARD", DEFAULT_WEYL_GUARD)

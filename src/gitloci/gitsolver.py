@@ -40,6 +40,7 @@ brute force, in rank 2.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -63,21 +64,18 @@ from .rootdata import (
     Weight,
     one_param_subgroup,
     pairing,
+    pairing_vector,
     reflect_weight_coeffs,
     weyl_elements,
 )
 
-_MODES = {">=0": "nonstable", ">0": "unstable", "=0": "strictly_polystable"}
-
-
-def pairing_vector(group, weight_coeffs):
-    """Integer vector u with u . m = det(cartan) * <chi, lam> for every
-    coweight vector m; the adjugate of the Cartan matrix applied to chi."""
-    adjugate = group.cartan_adjugate
-    rank = group.rank
-    return tuple(
-        sum(adjugate[j][k] * weight_coeffs[k] for k in range(rank)) for j in range(rank)
-    )
+# Each mode: the kind of state it selects and the comparison of a pairing
+# against zero that keeps a weight.
+_MODES = {
+    ">=0": ("nonstable", operator.ge),
+    ">0": ("unstable", operator.gt),
+    "=0": ("strictly_polystable", operator.eq),
+}
 
 
 @dataclass(frozen=True)
@@ -170,18 +168,11 @@ class GITProblem:
         return self._cells
 
     def _select(self, coweight_coeffs, mode):
-        if mode == ">=0":
-            keep = lambda s: s >= 0
-        elif mode == ">0":
-            keep = lambda s: s > 0
-        elif mode == "=0":
-            keep = lambda s: s == 0
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        keep = _MODES[mode][1]
         return tuple(
             w
             for w, u in self._pairing_vectors
-            if keep(sum(a * b for a, b in zip(u, coweight_coeffs)))
+            if keep(sum(a * b for a, b in zip(u, coweight_coeffs)), 0)
         )
 
 
@@ -231,21 +222,22 @@ def state_of(problem, lam, mode):
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_MODES)}")
     selected = problem._select(lam.coeffs, mode)
-    return State(kind=_MODES[mode], weights=selected, witness=lam)
+    return State(kind=_MODES[mode][0], weights=selected, witness=lam)
 
 
 def _state_sort_key(weights):
     return tuple(w.coeffs for w in weights)
 
 
-def _unique_keep_first(candidates):
-    """candidates: iterable of (weights tuple, witness point). Deduplicates
-    identical weight sets, keeping the first witness encountered."""
+def _distinct(problem, witnesses, mode):
+    """Each distinct non-empty state of the mode over the witnesses, as
+    (weights, point) with the first witness point that realises it, in the
+    order first seen."""
     out = {}
-    for weights, point in candidates:
-        key = frozenset(w.coeffs for w in weights)
-        if key not in out:
-            out[key] = (weights, point)
+    for witness in witnesses:
+        selected = problem._select(witness.point, mode)
+        if selected:
+            out.setdefault(frozenset(w.coeffs for w in selected), (selected, witness.point))
     return list(out.values())
 
 
@@ -300,7 +292,8 @@ def _drop_weyl_duplicates(problem, entries):
     return kept
 
 
-def _as_states(kind, entries):
+def _as_states(mode, entries):
+    kind = _MODES[mode][0]
     states = []
     for weights, point in entries:
         witness = OneParameterSubgroup(weights[0].group, point) if weights else None
@@ -308,67 +301,60 @@ def _as_states(kind, entries):
     return states
 
 
-def solve_non_stable(problem):
-    """Maximal non-stable states: >= 0 states over the arrangement rays,
-    filtered to inclusion-maximal ones."""
-    candidates = []
-    for witness in problem.rays():
-        selected = problem._select(witness.point, ">=0")
-        if selected:
-            candidates.append((selected, witness.point))
-    entries = _maximal_only(_unique_keep_first(candidates))
+def _maximal_states(problem, witnesses, mode):
+    """The inclusion-maximal distinct states of the mode over the witnesses,
+    largest first, one per Weyl class under the problem's optimisation."""
+    entries = _maximal_only(_distinct(problem, witnesses, mode))
     entries.sort(key=lambda e: (-len(e[0]), _state_sort_key(e[0])))
     if problem.weyl_optimisation:
         entries = _drop_weyl_duplicates(problem, entries)
-    return _as_states("nonstable", entries)
+    return _as_states(mode, entries)
+
+
+def solve_non_stable(problem):
+    """Maximal non-stable states: >= 0 states over the arrangement rays,
+    filtered to inclusion-maximal ones."""
+    return _maximal_states(problem, problem.rays(), ">=0")
 
 
 def solve_unstable(problem):
     """Maximal unstable states: > 0 states over the open-cell witnesses,
     filtered to inclusion-maximal ones; empty states are dropped."""
-    candidates = []
-    for witness in problem.cells():
-        selected = problem._select(witness.point, ">0")
-        if selected:
-            candidates.append((selected, witness.point))
-    entries = _maximal_only(_unique_keep_first(candidates))
-    entries.sort(key=lambda e: (-len(e[0]), _state_sort_key(e[0])))
-    if problem.weyl_optimisation:
-        entries = _drop_weyl_duplicates(problem, entries)
-    return _as_states("unstable", entries)
+    return _maximal_states(problem, problem.cells(), ">0")
 
 
 def solve_strictly_polystable(problem):
     """Strictly polystable states: = 0 states over rays and cell witnesses
     whose hull has the origin in its relative interior, deduplicated up to
-    Weyl equivalence of the weight sets. Nested states are kept on purpose."""
-    candidates = []
-    for witness in (*problem.rays(), *problem.cells()):
-        selected = problem._select(witness.point, "=0")
-        if not selected:
-            continue
-        if not zero_in_relative_interior(
-            [pairing_vector(problem.group, w.coeffs) for w in selected]
-        ):
-            continue
-        candidates.append((selected, witness.point))
-    entries = _unique_keep_first(candidates)
+    Weyl equivalence of the weight sets. Nested states are kept on purpose.
+    The relative-interior test runs once per distinct weight set."""
+    entries = [
+        (weights, point)
+        for weights, point in _distinct(problem, (*problem.rays(), *problem.cells()), "=0")
+        if zero_in_relative_interior([pairing_vector(problem.group, w.coeffs) for w in weights])
+    ]
     entries.sort(key=lambda e: (len(e[0]), _state_sort_key(e[0])))
     entries = _drop_weyl_duplicates(problem, entries)
-    return _as_states("strictly_polystable", entries)
+    return _as_states("=0", entries)
+
+
+def _support_weights(problem, point_support, caller):
+    """The point's support as a tuple, checked non-empty and inside the
+    problem's support."""
+    weights = tuple(point_support)
+    if not weights:
+        raise ValueError(f"{caller} needs a non-empty support")
+    available = problem.support.coeff_set()
+    for w in weights:
+        if w.coeffs not in available:
+            raise ValueError(f"weight {w.coeffs} is not in the problem's support")
+    return weights
 
 
 def hm_mu(problem, point_support, lam):
     """Hilbert-Mumford pairing floor: min over the point's support of
     <chi, lam>. The point is non-stable for lam exactly when this is >= 0."""
-    weights = tuple(point_support)
-    if not weights:
-        raise ValueError("hm_mu needs a non-empty support")
-    available = problem.support.coeff_set()
-    for w in weights:
-        if w.coeffs not in available:
-            raise ValueError(f"weight {w.coeffs} is not in the problem's support")
-    return min(pairing(w, lam) for w in weights)
+    return min(pairing(w, lam) for w in _support_weights(problem, point_support, "hm_mu"))
 
 
 @dataclass(frozen=True)
@@ -384,13 +370,7 @@ def classify_torus(problem, point_support):
     "T-non-stable-semistable" when it only fits a non-stable state, and
     "T-stable" otherwise. G-stability is out of scope: only torus data is
     consulted."""
-    weights = tuple(point_support)
-    if not weights:
-        raise ValueError("classify_torus needs a non-empty support")
-    available = problem.support.coeff_set()
-    for w in weights:
-        if w.coeffs not in available:
-            raise ValueError(f"weight {w.coeffs} is not in the problem's support")
+    weights = _support_weights(problem, point_support, "classify_torus")
     target = frozenset(w.coeffs for w in weights)
     elements = weyl_elements(problem.group, guard=problem.weyl_guard)
     if problem._torus_loci is None:
@@ -432,24 +412,34 @@ _LOCI_SOLVERS = {
 }
 
 
-def solve_all(problem, loci=("nonstable", "unstable", "polystable")):
-    """Solve the requested loci and collect the results with timings."""
+def parse_loci(loci):
+    """The requested locus names, from a comma-separated string or an
+    iterable of names: case and surrounding blanks are ignored, empty parts
+    skipped, and repeats dropped in first-seen order."""
     if isinstance(loci, str):
         loci = loci.split(",")
     requested = []
     for name in loci:
         cleaned = str(name).strip().lower()
+        if not cleaned:
+            continue
         if cleaned not in _LOCI_SOLVERS:
             raise ParseError(
-                f"unknown locus {name!r}; expected any of nonstable, unstable, polystable"
+                f"unknown locus {cleaned!r}; expected any of {', '.join(_LOCI_SOLVERS)}"
             )
         if cleaned not in requested:
             requested.append(cleaned)
     if not requested:
         raise ParseError("no loci requested")
+    return requested
+
+
+def solve_all(problem, loci=("nonstable", "unstable", "polystable")):
+    """Solve the requested loci (see `parse_loci`) and collect the results
+    with timings."""
     results = {}
     timings = {}
-    for name in requested:
+    for name in parse_loci(loci):
         start = time.perf_counter()
         results[name] = tuple(_LOCI_SOLVERS[name](problem))
         timings[name] = time.perf_counter() - start

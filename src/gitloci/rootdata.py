@@ -45,7 +45,7 @@ from .errors import (
     RankMismatchError,
     ResourceGuardError,
 )
-from .exactgeom import determinant, invert_matrix, primitive_vector
+from .exactgeom import determinant, dot, invert_matrix, primitive_vector
 
 DEFAULT_WEYL_GUARD = 10**6
 
@@ -157,7 +157,6 @@ class SimpleGroup:
     cartan_inverse: tuple[tuple[Fraction, ...], ...]
     cartan_adjugate: tuple[tuple[int, ...], ...]
     cartan_det: int
-    simple_roots_display: tuple[tuple, ...]
     simple_roots_fundamental: tuple[tuple[int, ...], ...]
     chamber_generators: tuple[tuple[int, ...], ...]
     weyl_generators: tuple[tuple[tuple[int, ...], ...], ...]
@@ -229,10 +228,6 @@ def _build_group(letter, rank):
     roots_fundamental = tuple(
         tuple(cartan[i][j] for i in range(rank)) for j in range(rank)
     )
-    if letter in ("E", "G"):
-        display = roots_fundamental
-    else:
-        display = _euclidean_simple_roots(letter, rank)
     chamber = tuple(primitive_vector(row) for row in inverse)
     warnings = (_D2_WARNING,) if (letter, rank) == ("D", 2) else ()
     return SimpleGroup(
@@ -241,7 +236,6 @@ def _build_group(letter, rank):
         cartan_inverse=tuple(tuple(x for x in row) for row in inverse),
         cartan_adjugate=tuple(adjugate),
         cartan_det=det,
-        simple_roots_display=display,
         simple_roots_fundamental=roots_fundamental,
         chamber_generators=chamber,
         weyl_generators=tuple(_reflection_on_weights(cartan, i) for i in range(rank)),
@@ -354,14 +348,22 @@ def _require_same_group(a, b):
         raise RankMismatchError(f"operands belong to {a.group.name} and {b.group.name}")
 
 
-def pairing(chi, lam):
-    """The perfect pairing <chi, lam>: the dot product of the weight's
-    fundamental coefficients with the coweight's simple-coroot expansion."""
-    _require_same_group(chi, lam)
-    coroot_coords = convert_coordinates(
-        chi.group, lam.coeffs, "fundamental-coweight", "coroot"
+def pairing_vector(group, weight_coeffs):
+    """Integer vector u with u . m = det(cartan) * <chi, lam> for every
+    coweight vector m; the adjugate of the Cartan matrix applied to chi."""
+    adjugate = group.cartan_adjugate
+    rank = group.rank
+    return tuple(
+        sum(adjugate[j][k] * weight_coeffs[k] for k in range(rank)) for j in range(rank)
     )
-    return Fraction(sum(Fraction(c) * Fraction(m) for c, m in zip(chi.coeffs, coroot_coords)))
+
+
+def pairing(chi, lam):
+    """The perfect pairing <chi, lam>, as a Fraction: the det-scaled
+    pairing vector of chi dotted with lam's coefficients, divided by the
+    Cartan determinant."""
+    _require_same_group(chi, lam)
+    return Fraction(dot(pairing_vector(chi.group, chi.coeffs), lam.coeffs), chi.group.cartan_det)
 
 
 def reflect_weight_coeffs(cartan, coeffs, i):

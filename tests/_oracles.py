@@ -90,6 +90,20 @@ def _solve_exact(rows, rhs):
     return x
 
 
+def pairing_oracle(cartan, weight_coeffs, coweight_coeffs):
+    """<chi, lam> as a Fraction, from the Cartan matrix alone.
+
+    Row i of the Cartan matrix is the simple coroot alpha_i^vee in
+    fundamental-coweight coordinates, so the simple-coroot expansion x of lam
+    solves sum_i x_i * cartan[i] = lam. The fundamental weights are dual to
+    the simple coroots, so <chi, lam> = sum_i chi_i * x_i.
+    """
+    n = len(cartan)
+    columns = [[cartan[i][j] for i in range(n)] for j in range(n)]
+    x = _solve_exact(columns, coweight_coeffs)
+    return sum((Fraction(c) * v for c, v in zip(weight_coeffs, x)), Fraction(0))
+
+
 def _rank_exact(rows):
     if not rows:
         return 0

@@ -5,6 +5,10 @@ import json
 import pytest
 
 from gitloci.cli import main
+from gitloci.errors import ParseError
+from gitloci.gitsolver import new_problem, solve_all
+from gitloci.repsupport import parse_highest_weight
+from gitloci.rootdata import make_group
 
 A2_CUBIC_TEXT = """\
 ***************************************
@@ -172,6 +176,24 @@ def test_parse_failures_exit_with_two(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("gitloci:")
+
+
+def test_unknown_locus_reads_the_same_from_library_and_cli(capsys):
+    group = make_group("A2")
+    problem = new_problem(group, parse_highest_weight(group, "3,0,0"))
+    with pytest.raises(ParseError) as raised:
+        solve_all(problem, "nonstable, Bogus")
+    code, out, err = run(capsys, "solve", "A2", "--weight", "3,0,0", "--loci", "nonstable, Bogus")
+    assert code == 2
+    assert out == ""
+    assert err == f"gitloci: error: {raised.value}\n"
+
+
+def test_empty_loci_exit_with_two(capsys):
+    code, out, err = run(capsys, "solve", "A2", "--weight", "3,0,0", "--loci", ",")
+    assert code == 2
+    assert out == ""
+    assert err == "gitloci: error: no loci requested\n"
 
 
 def test_resource_guard_exits_with_three(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from gitloci.gitsolver import (
     hm_mu,
     new_problem,
     pairing_vector,
+    parse_loci,
     problem_from_weights,
     solve_all,
     solve_non_stable,
@@ -240,6 +241,21 @@ def test_solve_all_locus_selection():
         solve_all(problem, loci="nonstable,bogus")
     with pytest.raises(ParseError):
         solve_all(problem, loci="")
+
+
+def test_solve_all_skips_empty_locus_parts_and_takes_iterables():
+    problem = a2_cubic_problem()
+    assert parse_loci("nonstable,,unstable") == ["nonstable", "unstable"]
+    two = solve_all(problem, "nonstable,,unstable")
+    assert list(two.timings) == ["nonstable", "unstable"]
+    assert two.strictly_polystable is None
+    listed = solve_all(problem, [" Unstable", "polystable ", "unstable"])
+    assert list(listed.timings) == ["unstable", "polystable"]
+    assert listed.nonstable is None
+    assert listed.unstable == two.unstable
+    for empty in (",", " , ", [], ["", " "]):
+        with pytest.raises(ParseError, match="no loci requested"):
+            parse_loci(empty)
 
 
 def test_classification_of_the_generic_point_is_stable():

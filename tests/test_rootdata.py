@@ -22,6 +22,7 @@ from gitloci.rootdata import (
     weyl_group_order,
     weyl_orbit,
 )
+from _oracles import pairing_oracle
 
 A2 = make_group("A2")
 B2 = make_group("B2")
@@ -250,6 +251,22 @@ def test_weyl_elements_preserve_the_pairing(name, data):
         OneParameterSubgroup(group, element.apply_to_coweight_coeffs(m)),
     )
     assert before == after
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "F4", "G2", "E6"]
+)
+@relaxed
+@given(st.data())
+def test_pairing_matches_the_cartan_solve_oracle(name, data):
+    group = make_group(name)
+    coeffs = tuple(data.draw(st.integers(-4, 4)) for _ in range(group.rank))
+    m = tuple(data.draw(st.integers(-4, 4)) for _ in range(group.rank))
+    if all(v == 0 for v in m):
+        return
+    value = pairing(weight(group, coeffs), OneParameterSubgroup(group, m))
+    assert isinstance(value, Fraction)
+    assert value == pairing_oracle(group.cartan, coeffs, m)
 
 
 def test_orbit_sizes_follow_stabilizer_parabolic():
