@@ -10,7 +10,9 @@ Rays come from a walk over flats with fraction-free integer elimination.
 Cells come from an exact angular sweep in dimension 2; in higher dimension
 they are localised at the rays, and only the small local systems of rank-4
 and larger arrangements reach the `Fraction` simplex of `lp_feasible`. The
-simplex also decides the relative-interior test.
+relative-interior test poses its system to the same phase-one simplex
+directly: after lam = 1 + mu it has one row per ambient coordinate and one
+column per point, with no free-variable split and no surplus columns.
 
 Strict feasibility is decided by homogenization (``f > 0`` becomes
 ``f >= 1``), which is valid here because every system handled by this module
@@ -136,8 +138,11 @@ def _phase_one(rows, rhs):
     """Find z >= 0 with A z = b (b >= 0) by a phase-one simplex, or None.
 
     Bland's rule on both the entering and the leaving choice guarantees
-    termination without any degeneracy handling.
+    termination without any degeneracy handling. A negative entry of b would
+    leave the artificial basis infeasible, so it is rejected.
     """
+    if any(b < 0 for b in rhs):
+        raise ValueError("phase-one simplex needs a non-negative right-hand side")
     m = len(rows)
     if m == 0:
         return []
@@ -239,16 +244,27 @@ def zero_in_relative_interior(points):
     """Whether the origin lies in the relative interior of the convex hull.
 
     For a finite point set this is equivalent to the origin being a strictly
-    positive combination of ALL the points, which is one feasibility check.
+    positive combination of ALL the points: some lam_i > 0 with
+    sum lam_i p_i = 0. The system is homogeneous, so lam_i > 0 may be
+    rescaled to lam_i >= 1; writing lam = 1 + mu with mu >= 0 turns it into
+    sum mu_i p_i = -sum p_i, one equation per ambient coordinate over one
+    column per point. Rows with a negative right-hand side are negated and
+    all-zero rows (whose right-hand side is then 0) dropped, and the phase-one
+    simplex decides feasibility; with no rows left the points are all zero
+    and the answer is yes.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
         raise ValueError("zero_in_relative_interior needs at least one point")
-    n = len(pts)
-    ambient = len(pts[0])
-    equalities = [[p[k] for p in pts] for k in range(ambient)]
-    stricts = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return lp_feasible(equalities, (), stricts, n) is not None
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ValueError("zero_in_relative_interior needs points of one dimension")
+    rows, rhs = [], []
+    for row in zip(*pts):
+        if any(row):
+            total = sum(row)
+            rows.append(row if total <= 0 else tuple(-c for c in row))
+            rhs.append(abs(total))
+    return _phase_one(rows, rhs) is not None
 
 
 @dataclass(frozen=True, slots=True)

@@ -178,6 +178,25 @@ def zero_in_relative_interior_oracle(points):
     return True
 
 
+def lp_relint_reference(points):
+    """Whether the origin lies in the relative interior, by the package's
+    former formulation: "0 is a strictly positive combination of all the
+    points" posed to `lp_feasible` as equalities over one variable per point
+    with a strict inequality per variable.
+
+    Unlike the rest of this module it calls into the package, so it checks
+    the rank-row formulation of `zero_in_relative_interior` against the
+    general LP on point sets too large for the subset oracle above.
+    """
+    from gitloci.exactgeom import lp_feasible
+
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    n = len(pts)
+    equalities = [[p[k] for p in pts] for k in range(len(pts[0]))]
+    stricts = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return lp_feasible(equalities, (), stricts, n) is not None
+
+
 def _independent_rows(rows, target_rank):
     chosen = []
     for row in rows:

@@ -15,12 +15,18 @@ from gitloci.exactgeom import (
     primitive_vector,
     zero_in_relative_interior,
     _cell_witnesses_by_lp,
+    _phase_one,
     _planar_cell_witnesses,
 )
 from gitloci.gitsolver import new_problem, pairing_vector
 from gitloci.repsupport import parse_highest_weight
 from gitloci.rootdata import make_group
-from _oracles import sign_vector, subset_rref_rays, zero_in_relative_interior_oracle
+from _oracles import (
+    lp_relint_reference,
+    sign_vector,
+    subset_rref_rays,
+    zero_in_relative_interior_oracle,
+)
 
 QUADRANT = ((1, 0), (0, 1))
 
@@ -103,20 +109,64 @@ def test_zero_in_relative_interior_known_cases():
     assert zero_in_relative_interior([(1, 1), (-1, 1), (0, -1)]) is True
 
 
+def test_zero_in_relative_interior_further_known_cases():
+    assert zero_in_relative_interior([(0, 0, 0), (0, 0, 0)]) is True
+    assert zero_in_relative_interior([(1, 0), (0, 1), (0, 0)]) is False
+    assert zero_in_relative_interior([(1, 2, 0), (0, 0, 0)]) is False
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert zero_in_relative_interior([(half, -third), (-half, third)]) is True
+    assert zero_in_relative_interior([(half, third), (-third, 0), (0, -half)]) is True
+    assert zero_in_relative_interior([(half, third), (-third, 0)]) is False
+
+
 def test_zero_in_relative_interior_rejects_empty_input():
     with pytest.raises(ValueError):
         zero_in_relative_interior([])
 
 
+def test_zero_in_relative_interior_rejects_mixed_dimensions():
+    with pytest.raises(ValueError):
+        zero_in_relative_interior([(1, 0), (-1,)])
+
+
+def test_phase_one_rejects_negative_right_hand_side():
+    with pytest.raises(ValueError):
+        _phase_one([[1, 0], [0, 1]], [1, -1])
+    assert _phase_one([[1, 1]], [Fraction(2)]) is not None
+    assert _phase_one([], []) == []
+
+
 rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
+@st.composite
+def point_sets(draw, dims, sizes, coordinates=rational):
+    """Point sets of one dimension mixing fresh points with zero points,
+    repeats and antipodes of points already drawn."""
+    d = draw(dims)
+    points = []
+    for _ in range(draw(sizes)):
+        kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "antipode")))
+        if kind == "zero":
+            points.append((0,) * d)
+        elif kind != "fresh" and points:
+            p = draw(st.sampled_from(points))
+            points.append(p if kind == "repeat" else tuple(-c for c in p))
+        else:
+            points.append(tuple(draw(st.lists(coordinates, min_size=d, max_size=d))))
+    return points
+
+
 @relaxed
-@given(st.integers(1, 3).flatmap(
-    lambda d: st.lists(st.lists(rational, min_size=d, max_size=d).map(tuple), min_size=1, max_size=8)
-))
+@given(point_sets(st.integers(1, 5), st.integers(1, 8)))
 def test_zero_in_relative_interior_matches_brute_force(points):
     assert zero_in_relative_interior(points) == zero_in_relative_interior_oracle(points)
+
+
+@relaxed
+@given(point_sets(st.integers(2, 4), st.integers(10, 30), st.integers(-3, 3)))
+def test_zero_in_relative_interior_matches_lp_on_large_sets(points):
+    assert zero_in_relative_interior(points) == lp_relint_reference(points)
 
 
 def test_arrangement_rays_single_diagonal_line_in_quadrant():
