@@ -9,16 +9,18 @@ full-dimensional open cells of a central arrangement of hyperplanes
 Rays come from a walk over flats with fraction-free integer elimination.
 Cells come from an exact angular sweep in dimension 2; in higher dimension
 they are localised at the rays, and only the small local systems of rank-4
-and larger arrangements reach the `Fraction` simplex of `lp_feasible`. The
-relative-interior test poses its system to the same phase-one simplex
-directly: after lam = 1 + mu it has one row per ambient coordinate and one
-column per point, with no free-variable split and no surplus columns.
+and larger arrangements reach the cell LP `lp_feasible`. There is one
+simplex, `_phase_one`, and it pivots fraction-free on integers. Both of its
+callers hand it a system with one row per ambient coordinate (plus one):
+`lp_feasible` poses the transposition dual of its system (Gordan, Motzkin)
+and reads its witness off the Farkas certificate that an infeasible phase
+one returns, and the relative-interior test, after lam = 1 + mu, has one
+column per point.
 
-Strict feasibility is decided by homogenization (``f > 0`` becomes
-``f >= 1``), which is valid here because every system handled by this module
-is positively homogeneous: if a cone point satisfies ``f > 0`` at all, some
-positive rescaling satisfies ``f >= 1``. Callers must not feed
-inhomogeneous systems to `lp_feasible` with strict constraints.
+Every system `lp_feasible` decides is homogeneous (linear forms with no
+right-hand side), which is what the transposition theorem needs; the
+dual's normalisation sum(y) = 1 plays the part of rescaling ``f > 0`` to
+``f >= 1``.
 """
 
 from __future__ import annotations
@@ -134,103 +136,132 @@ def determinant(matrix):
     return det
 
 
-def _phase_one(rows, rhs):
-    """Find z >= 0 with A z = b (b >= 0) by a phase-one simplex, or None.
+@dataclass(frozen=True, slots=True)
+class FarkasCertificate:
+    """Proof that ``A z = b`` has no solution ``z >= 0``: an integer vector
+    y with ``y . A_j >= 0`` for every column A_j and ``y . b < 0``."""
 
+    y: tuple[int, ...]
+
+
+def _phase_one(rows, rhs):
+    """Find z >= 0 with A z = b (b >= 0) by a phase-one simplex.
+
+    Returns a feasible z as a list of `Fraction`s, or, when there is none, a
+    `FarkasCertificate` read off the phase-one duals. Rows of ``[A | b]``
+    that are all zero say nothing and are dropped; their certificate entry
+    is 0. A negative entry of b would leave the artificial basis infeasible,
+    so it is rejected.
+
+    The tableau holds integers only. Each row of ``[A | b]`` is scaled by
+    the lcm of its denominators, and with B the current basis the tableau is
+    ``det(B) B^-1 [A | I | b]`` under a reduced-cost row ``det(B) (c - c_B
+    B^-1 [A | I | b])``, c being 1 on the artificials. A pivot on p then
+    updates every other entry as ``(p a - f b) // d``, d the previous pivot,
+    and the division is exact (Bareiss); the ratio test cross-multiplies.
     Bland's rule on both the entering and the leaving choice guarantees
-    termination without any degeneracy handling. A negative entry of b would
-    leave the artificial basis infeasible, so it is rejected.
+    termination without any degeneracy handling; only columns of A enter.
+
+    When no column of A has a negative reduced cost the duals
+    ``pi = c_B B^-1`` pair non-positively with every column of A, and
+    ``pi . b`` is the artificials' total. If that is positive,
+    ``y = -det(B) pi`` (times the row scales) is the certificate.
     """
     if any(b < 0 for b in rhs):
         raise ValueError("phase-one simplex needs a non-negative right-hand side")
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
+    n = len(rows[0]) if rows else 0
+    kept = [i for i, (row, b) in enumerate(zip(rows, rhs)) if b or any(row)]
+    m = len(kept)
     width = n + m
-    tableau = [
-        [Fraction(x) for x in rows[i]]
-        + [Fraction(1 if i == j else 0) for j in range(m)]
-        + [Fraction(rhs[i])]
-        for i in range(m)
-    ]
-    basis = list(range(n, n + m))
+    tableau, scales = [], []
+    for k, i in enumerate(kept):
+        entries = (*rows[i], rhs[i])
+        scale = lcm(*(x.denominator for x in entries))
+        ints = [x.numerator * (scale // x.denominator) for x in entries]
+        tableau.append(ints[:n] + [1 if k == j else 0 for j in range(m)] + ints[n:])
+        scales.append(scale)
+    cost = [-sum(row[j] for row in tableau) for j in range(width + 1)]
+    cost[n:width] = [0] * m
+    tableau.append(cost)
+    basis = list(range(n, width))
+    det = 1
     while True:
-        entering = None
-        for j in range(width):
-            in_basis_cost = sum(tableau[i][j] for i in range(m) if basis[i] >= n)
-            own_cost = 1 if j >= n else 0
-            if own_cost - in_basis_cost < 0:
-                entering = j
-                break
+        cost = tableau[m]
+        entering = next((j for j in range(n) if cost[j] < 0), None)
         if entering is None:
             break
         leaving = None
-        best = None
         for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][width] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+            a = tableau[i][entering]
+            if a > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = tableau[i][width] * tableau[leaving][entering]
+                best = tableau[leaving][width] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             raise RuntimeError("phase-one simplex unbounded; this is a bug")
-        pv = tableau[leaving][entering]
-        tableau[leaving] = [x / pv for x in tableau[leaving]]
-        for i in range(m):
-            if i != leaving and tableau[i][entering] != 0:
+        pivot_row = tableau[leaving]
+        p = pivot_row[entering]
+        for i in range(m + 1):
+            if i != leaving:
                 f = tableau[i][entering]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leaving])]
+                tableau[i] = [(p * a - f * b) // det for a, b in zip(tableau[i], pivot_row)]
+        det = p
         basis[leaving] = entering
-    if sum(tableau[i][width] for i in range(m) if basis[i] >= n) != 0:
-        return None
+    cost = tableau[m]
+    if cost[width]:
+        y = [0] * len(rows)
+        for k, i in enumerate(kept):
+            y[i] = scales[k] * (cost[n + k] - det)
+        return FarkasCertificate(tuple(y))
     z = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            z[basis[i]] = tableau[i][width]
+            z[basis[i]] = Fraction(tableau[i][width], det)
     return z
+
+
+def _rational_row(row):
+    return tuple(c if isinstance(c, int) else Fraction(c) for c in row)
 
 
 def lp_feasible(equalities, weak, strict, dim):
     """Search for x with e.x = 0, w.x >= 0, s.x > 0 for the given forms.
 
-    Returns an exact rational witness tuple, or None when infeasible. All
-    constraint systems must be positively homogeneous (see module docstring);
-    strictness is realized as s.x >= 1.
+    Returns an exact integer witness tuple, or None when infeasible. The
+    system is decided through its transposition dual (Gordan, Motzkin): such
+    an x exists exactly when no u free, v >= 0, y >= 0 with sum(y) = 1 solve
+    ``E^T u + W^T v + S^T y = 0``. That dual has dim + 1 rows (one per
+    coordinate, one for sum(y) = 1) and right-hand side (0, ..., 0, 1), and
+    `_phase_one` decides it, with u split into two non-negative halves. A
+    feasible dual means None. An infeasible one comes with a Farkas
+    certificate (x, t) that pairs non-negatively with every dual column, so
+    ``e.x = 0``, ``w.x >= 0`` and ``s.x + t >= 0``, and has ``t < 0``. Its
+    x is the witness, since then ``s.x >= -t > 0``; a coordinate that no
+    form touches gives an all-zero dual row, which `_phase_one` drops, and
+    is 0 in the witness.
     """
-    eqs = [tuple(Fraction(c) for c in row) for row in equalities]
-    weaks = [tuple(Fraction(c) for c in row) for row in weak]
-    stricts = [tuple(Fraction(c) for c in row) for row in strict]
+    eqs = [_rational_row(row) for row in equalities]
+    weaks = [_rational_row(row) for row in weak]
+    stricts = [_rational_row(row) for row in strict]
     for row in (*eqs, *weaks, *stricts):
         if len(row) != dim:
             raise ValueError(f"constraint of length {len(row)} in dimension {dim}")
-    if any(all(c == 0 for c in row) for row in stricts):
-        return None
-    eqs = [r for r in eqs if any(c != 0 for c in r)]
-    weaks = [r for r in weaks if any(c != 0 for c in r)]
     if not stricts:
-        return tuple(Fraction(0) for _ in range(dim))
-
-    n_weak, n_strict = len(weaks), len(stricts)
-    rows, rhs = [], []
-    for e in eqs:
-        rows.append([*e, *(-c for c in e)] + [Fraction(0)] * (n_weak + n_strict))
-        rhs.append(Fraction(0))
-    for k, w in enumerate(weaks):
-        surplus = [Fraction(0)] * (n_weak + n_strict)
-        surplus[k] = Fraction(-1)
-        rows.append([*w, *(-c for c in w), *surplus])
-        rhs.append(Fraction(0))
-    for k, s in enumerate(stricts):
-        surplus = [Fraction(0)] * (n_weak + n_strict)
-        surplus[n_weak + k] = Fraction(-1)
-        rows.append([*s, *(-c for c in s), *surplus])
-        rhs.append(Fraction(1))
-    z = _phase_one(rows, rhs)
-    if z is None:
+        return (0,) * dim
+    columns = [
+        *((*e, 0) for e in eqs),
+        *((*(-c for c in e), 0) for e in eqs),
+        *((*w, 0) for w in weaks),
+        *((*s, 1) for s in stricts),
+    ]
+    result = _phase_one(list(zip(*columns)), (0,) * dim + (1,))
+    if not isinstance(result, FarkasCertificate):
         return None
-    x = tuple(z[i] - z[dim + i] for i in range(dim))
+    x = result.y[:dim]
     if (
         any(dot(e, x) != 0 for e in eqs)
         or any(dot(w, x) < 0 for w in weaks)
@@ -248,23 +279,18 @@ def zero_in_relative_interior(points):
     sum lam_i p_i = 0. The system is homogeneous, so lam_i > 0 may be
     rescaled to lam_i >= 1; writing lam = 1 + mu with mu >= 0 turns it into
     sum mu_i p_i = -sum p_i, one equation per ambient coordinate over one
-    column per point. Rows with a negative right-hand side are negated and
-    all-zero rows (whose right-hand side is then 0) dropped, and the phase-one
-    simplex decides feasibility; with no rows left the points are all zero
-    and the answer is yes.
+    column per point. Rows with a negative right-hand side are negated, and
+    the phase-one simplex decides feasibility; it drops all-zero rows, so
+    when the points are all zero nothing is left and the answer is yes.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
         raise ValueError("zero_in_relative_interior needs at least one point")
     if any(len(p) != len(pts[0]) for p in pts):
         raise ValueError("zero_in_relative_interior needs points of one dimension")
-    rows, rhs = [], []
-    for row in zip(*pts):
-        if any(row):
-            total = sum(row)
-            rows.append(row if total <= 0 else tuple(-c for c in row))
-            rhs.append(abs(total))
-    return _phase_one(rows, rhs) is not None
+    rows = [row if sum(row) <= 0 else tuple(-c for c in row) for row in zip(*pts)]
+    rhs = [-sum(row) for row in rows]
+    return not isinstance(_phase_one(rows, rhs), FarkasCertificate)
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,13 +466,13 @@ def _cell_witnesses_by_lp(normals, chamber, dim, guard):
     kept for free, and only the far side costs one feasibility check.
     """
     lines = _dedupe_lines(normals)
-    chamber_rows = [tuple(Fraction(c) for c in row) for row in chamber]
+    chamber_rows = [tuple(row) for row in chamber]
     seed = lp_feasible((), (), chamber_rows, dim)
     if seed is None:
         return []
     regions = [((), seed)]
     processed = []
-    for line in lines:
+    for index, line in enumerate(lines, 1):
         refined = []
         for signs, witness in regions:
             value = dot(line, witness)
@@ -469,7 +495,8 @@ def _cell_witnesses_by_lp(normals, chamber, dim, guard):
                     refined.append((signs + (sign,), point))
             if len(refined) > guard:
                 raise ResourceGuardError(
-                    f"cell enumeration exceeded the guard of {guard} regions"
+                    f"cell enumeration by sign splitting exceeded the guard of {guard}"
+                    f" regions at line {index} of {len(lines)}"
                 )
         regions = refined
         processed.append(line)
@@ -495,7 +522,8 @@ def _cells_localised_at_rays(normals, chamber, dim, guard, rays):
     chamber = [tuple(c) for c in chamber]
     constraints = [*normals, *chamber]
     by_signs = {}
-    for ray in rays:
+    for index, ray in enumerate(rays, 1):
+        stage = f"at ray {index} of {len(rays)}"
         r = ray.point
         j = next(i for i, x in enumerate(r) if x != 0)
         local_normals = [n[:j] + n[j + 1:] for n in normals if dot(n, r) == 0]
@@ -503,7 +531,10 @@ def _cells_localised_at_rays(normals, chamber, dim, guard, rays):
         if dim == 3:
             local = _planar_cell_witnesses(local_normals, local_walls)
         else:
-            local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard)
+            try:
+                local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard)
+            except ResourceGuardError as exc:
+                raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
         far = [(f, abs(dot(f, r))) for f in constraints if dot(f, r) != 0]
         for y in local:
             y = (*y[:j], 0, *y[j:])
@@ -512,7 +543,9 @@ def _cells_localised_at_rays(normals, chamber, dim, guard, rays):
             signs = tuple(dot(n, point) > 0 for n in normals)
             by_signs.setdefault(signs, point)
             if len(by_signs) > guard:
-                raise ResourceGuardError(f"cell enumeration exceeded the guard of {guard} cells")
+                raise ResourceGuardError(
+                    f"cell enumeration localised at rays exceeded the guard of {guard} cells {stage}"
+                )
     return list(by_signs.values())
 
 
@@ -541,7 +574,9 @@ def arrangement_cells(normals, chamber, dim, guard=DEFAULT_CELL_GUARD, rays=None
             rays = arrangement_rays(nonzero, chamber, dim)
         witnesses = _cells_localised_at_rays(nonzero, chamber, dim, guard, rays)
     if len(witnesses) > guard:
-        raise ResourceGuardError(f"cell enumeration exceeded the guard of {guard} cells")
+        raise ResourceGuardError(
+            f"cell enumeration exceeded the guard of {guard} cells with {len(witnesses)} found"
+        )
     out = []
     seen_sign_vectors = set()
     for point in sorted(witnesses):

@@ -178,23 +178,87 @@ def zero_in_relative_interior_oracle(points):
     return True
 
 
+def _bland_phase_one(rows, rhs):
+    """Some z >= 0 with rows * z = rhs (rhs >= 0), or None, by a textbook
+    phase-one simplex over Fraction: one artificial column per row, Bland's
+    rule on both the entering and the leaving choice."""
+    m, n = len(rows), len(rows[0])
+    width = n + m
+    tableau = [
+        [Fraction(v) for v in rows[i]] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(rhs[i])]
+        for i in range(m)
+    ]
+    basis = list(range(n, width))
+    while True:
+        entering = None
+        for j in range(width):
+            reduced = int(j >= n) - sum(tableau[i][j] for i in range(m) if basis[i] >= n)
+            if reduced < 0:
+                entering = j
+                break
+        if entering is None:
+            break
+        leaving, best = None, None
+        for i in range(m):
+            if tableau[i][entering] > 0:
+                ratio = tableau[i][width] / tableau[i][entering]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    leaving, best = i, ratio
+        pivot = tableau[leaving][entering]
+        tableau[leaving] = [v / pivot for v in tableau[leaving]]
+        for i in range(m):
+            if i != leaving and tableau[i][entering] != 0:
+                factor = tableau[i][entering]
+                tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[leaving])]
+        basis[leaving] = entering
+    if any(tableau[i][width] != 0 for i in range(m) if basis[i] >= n):
+        return None
+    z = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            z[basis[i]] = tableau[i][width]
+    return z
+
+
+def primal_lp_reference(equalities, weak, strict, dim):
+    """Some x with e.x = 0, w.x >= 0 and s.x > 0 for the given forms, or None.
+
+    The primal formulation: the system is homogeneous, so s.x > 0 may be
+    rescaled to s.x >= 1; x is split as x+ - x- with both halves
+    non-negative, and every inequality gets its own surplus column, which
+    gives one row per form over 2 dim + (weak + strict) columns for
+    `_bland_phase_one`.
+    """
+    forms = [*equalities, *weak, *strict]
+    inequalities = range(len(equalities), len(forms))
+    first_strict = len(forms) - len(strict)
+    rows, rhs = [], []
+    for k, row in enumerate(forms):
+        row = [Fraction(v) for v in row]
+        rows.append(row + [-v for v in row] + [Fraction(-int(k == s)) for s in inequalities])
+        rhs.append(int(k >= first_strict))
+    if not rows:
+        return (Fraction(0),) * dim
+    z = _bland_phase_one(rows, rhs)
+    if z is None:
+        return None
+    return tuple(z[i] - z[dim + i] for i in range(dim))
+
+
 def lp_relint_reference(points):
     """Whether the origin lies in the relative interior, by the package's
     former formulation: "0 is a strictly positive combination of all the
-    points" posed to `lp_feasible` as equalities over one variable per point
-    with a strict inequality per variable.
-
-    Unlike the rest of this module it calls into the package, so it checks
-    the rank-row formulation of `zero_in_relative_interior` against the
-    general LP on point sets too large for the subset oracle above.
+    points" posed to `primal_lp_reference` as equalities over one variable
+    per point with a strict inequality per variable. It shares no simplex
+    with the package, and checks the rank-row formulation of
+    `zero_in_relative_interior` on point sets too large for the subset
+    oracle above.
     """
-    from gitloci.exactgeom import lp_feasible
-
     pts = [tuple(Fraction(x) for x in p) for p in points]
     n = len(pts)
     equalities = [[p[k] for p in pts] for k in range(len(pts[0]))]
     stricts = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return lp_feasible(equalities, (), stricts, n) is not None
+    return primal_lp_reference(equalities, (), stricts, n) is not None
 
 
 def _independent_rows(rows, target_rank):

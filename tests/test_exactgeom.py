@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gitloci.errors import ResourceGuardError
 from gitloci.exactgeom import (
+    FarkasCertificate,
     arrangement_cells,
     arrangement_rays,
     dot,
@@ -23,6 +25,7 @@ from gitloci.repsupport import parse_highest_weight
 from gitloci.rootdata import make_group
 from _oracles import (
     lp_relint_reference,
+    primal_lp_reference,
     sign_vector,
     subset_rref_rays,
     zero_in_relative_interior_oracle,
@@ -101,6 +104,111 @@ def test_lp_feasible_witness_satisfies_every_constraint(eqs, weak, strict):
     assert all(dot(row, point) > 0 for row in strict)
 
 
+def satisfies(point, eqs, weak, strict):
+    return (
+        all(dot(row, point) == 0 for row in eqs)
+        and all(dot(row, point) >= 0 for row in weak)
+        and all(dot(row, point) > 0 for row in strict)
+    )
+
+
+rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def lp_systems(draw):
+    """Homogeneous systems in dimensions 1-6: equalities, weak and strict
+    forms with integer and `Fraction` entries, mixing fresh rows with zero
+    rows, repeats and antipodes of rows already drawn."""
+    dim = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-4, 4), rational)
+    drawn = []
+
+    def rows(min_size, max_size):
+        out = []
+        for _ in range(draw(st.integers(min_size, max_size))):
+            kind = draw(st.sampled_from(("fresh", "fresh", "zero", "repeat", "antipode")))
+            if kind == "zero":
+                row = (0,) * dim
+            elif kind != "fresh" and drawn:
+                row = draw(st.sampled_from(drawn))
+                row = row if kind == "repeat" else tuple(-c for c in row)
+            else:
+                row = tuple(draw(st.lists(entry, min_size=dim, max_size=dim)))
+            drawn.append(row)
+            out.append(row)
+        return out
+
+    return rows(0, 2), rows(0, 3), rows(1, 5), dim
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lp_systems())
+def test_lp_feasible_matches_primal_reference(system):
+    eqs, weak, strict, dim = system
+    point = lp_feasible(eqs, weak, strict, dim)
+    reference = primal_lp_reference(eqs, weak, strict, dim)
+    assert (point is None) == (reference is None)
+    if point is not None:
+        assert satisfies(point, eqs, weak, strict)
+        assert satisfies(reference, eqs, weak, strict)
+
+
+def check_phase_one(rows, rhs):
+    """Run `_phase_one` and check what it returns: A z = b with z >= 0, or
+    a certificate y with y . A_j >= 0 on every column and y . b < 0."""
+    result = _phase_one(rows, rhs)
+    if isinstance(result, FarkasCertificate):
+        y = result.y
+        assert len(y) == len(rows)
+        assert all(dot(y, column) >= 0 for column in zip(*rows))
+        assert dot(y, rhs) < 0
+    else:
+        assert all(z >= 0 for z in result)
+        assert all(dot(row, result) == b for row, b in zip(rows, rhs))
+    return result
+
+
+def test_phase_one_certificates_of_infeasible_systems():
+    infeasible = [
+        ([[-1, -1]], [1]),
+        ([[1, 0], [1, 0]], [1, 2]),
+        ([[0, 0]], [3]),
+        ([[1, 2, 3], [2, 4, 6]], [1, 3]),
+        ([[1, 1], [0, 0], [1, 1]], [1, 0, 2]),
+        ([[1, -1, 0], [0, 1, -1], [1, 0, -1]], [1, 1, 1]),
+        ([[Fraction(1, 2), 1], [1, 2]], [1, 3]),
+    ]
+    for rows, rhs in infeasible:
+        assert isinstance(check_phase_one(rows, rhs), FarkasCertificate)
+    # An all-zero row says nothing and gets no weight in the certificate.
+    assert check_phase_one([[1, 1], [0, 0], [1, 1]], [1, 0, 2]).y[1] == 0
+
+
+augmented_rows = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1), min_size=1, max_size=4
+    )
+)
+
+
+@relaxed
+@given(augmented_rows, st.lists(st.integers(1, 6), min_size=4, max_size=4))
+def test_phase_one_fraction_rows_answer_as_their_integer_scaled_rows(augmented, divisors):
+    # Rows of [A | b] with b >= 0, row i divided by divisors[i].
+    fractional = [
+        [Fraction(c if row[-1] >= 0 else -c, k) for c in row] for row, k in zip(augmented, divisors)
+    ]
+    scales = [lcm(*(x.denominator for x in row)) for row in fractional]
+    integer = [[int(x * m) for x in row] for row, m in zip(fractional, scales)]
+    answer = check_phase_one([r[:-1] for r in fractional], [r[-1] for r in fractional])
+    scaled = check_phase_one([r[:-1] for r in integer], [r[-1] for r in integer])
+    if isinstance(scaled, FarkasCertificate):
+        assert answer == FarkasCertificate(tuple(m * y for m, y in zip(scales, scaled.y)))
+    else:
+        assert answer == scaled
+
+
 def test_zero_in_relative_interior_known_cases():
     assert zero_in_relative_interior([(-1, 1, 0), (1, -1, 0), (0, 0, 0)]) is True
     assert zero_in_relative_interior([(0, 0)]) is True
@@ -134,9 +242,6 @@ def test_phase_one_rejects_negative_right_hand_side():
         _phase_one([[1, 0], [0, 1]], [1, -1])
     assert _phase_one([[1, 1]], [Fraction(2)]) is not None
     assert _phase_one([], []) == []
-
-
-rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
 @st.composite
@@ -214,6 +319,22 @@ def test_arrangement_cells_guard_trips():
         arrangement_cells(((1, -1),), QUADRANT, 2, guard=1)
     with pytest.raises(ResourceGuardError):
         arrangement_cells(((1, -1, 0), (0, 1, -1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3, guard=1)
+
+
+def test_cell_guard_messages_name_the_stage_and_its_progress():
+    chain = ((1, -1, 0), (0, 1, -1))
+    with pytest.raises(ResourceGuardError, match=r"localised at rays .* cells at ray 1 of 6$"):
+        arrangement_cells(chain, orthant(3), 3, guard=1)
+    cycle = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (1, 0, 0, -1))
+    with pytest.raises(
+        ResourceGuardError,
+        match=r"sign splitting .* regions at line 1 of 2, in the local system at ray 1 of 13$",
+    ):
+        arrangement_cells(cycle, orthant(4), 4, guard=1)
+    with pytest.raises(ResourceGuardError, match=r"sign splitting .* regions at line 2 of 2$"):
+        _cell_witnesses_by_lp(((1, -1), (1, -2)), QUADRANT, 2, 2)
+    with pytest.raises(ResourceGuardError, match=r"guard of 1 cells with 2 found$"):
+        arrangement_cells(((1, -1),), QUADRANT, 2, guard=1)
 
 
 interior_line = st.tuples(st.integers(1, 7), st.integers(-7, -1)).map(primitive_vector)
@@ -330,10 +451,12 @@ def test_localised_cells_match_global_lp(arrangement):
     assert len(cells) == len(by_lp)
 
 
-# Sign vectors of the cells of five representations that the global LP
-# path (`_cell_witnesses_by_lp`) took 2-20 s each to enumerate, frozen from
-# it: one string per cell, one sign per nonzero pairing normal in support
-# order.
+# Sign vectors of the cells of eight representations, frozen: one string
+# per cell, one sign per nonzero pairing normal in support order. The first
+# five come from the global LP path (`_cell_witnesses_by_lp`), which took
+# 2-20 s each on them; D5, A7 and E6 come from the cells localised at rays
+# over the split-variable primal cell LP, before the cell LP became its
+# transposition dual (E6 took 7-8 s that way).
 LP_CELLS = {
     ("A3", "3,0,0"): (
         "------+----++++-++++", "------+----+++++++++", "+-----+----++---++++",
@@ -365,6 +488,25 @@ LP_CELLS = {
         "--------+-+++---++--++--+++---+-++++++++",
         "+-------+-+++---++--++--+++---+-+++++++-",
         "++------+-+++---++--++--+++---+-++++++--",
+    ),
+    ("D5", "0,0,0,0,1"): (
+        "+++-+---+++++++-", "+++-----+++++++-", "++------+++++++-",
+        "++------++++++--", "+-------++++++++", "+-------+++++++-",
+        "+-------++++++--", "+-------+++++---", "+-------+++-+---",
+        "--------++++++++", "--------+++++++-",
+    ),
+    ("A7", "1,0,0,0,0,0,0"): (
+        "++++++-+", "+++++--+", "++++---+", "+++----+", "++-----+",
+        "+------+", "-------+",
+    ),
+    ("E6", "1,0,0,0,0,0"): (
+        "-++-+--++++---++--+++-++-+-", "-+--+--++++---+++-+++-+--+-",
+        "-+--+--++++---++--+++-++-+-", "-+--+--++++---++--+++-+--+-",
+        "-+--+--++++---+---+++-+--+-", "-+--+--++-+---+---+++-+--+-",
+        "-+--+--++-+---+---++--+--+-", "----+--++++---+++-+++++++++",
+        "----+--++++---+++-+++-+++++", "----+--++++---+++-+++-++++-",
+        "----+--++++---+++-+++-++-+-", "----+--++++---+++-+++-+--+-",
+        "----+--++++---+++-+++----+-", "----+--++++---++--+++-++-+-",
     ),
 }
 
