@@ -49,6 +49,8 @@ from .exactgeom import (
     DEFAULT_CELL_GUARD,
     arrangement_cells,
     arrangement_rays,
+    kernel_basis,
+    lp_feasible,
     zero_in_relative_interior,
 )
 from .repsupport import (
@@ -65,8 +67,9 @@ from .rootdata import (
     one_param_subgroup,
     pairing,
     pairing_vector,
+    reflect_coweight_coeffs,
     reflect_weight_coeffs,
-    weyl_elements,
+    weyl_elements,  # unused here; the benchmark's tracer wraps it under this module
 )
 
 # Each mode: the kind of state it selects and the comparison of a pairing
@@ -112,8 +115,10 @@ class GITProblem:
 
     Ray and cell candidates are computed lazily from the nonzero weights (as
     pairing normals) and the fundamental chamber, then cached; cells are
-    localised at the cached rays. `classify_torus` caches the unstable and
-    non-stable loci it scans the same way.
+    localised at the cached rays. `classify_torus` caches the same way the
+    maximal unstable and non-stable chamber states it looks certificates up
+    in, before any Weyl deduplication. `weyl_guard` bounds the Weyl set
+    closure of that deduplication; no query enumerates the Weyl group.
     """
 
     def __init__(
@@ -261,7 +266,9 @@ def _weyl_canonical_set(problem, coeff_set):
     rank = problem.group.rank
     seen = {coeff_set}
     frontier = [coeff_set]
+    rounds = 0
     while frontier:
+        rounds += 1
         nxt = []
         for current in frontier:
             for i in range(rank):
@@ -271,7 +278,9 @@ def _weyl_canonical_set(problem, coeff_set):
                     nxt.append(image)
                     if len(seen) > problem.weyl_guard:
                         raise ResourceGuardError(
-                            f"Weyl set closure exceeded the guard of {problem.weyl_guard}"
+                            f"Weyl set closure exceeded the guard of {problem.weyl_guard},"
+                            f" with {len(seen)} sets of {len(coeff_set)} weights reached"
+                            f" in round {rounds}"
                         )
         frontier = nxt
     canonical = min(tuple(sorted(s)) for s in seen)
@@ -301,11 +310,18 @@ def _as_states(mode, entries):
     return states
 
 
+def _sorted_maximal(problem, witnesses, mode):
+    """The inclusion-maximal distinct states of the mode over the witnesses,
+    as (weights, point), largest first."""
+    entries = _maximal_only(_distinct(problem, witnesses, mode))
+    entries.sort(key=lambda e: (-len(e[0]), _state_sort_key(e[0])))
+    return entries
+
+
 def _maximal_states(problem, witnesses, mode):
     """The inclusion-maximal distinct states of the mode over the witnesses,
     largest first, one per Weyl class under the problem's optimisation."""
-    entries = _maximal_only(_distinct(problem, witnesses, mode))
-    entries.sort(key=lambda e: (-len(e[0]), _state_sort_key(e[0])))
+    entries = _sorted_maximal(problem, witnesses, mode)
     if problem.weyl_optimisation:
         entries = _drop_weyl_duplicates(problem, entries)
     return _as_states(mode, entries)
@@ -346,6 +362,10 @@ def _support_weights(problem, point_support, caller):
         raise ValueError(f"{caller} needs a non-empty support")
     available = problem.support.coeff_set()
     for w in weights:
+        if w.group != problem.group:
+            raise RankMismatchError(
+                f"weight {w.coeffs} belongs to {w.group.name}, not {problem.group.name}"
+            )
         if w.coeffs not in available:
             raise ValueError(f"weight {w.coeffs} is not in the problem's support")
     return weights
@@ -357,6 +377,16 @@ def hm_mu(problem, point_support, lam):
     return min(pairing(w, lam) for w in _support_weights(problem, point_support, "hm_mu"))
 
 
+def _chamber_states(problem, witnesses, mode):
+    """The sorted maximal states of the mode as (coefficient set, point),
+    before Weyl deduplication: the class representative kept by the
+    deduplication need not contain a given reflected support."""
+    return [
+        (frozenset(w.coeffs for w in weights), point)
+        for weights, point in _sorted_maximal(problem, witnesses, mode)
+    ]
+
+
 @dataclass(frozen=True)
 class TorusClassification:
     verdict: str
@@ -364,30 +394,70 @@ class TorusClassification:
 
 
 def classify_torus(problem, point_support):
-    """Classify a point (given by its weight support) against the maximal
-    torus: "T-unstable" when the support fits inside some Weyl image of a
-    maximal unstable state (certificate: the conjugated witness),
-    "T-non-stable-semistable" when it only fits a non-stable state, and
-    "T-stable" otherwise. G-stability is out of scope: only torus data is
-    consulted."""
+    """Classify a point, given by its weight support S, against the maximal
+    torus by the Hilbert-Mumford criterion on the pairing vectors of S.
+
+    "T-unstable" when some lam pairs > 0 with all of S (0 is not in the hull
+    of S), "T-non-stable-semistable" when only some lam != 0 pairs >= 0 with
+    all of S, and "T-stable" otherwise (0 is interior to the hull). One
+    `lp_feasible` call decides instability; a second one, with the sum of S
+    as the strict form, finds a lam != 0 that is >= 0 on a full-rank S, and
+    on a lower-rank S any kernel vector is one.
+
+    The certificate comes from the cached loci, so that they stay under
+    test: lam is reflected into the fundamental chamber by simple
+    reflections, the same word w is applied to S, and the first maximal
+    chamber state of the verdict's mode (unstable, else non-stable) that
+    contains w(S) gives its witness, mapped back by w^-1 and made primitive.
+    Such a state exists because w(lam)'s state contains w(S) and the loci
+    are complete; when none does, the loci are wrong and RuntimeError is
+    raised. The Weyl group is never enumerated. G-stability is out of scope:
+    only torus data is consulted.
+    """
     weights = _support_weights(problem, point_support, "classify_torus")
-    target = frozenset(w.coeffs for w in weights)
-    elements = weyl_elements(problem.group, guard=problem.weyl_guard)
+    group = problem.group
+    rank = group.rank
+    vectors = [pairing_vector(group, w.coeffs) for w in weights]
+    lam = lp_feasible((), (), vectors, rank)
+    if lam is not None:
+        verdict, mode = "T-unstable", ">0"
+    else:
+        verdict, mode = "T-non-stable-semistable", ">=0"
+        lam = lp_feasible((), vectors, [tuple(map(sum, zip(*vectors)))], rank)
+        if lam is None:
+            kernel = kernel_basis(vectors, rank)
+            if not kernel:
+                return TorusClassification(verdict="T-stable", certificate=None)
+            lam = kernel[0]
+    cartan = group.cartan
+    word = []
+    while True:
+        i = next((k for k, c in enumerate(lam) if c < 0), None)
+        if i is None:
+            break
+        lam = reflect_coweight_coeffs(cartan, lam, i)
+        word.append(i)
+    target = set()
+    for w in weights:
+        coeffs = w.coeffs
+        for i in word:
+            coeffs = reflect_weight_coeffs(cartan, coeffs, i)
+        target.add(coeffs)
     if problem._torus_loci is None:
-        problem._torus_loci = (
-            (solve_unstable(problem), "T-unstable"),
-            (solve_non_stable(problem), "T-non-stable-semistable"),
-        )
-    for states, verdict in problem._torus_loci:
-        for state in states:
-            state_set = state.coeff_set()
-            for element in elements:
-                image = frozenset(element.apply_to_weight_coeffs(c) for c in state_set)
-                if target <= image:
-                    conjugated = element.apply_to_coweight_coeffs(state.witness.coeffs)
-                    certificate = OneParameterSubgroup(problem.group, conjugated).primitive()
-                    return TorusClassification(verdict=verdict, certificate=certificate)
-    return TorusClassification(verdict="T-stable", certificate=None)
+        problem._torus_loci = {
+            ">0": _chamber_states(problem, problem.cells(), ">0"),
+            ">=0": _chamber_states(problem, problem.rays(), ">=0"),
+        }
+    for coeff_set, point in problem._torus_loci[mode]:
+        if target <= coeff_set:
+            for i in reversed(word):
+                point = reflect_coweight_coeffs(cartan, point, i)
+            certificate = OneParameterSubgroup(group, point).primitive()
+            return TorusClassification(verdict=verdict, certificate=certificate)
+    raise RuntimeError(
+        f"no maximal {mode} chamber state contains the reflected support of a"
+        f" {verdict} point; the loci are incomplete, which is a bug"
+    )
 
 
 @dataclass(frozen=True)

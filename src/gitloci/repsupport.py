@@ -141,7 +141,9 @@ def weight_support(group, highest, guard=DEFAULT_SUPPORT_GUARD):
     start = highest.coeffs
     seen = {start}
     frontier = [start]
+    rounds = 0
     while frontier:
+        rounds += 1
         nxt = []
         for coeffs in frontier:
             for alpha in simple_root_columns:
@@ -153,7 +155,9 @@ def weight_support(group, highest, guard=DEFAULT_SUPPORT_GUARD):
                     nxt.append(cand)
                     if len(seen) > guard:
                         raise ResourceGuardError(
-                            f"weight support exceeded the guard of {guard} weights"
+                            f"weight support exceeded the guard of {guard} weights,"
+                            f" with {len(seen)} weights reached in round {rounds}"
+                            " of simple-root descent"
                         )
         frontier = nxt
     weights = tuple(Weight(group, c) for c in sorted(seen))

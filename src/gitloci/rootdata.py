@@ -381,7 +381,9 @@ def weyl_orbit(group, w, guard=DEFAULT_WEYL_GUARD):
     rank = group.rank
     seen = {w.coeffs}
     frontier = [w.coeffs]
+    rounds = 0
     while frontier:
+        rounds += 1
         nxt = []
         for coeffs in frontier:
             for i in range(rank):
@@ -391,7 +393,8 @@ def weyl_orbit(group, w, guard=DEFAULT_WEYL_GUARD):
                     nxt.append(image)
                     if len(seen) > guard:
                         raise ResourceGuardError(
-                            f"Weyl orbit exceeded the guard of {guard} elements"
+                            f"Weyl orbit exceeded the guard of {guard} elements,"
+                            f" with {len(seen)} elements reached in round {rounds}"
                         )
         frontier = nxt
     return frozenset(Weight(group, c) for c in seen)
@@ -453,24 +456,17 @@ def _matmul(a, b):
     )
 
 
-_WEYL_ELEMENT_CACHE: dict[DynkinType, tuple[WeylElement, ...]] = {}
-
-
 def weyl_elements(group, guard=DEFAULT_WEYL_GUARD):
     """All Weyl group elements, enumerated by breadth-first closure over the
-    generator matrices. Guarded: E7/E8-sized groups are refused by default."""
-    cached = _WEYL_ELEMENT_CACHE.get(group.dynkin)
-    if cached is not None:
-        if len(cached) > guard:
-            raise ResourceGuardError(
-                f"Weyl enumeration exceeded the guard of {guard} elements"
-            )
-        return cached
+    generator matrices. Guarded: E7/E8-sized groups are refused by default.
+    Nothing is cached, and no solve or query path calls this."""
     rank = group.rank
     identity = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
     elements = {identity: WeylElement(identity, identity)}
     frontier = [elements[identity]]
+    rounds = 0
     while frontier:
+        rounds += 1
         nxt = []
         for element in frontier:
             for s_weight, s_coweight in zip(group.weyl_generators, group.weyl_cogenerators):
@@ -484,12 +480,11 @@ def weyl_elements(group, guard=DEFAULT_WEYL_GUARD):
                 nxt.append(new_element)
                 if len(elements) > guard:
                     raise ResourceGuardError(
-                        f"Weyl enumeration exceeded the guard of {guard} elements"
+                        f"Weyl enumeration exceeded the guard of {guard} elements,"
+                        f" with {len(elements)} elements reached in round {rounds}"
                     )
         frontier = nxt
-    result = tuple(elements.values())
-    _WEYL_ELEMENT_CACHE[group.dynkin] = result
-    return result
+    return tuple(elements.values())
 
 
 _M_SYSTEMS = {"fundamental-weight", "L"}

@@ -9,7 +9,7 @@ hide behind the same bug in the test.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 
@@ -176,6 +176,38 @@ def zero_in_relative_interior_oracle(points):
         if all(s >= 0 for s in sides) and any(s > 0 for s in sides):
             return False
     return True
+
+
+def pairing_functionals(cartan, weight_rows):
+    """For each weight chi, the vector u with u . lam = <chi, lam> for every
+    lam in fundamental-coweight coordinates: u solves cartan * u = chi, which
+    is `pairing_oracle` read as a linear form in lam."""
+    return [tuple(_solve_exact(cartan, chi)) for chi in weight_rows]
+
+
+def torus_verdict_oracle(cartan, weight_rows, box=3):
+    """The torus Hilbert-Mumford verdict of a point with the given weight
+    support, from the hull of its pairing functionals u.
+
+    "T-unstable" when 0 is not in the convex hull of the u (then some lam
+    pairs > 0 with all of them), "T-stable" when 0 is interior to it (the u
+    have full rank and 0 is in their relative interior), and
+    "T-non-stable-semistable" otherwise. A lam with every pairing > 0 in the
+    integer box [-box, box]^rank settles instability at once; only when
+    there is none does the Caratheodory enumeration of `_zero_in_hull`
+    decide it.
+    """
+    rank = len(cartan)
+    points = sorted(set(pairing_functionals(cartan, weight_rows)))
+    for lam in product(range(-box, box + 1), repeat=rank):
+        if all(sum(a * b for a, b in zip(u, lam)) > 0 for u in points):
+            return "T-unstable"
+    k = _rank_exact(points)
+    if not _zero_in_hull(points, k):
+        return "T-unstable"
+    if k == rank and zero_in_relative_interior_oracle(points):
+        return "T-stable"
+    return "T-non-stable-semistable"
 
 
 def _bland_phase_one(rows, rhs):
