@@ -3,13 +3,17 @@
 There is no floating point anywhere in this module. The two arrangement
 operations enumerate witnesses for the rays (1-dimensional faces) and the
 full-dimensional open cells of a central arrangement of hyperplanes
-``{x : n . x = 0}`` restricted to a polyhedral cone
-``{x : c . x >= 0 for every chamber constraint c}``.
+``{x : n . x = 0}`` restricted to the non-negative orthant
+``{x : x_i >= 0 for every i}``, which is the fundamental chamber in
+fundamental-coweight coordinates; its coordinate walls are built here.
 
-Rays come from a walk over flats with fraction-free integer elimination.
-Cells come from an exact angular sweep in dimension 2; in higher dimension
-they are localised at the rays, and only the small local systems of rank-4
-and larger arrangements reach the cell LP `lp_feasible`. There is one
+All elimination is fraction-free on integers: one step, `_annihilate`,
+cuts a kernel basis down by one line, and `kernel_basis` and `matrix_rank`
+are that step applied row by row. Rays come from a walk over flats with
+the same step. Cells come from an exact angular sweep in dimension 2; in
+higher dimension they are localised at the rays, where the local walls
+form a partial orthant, and only the small local systems of rank-4 and
+larger arrangements reach the cell LP `lp_feasible`. There is one
 simplex, `_phase_one`, and it pivots fraction-free on integers. Both of its
 callers hand it a system with one row per ambient coordinate (plus one):
 `lp_feasible` poses the transposition dual of its system (Gordan, Motzkin)
@@ -52,88 +56,6 @@ def primitive_vector(v):
     ints = [int(x * mult) for x in fracs]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
-
-
-def _rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def matrix_rank(rows):
-    return len(_rref(list(rows))[1])
-
-
-def kernel_basis(rows, dim):
-    """Basis of the right kernel {x in Q^dim : row . x = 0 for all rows}."""
-    rows = [row for row in rows]
-    for row in rows:
-        if len(row) != dim:
-            raise ValueError("kernel_basis rows must have length dim")
-    if not rows:
-        return [tuple(Fraction(1 if i == j else 0) for j in range(dim)) for i in range(dim)]
-    reduced, pivots = _rref(rows)
-    basis = []
-    for free_col in (c for c in range(dim) if c not in pivots):
-        vec = [Fraction(0)] * dim
-        vec[free_col] = Fraction(1)
-        for row_idx, pivot_col in enumerate(pivots):
-            vec[pivot_col] = -reduced[row_idx][free_col]
-        basis.append(tuple(vec))
-    return basis
-
-
-def invert_matrix(matrix):
-    """Exact inverse of a square rational matrix, as a tuple of row tuples."""
-    n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    reduced, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
-
-
-def determinant(matrix):
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,10 +255,12 @@ def _annihilate(basis, line):
     One fraction-free elimination step: the first basis vector that pairs
     nonzero with `line` is the pivot, every other vector z becomes
     ``(line . pivot) z - (line . z) pivot``, reduced by its gcd, and the
-    pivot is dropped. The input must contain a vector pairing nonzero with
-    `line`."""
+    pivot is dropped. When no vector pairs nonzero with `line` the basis
+    is returned as it is."""
     values = [dot(line, z) for z in basis]
-    pivot = next(k for k, v in enumerate(values) if v != 0)
+    pivot = next((k for k, v in enumerate(values) if v != 0), None)
+    if pivot is None:
+        return basis
     p, zp = values[pivot], basis[pivot]
     out = []
     for k, (v, z) in enumerate(zip(values, basis)):
@@ -350,12 +274,42 @@ def _annihilate(basis, line):
     return out
 
 
-def arrangement_rays(normals, chamber, dim):
-    """Rays (1-dimensional intersection faces) of the arrangement, in the chamber.
+def _unit_vectors(dim):
+    """The walls of the non-negative orthant, in coordinate order."""
+    return [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+
+
+def kernel_basis(rows, dim):
+    """Integer basis of the right kernel {x in Q^dim : row . x = 0 for all rows}.
+
+    `_annihilate` is applied row by row to the unit basis, each nonzero row
+    first made primitive so that rational rows eliminate on integers; a row
+    in the span of the earlier ones leaves the basis as it is."""
+    rows = list(rows)
+    if any(len(row) != dim for row in rows):
+        raise ValueError("kernel_basis rows must have length dim")
+    basis = _unit_vectors(dim)
+    for row in rows:
+        if not basis:
+            break
+        if any(row):
+            basis = _annihilate(basis, primitive_vector(row))
+    return basis
+
+
+def matrix_rank(rows):
+    rows = list(rows)
+    dim = len(rows[0]) if rows else 0
+    return dim - len(kernel_basis(rows, dim))
+
+
+def arrangement_rays(normals, dim):
+    """Rays (1-dimensional intersection faces) of the arrangement in the
+    non-negative orthant.
 
     A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
-    drawn from the normals and the chamber walls together, oriented into the
-    chamber. The flats are walked depth first over index-increasing subsets
+    drawn from the normals and the coordinate walls together, oriented into
+    the orthant. The flats are walked depth first over index-increasing subsets
     of the distinct constraint lines, keeping a gcd-reduced integer basis of
     the prefix's kernel (`_annihilate`); at depth dim-1 that basis is the ray.
     Two cuts keep the walk to one visit per flat:
@@ -374,14 +328,15 @@ def arrangement_rays(normals, chamber, dim):
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]
-    lines = _dedupe_lines([*normals, *chamber])
+    identity = _unit_vectors(dim)
+    lines = _dedupe_lines([*normals, *identity])
     found = []
 
     def walk(kernel, closure, last, depth):
         if depth == dim - 1:
             direction = kernel[0]
             for cand in (direction, tuple(-x for x in direction)):
-                if all(dot(c, cand) >= 0 for c in chamber):
+                if min(cand) >= 0:
                     zero_set = frozenset(
                         i for i, n in enumerate(normals)
                         if any(x != 0 for x in n) and dot(n, cand) == 0
@@ -398,7 +353,6 @@ def arrangement_rays(normals, chamber, dim):
             if j > last:
                 walk(_annihilate(kernel, lines[j]), closure | set(members), j, depth + 1)
 
-    identity = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     walk(identity, set(), -1, 0)
     return sorted(found, key=lambda w: w.point)
 
@@ -423,16 +377,17 @@ def _angular_cmp(a, b):
     return 0
 
 
-def _planar_cell_witnesses(normals, chamber):
-    """Cell witnesses in dimension 2 by an exact angular sweep.
+def _planar_cell_witnesses(normals, walls):
+    """Cell witnesses in dimension 2 by an exact angular sweep, strictly
+    inside `walls` (the quadrant's, or a local system's partial orthant).
 
     The boundary directions of the plane sectors cut out by all constraint
-    lines (normals and chamber walls alike) are sorted by angle; each
-    consecutive open arc yields one interior witness, and the sector survives
-    iff it is strictly inside the chamber. This avoids any LP work in the
-    dimension that dominates the supported workloads.
+    lines (normals and walls alike) are sorted by angle; each consecutive
+    open arc yields one interior witness, and the sector survives iff it is
+    strictly inside the walls. This avoids any LP work in the dimension
+    that dominates the supported workloads.
     """
-    lines = _dedupe_lines([*normals, *chamber])
+    lines = _dedupe_lines([*normals, *walls])
     directions = set()
     for line in lines:
         along = _rot90(line)
@@ -455,19 +410,19 @@ def _planar_cell_witnesses(normals, chamber):
                 candidates.append(primitive_vector(_rot90(a)))
             else:
                 raise RuntimeError("angular sort produced a reflex arc; this is a bug")
-    return [w for w in candidates if all(dot(c, w) > 0 for c in chamber)]
+    return [w for w in candidates if all(dot(c, w) > 0 for c in walls)]
 
 
-def _cell_witnesses_by_lp(normals, chamber, dim, guard):
-    """Cell witnesses by incremental sign splitting with feasibility probes.
+def _cell_witnesses_by_lp(normals, walls, dim, guard):
+    """Cell witnesses strictly inside `walls` by incremental sign splitting
+    with feasibility probes.
 
     Regions of the arrangement of the first k lines are refined one line at a
     time; the side of the new line already containing a region's witness is
     kept for free, and only the far side costs one feasibility check.
     """
     lines = _dedupe_lines(normals)
-    chamber_rows = [tuple(row) for row in chamber]
-    seed = lp_feasible((), (), chamber_rows, dim)
+    seed = lp_feasible((), (), walls, dim)
     if seed is None:
         return []
     regions = [((), seed)]
@@ -489,7 +444,7 @@ def _cell_witnesses_by_lp(normals, chamber, dim, guard):
                     tuple(s * c for c in prev) for s, prev in zip(signs, processed)
                 ]
                 stricts.append(tuple(sign * c for c in line))
-                stricts.extend(chamber_rows)
+                stricts.extend(walls)
                 point = lp_feasible((), (), stricts, dim)
                 if point is not None:
                     refined.append((signs + (sign,), point))
@@ -503,31 +458,32 @@ def _cell_witnesses_by_lp(normals, chamber, dim, guard):
     return [primitive_vector(witness) for _, witness in regions]
 
 
-def _cells_localised_at_rays(normals, chamber, dim, guard, rays):
+def _cells_localised_at_rays(normals, dim, guard, rays):
     """Cell witnesses in dimension >= 3, one local problem per ray.
 
-    At a ray r keep the normals and chamber walls that vanish at r. They
-    are forms on the quotient by r, which is the coordinate hyperplane
-    ``x_j = 0`` for any j with r_j != 0, so dropping coordinate j gives the
-    local system in dimension dim-1. Being a ray, r is cut out by dim-1
-    independent constraints, so the local system has full rank dim-1 and is
-    already essential. Its cells come from the planar sweep in local
-    dimension 2 and from `_cell_witnesses_by_lp` above that. A local witness
-    y (with 0 put back at coordinate j) lifts to ``K r + y``: a form f with
-    f . r != 0 keeps the sign of f . r there once K |f . r| > |f . y|, which
+    At a ray r keep the normals that vanish at r, and the coordinate walls
+    x_i >= 0 with r_i = 0. They are forms on the quotient by r, which is the
+    coordinate hyperplane ``x_j = 0`` for any j with r_j != 0, so dropping
+    coordinate j gives the local system in dimension dim-1, a partial
+    orthant. Being a ray, r is cut out by dim-1 independent constraints, so
+    the local system has full rank dim-1 and is already essential. Its cells
+    come from the planar sweep in local dimension 2 and from
+    `_cell_witnesses_by_lp` above that. A local witness y (with 0 put back
+    at coordinate j) lifts to ``K r + y``: a form f with f . r != 0 keeps
+    the sign of f . r there once K |f . r| > |f . y|, which
     ``K = 1 + max(|f . y| // |f . r|)`` guarantees, and a form vanishing at
     r takes the sign f . y it has in the local cell. Lifts are deduplicated
     by their sign vector against the normals.
     """
-    chamber = [tuple(c) for c in chamber]
-    constraints = [*normals, *chamber]
+    walls = _unit_vectors(dim)
+    constraints = [*normals, *walls]
     by_signs = {}
     for index, ray in enumerate(rays, 1):
         stage = f"at ray {index} of {len(rays)}"
         r = ray.point
         j = next(i for i, x in enumerate(r) if x != 0)
         local_normals = [n[:j] + n[j + 1:] for n in normals if dot(n, r) == 0]
-        local_walls = [c[:j] + c[j + 1:] for c in chamber if dot(c, r) == 0]
+        local_walls = [w[:j] + w[j + 1:] for w, x in zip(walls, r) if x == 0]
         if dim == 3:
             local = _planar_cell_witnesses(local_normals, local_walls)
         else:
@@ -549,30 +505,29 @@ def _cells_localised_at_rays(normals, chamber, dim, guard, rays):
     return list(by_signs.values())
 
 
-def arrangement_cells(normals, chamber, dim, guard=DEFAULT_CELL_GUARD, rays=None):
+def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     """One interior witness per full-dimensional cell of the arrangement
-    restricted to the open chamber; every witness pairs strictly nonzero
-    with every nonzero normal and strictly positive with every chamber wall.
+    restricted to the open non-negative orthant; every witness pairs
+    strictly nonzero with every nonzero normal and has every coordinate
+    positive.
 
-    Dimension 2 uses the exact angular sweep. In dimension >= 3 the chamber
-    must be pointed (its walls of full rank): then the closure of every cell
-    is a pointed cone whose extreme rays are arrangement rays, so every cell
-    is found by localising at the rays (`_cells_localised_at_rays`). `rays`
-    may pass in `arrangement_rays(normals, chamber, dim)` when the caller has
-    it already; otherwise it is computed here."""
+    Dimension 1 is the single cell (1,), and dimension 2 uses the exact
+    angular sweep; neither reads `rays`. In dimension >= 3 the closure of
+    every cell is a pointed cone whose extreme rays are arrangement rays, so
+    every cell is found by localising at `rays`, which must be
+    `arrangement_rays(normals, dim)` (`_cells_localised_at_rays`). The
+    orthant's axes are always among them, so empty `rays` is an error."""
     if dim <= 0:
         return []
     nonzero = [tuple(n) for n in normals if any(Fraction(x) != 0 for x in n)]
     if dim == 1:
-        witnesses = _cell_witnesses_by_lp(nonzero, chamber, dim, guard)
+        witnesses = [(1,)]
     elif dim == 2:
-        witnesses = _planar_cell_witnesses(nonzero, chamber)
+        witnesses = _planar_cell_witnesses(nonzero, _unit_vectors(2))
     else:
-        if matrix_rank(chamber) != dim:
-            raise ValueError("cells in dimension >= 3 need a pointed chamber")
-        if rays is None:
-            rays = arrangement_rays(nonzero, chamber, dim)
-        witnesses = _cells_localised_at_rays(nonzero, chamber, dim, guard, rays)
+        if not rays:
+            raise ValueError("cells in dimension >= 3 need the arrangement's rays")
+        witnesses = _cells_localised_at_rays(nonzero, dim, guard, rays)
     if len(witnesses) > guard:
         raise ResourceGuardError(
             f"cell enumeration exceeded the guard of {guard} cells with {len(witnesses)} found"
@@ -581,7 +536,7 @@ def arrangement_cells(normals, chamber, dim, guard=DEFAULT_CELL_GUARD, rays=None
     seen_sign_vectors = set()
     for point in sorted(witnesses):
         signature = tuple(1 if dot(n, point) > 0 else -1 if dot(n, point) < 0 else 0 for n in nonzero)
-        if 0 in signature or any(dot(c, point) <= 0 for c in chamber):
+        if 0 in signature or min(point) <= 0:
             raise RuntimeError("cell witness landed on a boundary; this is a bug")
         if signature in seen_sign_vectors:
             raise RuntimeError("two witnesses describe the same cell; this is a bug")

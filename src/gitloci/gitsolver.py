@@ -114,7 +114,8 @@ class GITProblem:
     """A stability problem: a group acting on the span of a weight support.
 
     Ray and cell candidates are computed lazily from the nonzero weights (as
-    pairing normals) and the fundamental chamber, then cached; cells are
+    pairing normals) in the fundamental chamber, which in coweight
+    coordinates is the non-negative orthant, then cached; cells are
     localised at the cached rays. `classify_torus` caches the same way the
     maximal unstable and non-stable chamber states it looks certificates up
     in, before any Weyl deduplication. `weyl_guard` bounds the Weyl set
@@ -143,10 +144,6 @@ class GITProblem:
         self._normals = tuple(
             u for _, u in self._pairing_vectors if any(x != 0 for x in u)
         )
-        rank = group.rank
-        self._chamber = tuple(
-            tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)
-        )
         self._rays = None
         self._cells = None
         self._torus_loci = None
@@ -154,20 +151,14 @@ class GITProblem:
 
     def rays(self):
         if self._rays is None:
-            self._rays = tuple(
-                arrangement_rays(self._normals, self._chamber, self.group.rank)
-            )
+            self._rays = tuple(arrangement_rays(self._normals, self.group.rank))
         return self._rays
 
     def cells(self):
         if self._cells is None:
             self._cells = tuple(
                 arrangement_cells(
-                    self._normals,
-                    self._chamber,
-                    self.group.rank,
-                    guard=self.cell_guard,
-                    rays=self.rays(),
+                    self._normals, self.rays(), self.group.rank, guard=self.cell_guard
                 )
             )
         return self._cells

@@ -45,7 +45,7 @@ from .errors import (
     RankMismatchError,
     ResourceGuardError,
 )
-from .exactgeom import determinant, dot, invert_matrix, primitive_vector
+from .exactgeom import dot, primitive_vector
 
 DEFAULT_WEYL_GUARD = 10**6
 
@@ -211,30 +211,32 @@ def _reflection_on_coweights(cartan, i):
 def _build_group(letter, rank):
     dynkin = DynkinType(letter, rank)
     cartan = _cartan_matrix(letter, rank)
-    inverse = invert_matrix(cartan)
-    det = determinant(cartan)
-    if det.denominator != 1 or det <= 0:
-        raise ValueError("Cartan determinant must be a positive integer")
-    det = int(det)
-    adjugate = []
-    for row in inverse:
-        adj_row = []
-        for entry in row:
-            scaled = entry * det
-            if scaled.denominator != 1:
-                raise ValueError("adjugate entry is not integral; this is a bug")
-            adj_row.append(int(scaled))
-        adjugate.append(tuple(adj_row))
+    # One fraction-free Gauss-Jordan pass on [C | I] (Bareiss). Each step
+    # pivots on the diagonal, where the leading principal minors appear, and
+    # updates every other row as (p a - f b) // d, d the previous pivot, an
+    # exact division; the pass ends as [det I | adj C].
+    rows = [[*row, *(1 if i == j else 0 for j in range(rank))] for i, row in enumerate(cartan)]
+    det = 1
+    for k in range(rank):
+        p = rows[k][k]
+        if p <= 0:
+            raise ValueError("Cartan matrix with a non-positive leading principal minor")
+        for i in range(rank):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * a - f * b) // det for a, b in zip(rows[i], rows[k])]
+        det = p
+    adjugate = tuple(tuple(row[rank:]) for row in rows)
     roots_fundamental = tuple(
         tuple(cartan[i][j] for i in range(rank)) for j in range(rank)
     )
-    chamber = tuple(primitive_vector(row) for row in inverse)
+    chamber = tuple(primitive_vector(row) for row in adjugate)
     warnings = (_D2_WARNING,) if (letter, rank) == ("D", 2) else ()
     return SimpleGroup(
         dynkin=dynkin,
         cartan=cartan,
-        cartan_inverse=tuple(tuple(x for x in row) for row in inverse),
-        cartan_adjugate=tuple(adjugate),
+        cartan_inverse=tuple(tuple(Fraction(a, det) for a in row) for row in adjugate),
+        cartan_adjugate=adjugate,
         cartan_det=det,
         simple_roots_fundamental=roots_fundamental,
         chamber_generators=chamber,

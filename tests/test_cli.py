@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,6 +123,81 @@ def test_weyl_opt_flag_is_recorded_and_reduces_no_worse(capsys):
     assert reduced_doc["options"] == {"weyl_optimisation": True}
     for locus in ("nonstable", "unstable", "polystable"):
         assert reduced_doc["loci"][locus]["count"] <= plain_doc["loci"][locus]["count"]
+
+
+# The first 16 hex digits of the sha256 of each `--format json-like`
+# report, without and with `--weyl-opt`, frozen from an earlier version of
+# the solver, so that a refactor meant to keep every report is caught when
+# it does not: the criterion-7 commands and the rank-2 benchmark inputs with
+# every locus, then the rank 3-7 benchmark inputs with the non-stable and
+# unstable loci (their polystable locus is known to be incomplete and is
+# due to change; ROADMAP item 2).
+FROZEN_REPORTS_ALL_LOCI = {
+    ("A2", "3,0,0"): ("1da87abe41dd9dca", "2f0259e629f08212"),
+    ("A2", "3,0"): ("1da87abe41dd9dca", "2f0259e629f08212"),
+    ("A2", "4,0"): ("15c4a2c7aa798d56", "fb407cfac0b5809c"),
+    ("A2", "5,0"): ("02022018a9e98a80", "5f5a9941786afd06"),
+    ("A2", "6,0"): ("511831d7774e7255", "f119a31b00898772"),
+    ("A2", "7,0"): ("7ef7db4acd905f35", "496f395e0c0f4556"),
+    ("A2", "8,0"): ("2505eb32500549b1", "978b8872f8e1dcbd"),
+    ("A2", "9,0"): ("56e58987c0cb1120", "3294801231f763a7"),
+    ("A2", "10,0"): ("bf39190b48fb5796", "12660b2dae287ff1"),
+    ("A2", "11,0"): ("28e1c6d3f231f070", "7b2d44ef0e3e7047"),
+    ("A2", "12,0"): ("4b42a0b4b9a15070", "2c8b4b9788c860c8"),
+    ("B2", "3*w1"): ("a4a27f649b96ff5d", "78e44bf2ecfb7e4b"),
+    ("B2", "4*w1"): ("ecd3965020a0815c", "26d38b521393ea93"),
+    ("B2", "5*w1"): ("eff26847566b7919", "360b2f7f14ba0f87"),
+    ("B2", "6*w1"): ("268303ed5f4a37c2", "d4114ec4a20dd532"),
+    ("B2", "7*w1"): ("e63ce4dc1098e7b2", "b432df30a47fdb35"),
+    ("B2", "8*w1"): ("05fc3c74f36964f9", "12664bb63d11248a"),
+    ("B2", "9*w1"): ("d6b0afe69f0b566b", "a02e3b28b3578430"),
+    ("B2", "10*w1"): ("98719ceff78b147d", "6159f2abd9da4965"),
+    ("B2", "11*w1"): ("36ed7b3c99f82827", "c143c4a590bb7a63"),
+    ("B2", "12*w1"): ("801c19e53df0c706", "aa0fbe435d61e92b"),
+    ("G2", "1,0"): ("b66f6cd76c138a3f", "612330bf1b460a5d"),
+    ("G2", "2,0"): ("c3b359292473bc58", "94a60ecb64bd0249"),
+    ("G2", "3,0"): ("bb7af2e6f7e5f039", "a9b286b16aef6750"),
+    ("G2", "4,0"): ("409b342736171d3c", "da114061a119ef94"),
+    ("G2", "0,1"): ("43919d80c44f03da", "5c4b6a7f7f0723f5"),
+    ("G2", "0,2"): ("aeff10f9fb6ef941", "94ef6e7cf75d570c"),
+    ("G2", "0,3"): ("b2f6e8cd006eb4eb", "92a7afe28da63693"),
+}
+FROZEN_REPORTS_NONSTABLE_UNSTABLE = {
+    ("A3", "1,0,0"): ("37388c239b4cf256", "d33092d6c11aff8f"),
+    ("A3", "2,0,0"): ("4ec0a2dfc87c9325", "df2d63c3caa05194"),
+    ("B3", "2,0,0"): ("c485a488b7d95603", "7a586a404642fde0"),
+    ("B3", "0,1,0"): ("74290f6c252ab244", "78bc87b3df3a4718"),
+    ("C3", "0,0,1"): ("d6f91fcfae3e3e81", "51722bc77ba51d38"),
+    ("A4", "1,0,0,0"): ("cae42e12cb2179b2", "3617208be4c54ef2"),
+    ("A4", "0,1,0,0"): ("744326db4b44ecea", "a37cf12a272b7b02"),
+    ("B4", "0,0,0,1"): ("37c6144f8d62d591", "51ae4e1cf9f5d3d5"),
+    ("F4", "0,0,0,1"): ("d5616cdd955c1285", "852d48e668daceaf"),
+    ("D4", "1,0,0,0"): ("863ba72c4a0eeb7b", "10153e831402e327"),
+    ("A5", "0,0,1,0,0"): ("2a08f2b4b818e693", "2ad021c122e96d26"),
+    ("A6", "1,0,0,0,0,0"): ("6eb3461f92b31f19", "d2a1cd4ba8bb012d"),
+    ("B6", "1,0,0,0,0,0"): ("f7c1591ba2331fed", "f21a6fe6f324ef6c"),
+    ("C6", "1,0,0,0,0,0"): ("e6775efa624efd60", "9ebecd9518e1557a"),
+    ("D6", "1,0,0,0,0,0"): ("43cf6f1f7b40cb2c", "6f313aa6a4f8fc6b"),
+    ("C7", "1,0,0,0,0,0,0"): ("0c32a1e2e7b616bd", "37a8ef9a83f89f22"),
+}
+FROZEN_REPORTS = [
+    *((key, "nonstable,unstable,polystable", h) for key, h in FROZEN_REPORTS_ALL_LOCI.items()),
+    *((key, "nonstable,unstable", h) for key, h in FROZEN_REPORTS_NONSTABLE_UNSTABLE.items()),
+]
+
+
+@pytest.mark.parametrize(
+    "key, loci, hashes", FROZEN_REPORTS, ids=[" ".join(key) for key, _, _ in FROZEN_REPORTS]
+)
+def test_json_like_reports_match_frozen_hashes(capsys, key, loci, hashes):
+    group, highest = key
+    argv = ["solve", group, "--weight", highest, "--loci", loci, "--format", "json-like"]
+    digests = []
+    for extra in ([], ["--weyl-opt"]):
+        code, out, _ = run(capsys, *argv, *extra)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest()[:16])
+    assert tuple(digests) == hashes
 
 
 def test_out_writes_the_report_to_a_file(capsys, tmp_path):

@@ -13,7 +13,9 @@ from gitloci.exactgeom import (
     arrangement_cells,
     arrangement_rays,
     dot,
+    kernel_basis,
     lp_feasible,
+    matrix_rank,
     primitive_vector,
     zero_in_relative_interior,
     _cell_witnesses_by_lp,
@@ -24,6 +26,7 @@ from gitloci.gitsolver import new_problem, pairing_vector
 from gitloci.repsupport import parse_highest_weight
 from gitloci.rootdata import make_group
 from _oracles import (
+    _rank_exact,
     lp_relint_reference,
     primal_lp_reference,
     sign_vector,
@@ -32,6 +35,11 @@ from _oracles import (
 )
 
 QUADRANT = ((1, 0), (0, 1))
+
+
+def orthant_cells(normals, dim, **options):
+    """`arrangement_cells` with the rays it localises at."""
+    return arrangement_cells(normals, arrangement_rays(normals, dim), dim, **options)
 
 relaxed = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -154,6 +162,29 @@ def test_lp_feasible_matches_primal_reference(system):
         assert satisfies(reference, eqs, weak, strict)
 
 
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lp_systems())
+def test_kernel_basis_and_matrix_rank_match_exact_elimination(system):
+    # The rows of a drawn system: integer and `Fraction` entries, zero rows,
+    # repeats and antipodes, in dimensions 1-6.
+    *forms, dim = system
+    rows = [row for group in forms for row in group]
+    kernel = kernel_basis(rows, dim)
+    rank = _rank_exact(rows)
+    assert all(type(x) is int for vector in kernel for x in vector)
+    assert all(dot(row, vector) == 0 for row in rows for vector in kernel)
+    assert len(kernel) == dim - rank
+    assert _rank_exact(kernel) == len(kernel)
+    assert matrix_rank(rows) == rank
+
+
+def test_kernel_basis_of_no_rows_is_the_unit_basis():
+    assert kernel_basis((), 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert matrix_rank(()) == 0
+    with pytest.raises(ValueError):
+        kernel_basis([(1, 0)], 3)
+
 def check_phase_one(rows, rhs):
     """Run `_phase_one` and check what it returns: A z = b with z >= 0, or
     a certificate y with y . A_j >= 0 on every column and y . b < 0."""
@@ -275,12 +306,12 @@ def test_zero_in_relative_interior_matches_lp_on_large_sets(points):
 
 
 def test_arrangement_rays_single_diagonal_line_in_quadrant():
-    rays = arrangement_rays(((1, 1),), QUADRANT, 2)
+    rays = arrangement_rays(((1, 1),), 2)
     assert [r.point for r in rays] == [(0, 1), (1, 0)]
 
 
 def test_arrangement_rays_interior_line_contributes_its_ray():
-    rays = arrangement_rays(((1, -1),), QUADRANT, 2)
+    rays = arrangement_rays(((1, -1),), 2)
     assert [r.point for r in rays] == [(0, 1), (1, 0), (1, 1)]
     by_point = {r.point: r.zero_set for r in rays}
     assert by_point[(1, 1)] == frozenset({0})
@@ -289,52 +320,52 @@ def test_arrangement_rays_interior_line_contributes_its_ray():
 
 def test_arrangement_rays_zero_sets_are_recomputable():
     normals = ((1, -1), (2, -1), (1, 1))
-    for ray in arrangement_rays(normals, QUADRANT, 2):
+    for ray in arrangement_rays(normals, 2):
         expected = frozenset(i for i, n in enumerate(normals) if dot(n, ray.point) == 0)
         assert ray.zero_set == expected
 
 
 def test_arrangement_cells_empty_arrangement_is_single_chamber_cell():
-    cells = arrangement_cells((), QUADRANT, 2)
+    cells = orthant_cells((), 2)
     assert [c.point for c in cells] == [(1, 1)]
 
 
 def test_arrangement_cells_one_interior_line_gives_two_cells():
-    cells = arrangement_cells(((1, -1),), QUADRANT, 2)
+    cells = orthant_cells(((1, -1),), 2)
     assert [c.point for c in cells] == [(1, 2), (2, 1)]
 
 
 def test_arrangement_cells_line_outside_chamber_cuts_nothing():
-    cells = arrangement_cells(((1, 1),), QUADRANT, 2)
+    cells = orthant_cells(((1, 1),), 2)
     assert len(cells) == 1
 
 
 def test_arrangement_dimension_one():
-    assert [r.point for r in arrangement_rays((), ((1,),), 1)] == [(1,)]
-    assert [c.point for c in arrangement_cells((), ((1,),), 1)] == [(1,)]
+    assert [r.point for r in arrangement_rays((), 1)] == [(1,)]
+    assert [c.point for c in orthant_cells((), 1)] == [(1,)]
 
 
 def test_arrangement_cells_guard_trips():
     with pytest.raises(ResourceGuardError):
-        arrangement_cells(((1, -1),), QUADRANT, 2, guard=1)
+        orthant_cells(((1, -1),), 2, guard=1)
     with pytest.raises(ResourceGuardError):
-        arrangement_cells(((1, -1, 0), (0, 1, -1)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 3, guard=1)
+        orthant_cells(((1, -1, 0), (0, 1, -1)), 3, guard=1)
 
 
 def test_cell_guard_messages_name_the_stage_and_its_progress():
     chain = ((1, -1, 0), (0, 1, -1))
     with pytest.raises(ResourceGuardError, match=r"localised at rays .* cells at ray 1 of 6$"):
-        arrangement_cells(chain, orthant(3), 3, guard=1)
+        orthant_cells(chain, 3, guard=1)
     cycle = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (1, 0, 0, -1))
     with pytest.raises(
         ResourceGuardError,
         match=r"sign splitting .* regions at line 1 of 2, in the local system at ray 1 of 13$",
     ):
-        arrangement_cells(cycle, orthant(4), 4, guard=1)
+        orthant_cells(cycle, 4, guard=1)
     with pytest.raises(ResourceGuardError, match=r"sign splitting .* regions at line 2 of 2$"):
         _cell_witnesses_by_lp(((1, -1), (1, -2)), QUADRANT, 2, 2)
     with pytest.raises(ResourceGuardError, match=r"guard of 1 cells with 2 found$"):
-        arrangement_cells(((1, -1),), QUADRANT, 2, guard=1)
+        orthant_cells(((1, -1),), 2, guard=1)
 
 
 interior_line = st.tuples(st.integers(1, 7), st.integers(-7, -1)).map(primitive_vector)
@@ -346,7 +377,7 @@ def test_generic_interior_lines_cut_quadrant_into_one_more_cell(lines):
     # Every normal (a, b) with a > 0 > b vanishes on a line through the open
     # quadrant, and distinct primitives are distinct lines, so k lines make
     # k + 1 sectors.
-    cells = arrangement_cells(tuple(lines), QUADRANT, 2)
+    cells = orthant_cells(tuple(lines), 2)
     assert len(cells) == len(lines) + 1
 
 
@@ -366,15 +397,14 @@ def test_planar_sweep_agrees_with_lp_enumeration(normals):
 
 def test_cell_witnesses_avoid_every_boundary():
     normals = ((1, -1), (3, -1), (1, -3))
-    for cell in arrangement_cells(normals, QUADRANT, 2):
+    for cell in orthant_cells(normals, 2):
         assert all(dot(n, cell.point) != 0 for n in normals)
         assert all(dot(wall, cell.point) > 0 for wall in QUADRANT)
 
 
 def test_three_dimensional_cells_have_unique_sign_vectors():
     normals = ((1, -1, 0), (0, 1, -1), (1, 0, -1))
-    chamber = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    cells = arrangement_cells(normals, chamber, 3)
+    cells = orthant_cells(normals, 3)
     signatures = {sign_vector(c.point, normals) for c in cells}
     assert len(signatures) == len(cells)
     # The three planes x=y, y=z, x=z slice the open octant into the 3! = 6
@@ -385,7 +415,7 @@ def test_three_dimensional_cells_have_unique_sign_vectors():
 def test_three_dimensional_rays_lie_on_plane_intersections():
     normals = ((1, -1, 0), (0, 1, -1))
     chamber = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    rays = arrangement_rays(normals, chamber, 3)
+    rays = arrangement_rays(normals, 3)
     points = {r.point for r in rays}
     assert (1, 1, 1) in points
     for ray in rays:
@@ -420,13 +450,13 @@ def orthant_arrangements(draw, dims):
 @given(orthant_arrangements(dims=(2, 3, 4, 5)))
 def test_rays_match_subset_rref_enumeration(arrangement):
     dim, normals = arrangement
-    rays = arrangement_rays(normals, orthant(dim), dim)
+    rays = arrangement_rays(normals, dim)
     assert [(r.point, r.zero_set) for r in rays] == subset_rref_rays(normals, orthant(dim), dim)
 
 
 def test_rays_of_repeated_and_wall_equal_normals():
     normals = ((1, -1, 0), (2, -2, 0), (-1, 1, 0), (0, 0, 3), (0, 0, 0))
-    rays = arrangement_rays(normals, orthant(3), 3)
+    rays = arrangement_rays(normals, 3)
     assert [(r.point, r.zero_set) for r in rays] == [
         ((0, 0, 1), frozenset({0, 1, 2})),
         ((0, 1, 0), frozenset({3})),
@@ -445,7 +475,7 @@ def cell_signatures(points, normals):
 def test_localised_cells_match_global_lp(arrangement):
     dim, normals = arrangement
     nonzero = [n for n in normals if any(n)]
-    cells = [c.point for c in arrangement_cells(normals, orthant(dim), dim)]
+    cells = [c.point for c in orthant_cells(normals, dim)]
     by_lp = _cell_witnesses_by_lp(nonzero, orthant(dim), dim, 10**6)
     assert cell_signatures(cells, normals) == cell_signatures(by_lp, normals)
     assert len(cells) == len(by_lp)
@@ -517,7 +547,7 @@ def test_localised_cells_match_frozen_lp_cells(name, highest):
     problem = new_problem(group, parse_highest_weight(group, highest))
     normals = [pairing_vector(group, w.coeffs) for w in problem.support]
     normals = [n for n in normals if any(n)]
-    cells = arrangement_cells(normals, orthant(group.rank), group.rank)
+    cells = orthant_cells(normals, group.rank)
     signatures = {
         "".join("+" if s > 0 else "-" for s in sign_vector(c.point, normals)) for c in cells
     }
@@ -525,6 +555,9 @@ def test_localised_cells_match_frozen_lp_cells(name, highest):
     assert len(cells) == len(LP_CELLS[(name, highest)])
 
 
-def test_cells_need_a_pointed_chamber_from_dimension_three():
+def test_cells_need_rays_from_dimension_three():
     with pytest.raises(ValueError):
-        arrangement_cells(((1, -1, 0),), ((1, 0, 0), (0, 1, 0)), 3)
+        arrangement_cells(((1, -1, 0),), (), 3)
+    # Dimensions 1 and 2 do not read the rays.
+    assert [c.point for c in arrangement_cells((), (), 1)] == [(1,)]
+    assert [c.point for c in arrangement_cells(((1, -1),), (), 2)] == [(1, 2), (2, 1)]

@@ -58,8 +58,18 @@ def test_cartan_determinants():
         assert make_group(name).cartan_det == det
 
 
+EVERY_TYPE_THROUGH_RANK_8 = (
+    *(f"A{r}" for r in range(1, 9)),
+    *(f"B{r}" for r in range(2, 9)),
+    *(f"C{r}" for r in range(2, 9)),
+    "D2",
+    *(f"D{r}" for r in range(4, 9)),
+    "E6", "E7", "E8", "F4", "G2",
+)
+
+
 def test_cartan_adjugate_times_matrix_is_det_times_identity():
-    for name in ("A2", "B3", "D4", "G2", "F4"):
+    for name in EVERY_TYPE_THROUGH_RANK_8:
         group = make_group(name)
         n = group.rank
         det = group.cartan_det
@@ -67,6 +77,7 @@ def test_cartan_adjugate_times_matrix_is_det_times_identity():
             for j in range(n):
                 entry = sum(group.cartan_adjugate[i][k] * group.cartan[k][j] for k in range(n))
                 assert entry == (det if i == j else 0)
+                assert group.cartan_inverse[i][j] == Fraction(group.cartan_adjugate[i][j], det)
 
 
 def test_rank_bounds_are_enforced():
