@@ -156,19 +156,67 @@ def _render_text(solution, loci, display):
     return "\n".join(lines)
 
 
-def _state_document(state, display):
-    doc = {
-        "size": state.size,
-        "weights": [list(display.weight(w)) for w in state.weights],
-    }
-    witness = {"coweight": list(primitive_vector(state.witness.coeffs))}
-    if display.group.dynkin.letter == "A":
-        witness["H"] = list(display.witness(state.witness))
-    doc["witness"] = witness
-    return doc
+def _json_list(items, indent):
+    """Rendered items as `json.dumps(indent=2)` writes a list whose closing
+    bracket sits at `indent` spaces: one item per line, one level deeper."""
+    if not items:
+        return "[]"
+    inner = " " * (indent + 2)
+    return "[\n" + ",\n".join(inner + item for item in items) + "\n" + " " * indent + "]"
+
+
+def _vector_fragment(values):
+    """An integer vector as the value of a field of a state, or as a member
+    of its weight list. Entries are written as json writes an int, so a
+    non-integer entry fails as it would in `json.dumps`."""
+    return _json_list([int.__repr__(v) for v in values], 12)
+
+
+def _state_fragment(state, display, weight_fragments):
+    """One state as `json.dumps(indent=2, sort_keys=True)` writes it as a
+    member of a locus's "states" list. The fragments of its weights are
+    looked up in, or added to, the report's `weight_fragments`."""
+    members = []
+    for w in state.weights:
+        fragment = weight_fragments.get(w.coeffs)
+        if fragment is None:
+            fragment = weight_fragments[w.coeffs] = _vector_fragment(display.weight(w))
+        members.append(fragment)
+    weights = _json_list(members, 10)
+    h_form = (
+        f'            "H": {_vector_fragment(display.witness(state.witness))},\n'
+        if display.group.dynkin.letter == "A"
+        else ""
+    )
+    coweight = _vector_fragment(primitive_vector(state.witness.coeffs))
+    return (
+        "{\n"
+        f'          "size": {state.size},\n'
+        f'          "weights": {weights},\n'
+        '          "witness": {\n'
+        f"{h_form}"
+        f'            "coweight": {coweight}\n'
+        "          }\n"
+        "        }"
+    )
+
+
+_STATES_SLOT = '"states": []'
 
 
 def _render_structured(solution, loci, display):
+    """The json-like report. Its bytes equal
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the document
+    tree, each state a dict of "size", "weights" (the display coordinates of
+    its members) and "witness" ("coweight", and "H" in type A).
+
+    Only the states are written here: each distinct weight is rendered once
+    per report as a `_vector_fragment` and every state that holds it reuses
+    that fragment. The rest of the tree, with every "states" list left
+    empty, goes through one `json.dumps`, and each empty list is then
+    filled in; a key of the tree can only appear as `"states": []` where a
+    locus holds it, since quotes inside json strings are escaped. The loci
+    come out in sorted order, so the lists are filled in that order."""
     group = solution.group
     representation = {
         "source": "highest-weight" if display.highest is not None else "weights-file",
@@ -187,18 +235,21 @@ def _render_structured(solution, loci, display):
         "support_size": len(solution.support),
         "weight_coords": display.weight_coords,
         "loci": {
-            locus: {
-                "count": len(getattr(solution, _SOLUTION_FIELD[locus])),
-                "states": [
-                    _state_document(state, display)
-                    for state in getattr(solution, _SOLUTION_FIELD[locus])
-                ],
-            }
+            locus: {"count": len(getattr(solution, _SOLUTION_FIELD[locus])), "states": []}
             for locus in loci
         },
         "warnings": list(group.warnings),
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    weight_fragments = {}
+    filled = []
+    for locus in sorted(loci):
+        states = getattr(solution, _SOLUTION_FIELD[locus])
+        fragments = [_state_fragment(state, display, weight_fragments) for state in states]
+        filled.append('"states": ' + _json_list(fragments, 6))
+    parts = json.dumps(doc, indent=2, sort_keys=True).split(_STATES_SLOT)
+    if len(parts) != len(filled) + 1:
+        raise RuntimeError("the report has a states slot per locus; this is a bug")
+    return "".join(part + slot for part, slot in zip(parts, [*filled, ""])) + "\n"
 
 
 def _read_weights_file(path, rank):

@@ -6,11 +6,17 @@ full-dimensional open cells of a central arrangement of hyperplanes
 ``{x : n . x = 0}`` restricted to the non-negative orthant
 ``{x : x_i >= 0 for every i}``, which is the fundamental chamber in
 fundamental-coweight coordinates; its coordinate walls are built here.
+Both take integer normals only (a `ValueError` says so otherwise): every
+line is canonicalised with `gcd` alone, and every ray and cell witness is
+an integer point.
 
 All elimination is fraction-free on integers: one step, `_annihilate`,
 cuts a kernel basis down by one line, and `kernel_basis` and `matrix_rank`
 are that step applied row by row. Rays come from a walk over flats with
-the same step. Cells come from an exact angular sweep in dimension 2; in
+the same step; the walk carries each open line's pairings with the current
+kernel basis and updates them by the step's own integer combination, so it
+evaluates no dot product, and it reads each ray's zero set off the lines
+it has closed. Cells come from an exact angular sweep in dimension 2; in
 higher dimension they are localised at the rays, where the local walls
 form a partial orthant, and only the small local systems of rank-4 and
 larger arrangements reach the cell LP `lp_feasible`. There is one
@@ -19,7 +25,8 @@ callers hand it a system with one row per ambient coordinate (plus one):
 `lp_feasible` poses the transposition dual of its system (Gordan, Motzkin)
 and reads its witness off the Farkas certificate that an infeasible phase
 one returns, and the relative-interior test, after lam = 1 + mu, has one
-column per point.
+column per point. These two, and `kernel_basis`, also take `Fraction`
+entries, which they scale to integers row by row.
 
 Every system `lp_feasible` decides is homogeneous (linear forms with no
 right-hand side), which is what the transposition theorem needs; the
@@ -44,6 +51,17 @@ def dot(a, b):
     if len(a) != len(b):
         raise ValueError(f"dot of vectors with lengths {len(a)} and {len(b)}")
     return sum(x * y for x, y in zip(a, b))
+
+
+def dot_rows(columns, point):
+    """The dot product of `point` with every row of a matrix, given the
+    matrix as its columns (``tuple(zip(*rows))``): one pass per nonzero
+    coordinate of the point instead of one `dot` per row."""
+    row = [0] * (len(columns[0]) if columns else 0)
+    for c, column in zip(point, columns):
+        if c:
+            row = [x + c * u for x, u in zip(row, column)]
+    return row
 
 
 def primitive_vector(v):
@@ -205,7 +223,7 @@ def zero_in_relative_interior(points):
     the phase-one simplex decides feasibility; it drops all-zero rows, so
     when the points are all zero nothing is left and the answer is yes.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [_rational_row(p) for p in points]
     if not pts:
         raise ValueError("zero_in_relative_interior needs at least one point")
     if any(len(p) != len(pts[0]) for p in pts):
@@ -228,6 +246,12 @@ class ArrangementFaceWitness:
     zero_set: frozenset[int]
 
 
+def _primitive(v):
+    """The nonzero integer vector v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
 def _integer_direction(v):
     """The primitive integer vector spanning the same line as the nonzero
     integer vector v, with its first nonzero entry positive."""
@@ -237,16 +261,48 @@ def _integer_direction(v):
     return tuple(x // g for x in v)
 
 
-def _canonical_line(v):
-    return _integer_direction(primitive_vector(v))
-
-
 def _dedupe_lines(vectors):
-    seen = {}
-    for v in vectors:
-        if any(Fraction(x) != 0 for x in v):
-            seen.setdefault(_canonical_line(v), None)
-    return list(seen)
+    """The distinct lines through the nonzero integer vectors, each as its
+    `_integer_direction`, in first-seen order."""
+    return list(dict.fromkeys(_integer_direction(v) for v in vectors if any(v)))
+
+
+def _require_integer_normals(normals, caller):
+    if any(not isinstance(x, int) for n in normals for x in n):
+        raise ValueError(f"{caller} needs integer normals")
+
+
+def _eliminate(basis, values):
+    """The fraction-free step of `_annihilate`, given the pairings `values`
+    of the line with the basis vectors (one of them nonzero).
+
+    Returns the new basis and the step itself as (pivot, p, kept): p is
+    the pivot's pairing and kept lists (k, v, g) for each surviving basis
+    vector z_k, which became ``(p z_k - v z_pivot) // g`` when v != 0 and
+    stayed as it was when v == 0."""
+    pivot = next(k for k, v in enumerate(values) if v != 0)
+    p, zp = values[pivot], basis[pivot]
+    out, kept = [], []
+    for k, (v, z) in enumerate(zip(values, basis)):
+        if k == pivot:
+            continue
+        g = 1
+        if v != 0:
+            z = [p * a - v * b for a, b in zip(z, zp)]
+            g = gcd(*z)
+            z = tuple(a // g for a in z)
+        out.append(z)
+        kept.append((k, v, g))
+    return out, (pivot, p, kept)
+
+
+def _eliminated_pairings(row, step):
+    """A line's pairings with the basis after an `_eliminate` step, from its
+    pairings `row` with the basis before it. Each division is exact, since g
+    divides every entry of the vector it reduced."""
+    pivot, p, kept = step
+    rp = row[pivot]
+    return [(p * row[k] - v * rp) // g if v else row[k] for k, v, g in kept]
 
 
 def _annihilate(basis, line):
@@ -258,20 +314,9 @@ def _annihilate(basis, line):
     pivot is dropped. When no vector pairs nonzero with `line` the basis
     is returned as it is."""
     values = [dot(line, z) for z in basis]
-    pivot = next((k for k, v in enumerate(values) if v != 0), None)
-    if pivot is None:
+    if not any(values):
         return basis
-    p, zp = values[pivot], basis[pivot]
-    out = []
-    for k, (v, z) in enumerate(zip(values, basis)):
-        if k == pivot:
-            continue
-        if v != 0:
-            z = [p * a - v * b for a, b in zip(z, zp)]
-            g = gcd(*z)
-            z = tuple(a // g for a in z)
-        out.append(z)
-    return out
+    return _eliminate(basis, values)[0]
 
 
 def _unit_vectors(dim):
@@ -305,7 +350,7 @@ def matrix_rank(rows):
 
 def arrangement_rays(normals, dim):
     """Rays (1-dimensional intersection faces) of the arrangement in the
-    non-negative orthant.
+    non-negative orthant. The normals must be integer vectors.
 
     A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
     drawn from the normals and the coordinate walls together, oriented into
@@ -316,7 +361,7 @@ def arrangement_rays(normals, dim):
 
     * a line in the span of the prefix (it pairs to zero with the whole
       kernel basis) is never appended, since every subset through it is
-      dependent;
+      dependent; such lines make up the prefix's closure;
     * the other lines fall into the flats one rank up, two lines sharing a
       flat exactly when their pairings with the kernel basis are parallel.
       Each such flat is entered once, through its smallest line, and only
@@ -324,36 +369,50 @@ def arrangement_rays(normals, dim):
       the greedy basis of its span; every flat has exactly one greedy basis
       and each prefix of it is the greedy basis of its own span, so every
       flat is still reached.
+
+    The pairings of the open lines with the kernel basis are kept in a
+    table, not recomputed: at the root they are the lines themselves, and
+    when a child's basis vector becomes ``(p z_k - v_k z_pivot) // g_k`` a
+    line's pairing with it becomes ``(p P_k - v_k P_pivot) // g_k`` by the
+    same integers (`_eliminated_pairings`), so the walk evaluates no dot
+    product. Children at depth dim-1 need no table. A ray lies on a normal's
+    hyperplane exactly when the normal's line is in the closure of the
+    flat it spans, so its zero set is read from that closure.
     """
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]
+    _require_integer_normals(normals, "arrangement_rays")
     identity = _unit_vectors(dim)
     lines = _dedupe_lines([*normals, *identity])
+    index = {line: m for m, line in enumerate(lines)}
+    normal_lines = [(i, index[_integer_direction(n)]) for i, n in enumerate(normals) if any(n)]
     found = []
 
-    def walk(kernel, closure, last, depth):
+    def walk(kernel, table, closure, last, depth):
         if depth == dim - 1:
             direction = kernel[0]
             for cand in (direction, tuple(-x for x in direction)):
                 if min(cand) >= 0:
-                    zero_set = frozenset(
-                        i for i, n in enumerate(normals)
-                        if any(x != 0 for x in n) and dot(n, cand) == 0
-                    )
+                    zero_set = frozenset(i for i, m in normal_lines if m in closure)
                     found.append(ArrangementFaceWitness(point=cand, kind="ray", zero_set=zero_set))
             return
         flats = {}
-        for m, line in enumerate(lines):
-            if m not in closure:
-                key = _integer_direction([dot(line, z) for z in kernel])
-                flats.setdefault(key, []).append(m)
+        for m, row in table.items():
+            flats.setdefault(_integer_direction(row), []).append(m)
+        leaf = depth + 1 == dim - 1
         for members in flats.values():
             j = members[0]
             if j > last:
-                walk(_annihilate(kernel, lines[j]), closure | set(members), j, depth + 1)
+                child, step = _eliminate(kernel, table[j])
+                inner = closure.union(members)
+                child_table = None if leaf else {
+                    m: _eliminated_pairings(row, step)
+                    for m, row in table.items() if m not in inner
+                }
+                walk(child, child_table, inner, j, depth + 1)
 
-    walk(identity, set(), -1, 0)
+    walk(identity, dict(enumerate(lines)), frozenset(), -1, 0)
     return sorted(found, key=lambda w: w.point)
 
 
@@ -382,8 +441,9 @@ def _planar_cell_witnesses(normals, walls):
     inside `walls` (the quadrant's, or a local system's partial orthant).
 
     The boundary directions of the plane sectors cut out by all constraint
-    lines (normals and walls alike) are sorted by angle; each consecutive
-    open arc yields one interior witness, and the sector survives iff it is
+    lines (normals and walls alike) are sorted by angle; each line is
+    primitive, so both directions along it are too. Each consecutive open
+    arc yields one interior witness, and the sector survives iff it is
     strictly inside the walls. This avoids any LP work in the dimension
     that dominates the supported workloads.
     """
@@ -391,8 +451,8 @@ def _planar_cell_witnesses(normals, walls):
     directions = set()
     for line in lines:
         along = _rot90(line)
-        directions.add(primitive_vector(along))
-        directions.add(primitive_vector((-along[0], -along[1])))
+        directions.add(along)
+        directions.add((-along[0], -along[1]))
     if not directions:
         candidates = [(1, 0)]
     else:
@@ -403,11 +463,11 @@ def _planar_cell_witnesses(normals, walls):
             a, b = ordered[i], ordered[(i + 1) % count]
             cross = a[0] * b[1] - a[1] * b[0]
             if cross > 0:
-                candidates.append(primitive_vector((a[0] + b[0], a[1] + b[1])))
+                candidates.append(_primitive((a[0] + b[0], a[1] + b[1])))
             elif cross == 0:
                 # Antipodal pair: the open arc is the half-plane on the
                 # counterclockwise side of a.
-                candidates.append(primitive_vector(_rot90(a)))
+                candidates.append(_rot90(a))
             else:
                 raise RuntimeError("angular sort produced a reflex arc; this is a bug")
     return [w for w in candidates if all(dot(c, w) > 0 for c in walls)]
@@ -455,7 +515,7 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard):
                 )
         regions = refined
         processed.append(line)
-    return [primitive_vector(witness) for _, witness in regions]
+    return [_primitive(witness) for _, witness in regions]
 
 
 def _cells_localised_at_rays(normals, dim, guard, rays):
@@ -495,7 +555,7 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
         for y in local:
             y = (*y[:j], 0, *y[j:])
             k = 1 + max((abs(dot(f, y)) // fr for f, fr in far), default=0)
-            point = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
+            point = _primitive(tuple(k * a + b for a, b in zip(r, y)))
             signs = tuple(dot(n, point) > 0 for n in normals)
             by_signs.setdefault(signs, point)
             if len(by_signs) > guard:
@@ -509,24 +569,33 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     """One interior witness per full-dimensional cell of the arrangement
     restricted to the open non-negative orthant; every witness pairs
     strictly nonzero with every nonzero normal and has every coordinate
-    positive.
+    positive. The normals must be integer vectors.
 
     Dimension 1 is the single cell (1,), and dimension 2 uses the exact
     angular sweep; neither reads `rays`. In dimension >= 3 the closure of
     every cell is a pointed cone whose extreme rays are arrangement rays, so
     every cell is found by localising at `rays`, which must be
     `arrangement_rays(normals, dim)` (`_cells_localised_at_rays`). The
-    orthant's axes are always among them, so empty `rays` is an error."""
+    orthant's axes are always among them and no ray leaves the closed
+    orthant, so `rays` missing an axis or holding a point outside it is an
+    error; other subsets of the true rays are not detected."""
     if dim <= 0:
         return []
-    nonzero = [tuple(n) for n in normals if any(Fraction(x) != 0 for x in n)]
+    normals = [tuple(n) for n in normals]
+    _require_integer_normals(normals, "arrangement_cells")
+    nonzero = [n for n in normals if any(n)]
     if dim == 1:
         witnesses = [(1,)]
     elif dim == 2:
         witnesses = _planar_cell_witnesses(nonzero, _unit_vectors(2))
     else:
-        if not rays:
-            raise ValueError("cells in dimension >= 3 need the arrangement's rays")
+        points = {ray.point for ray in rays}
+        if any(min(point) < 0 for point in points):
+            raise ValueError("cells got a ray outside the non-negative orthant")
+        if not points.issuperset(_unit_vectors(dim)):
+            raise ValueError(
+                "cells in dimension >= 3 need the arrangement's rays, every coordinate axis among them"
+            )
         witnesses = _cells_localised_at_rays(nonzero, dim, guard, rays)
     if len(witnesses) > guard:
         raise ResourceGuardError(
@@ -534,10 +603,12 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
         )
     out = []
     seen_sign_vectors = set()
+    columns = tuple(zip(*nonzero))
     for point in sorted(witnesses):
-        signature = tuple(1 if dot(n, point) > 0 else -1 if dot(n, point) < 0 else 0 for n in nonzero)
-        if 0 in signature or min(point) <= 0:
+        values = dot_rows(columns, point)
+        if 0 in values or min(point) <= 0:
             raise RuntimeError("cell witness landed on a boundary; this is a bug")
+        signature = tuple(v > 0 for v in values)
         if signature in seen_sign_vectors:
             raise RuntimeError("two witnesses describe the same cell; this is a bug")
         seen_sign_vectors.add(signature)

@@ -43,12 +43,14 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 from .errors import ParseError, RankMismatchError, ResourceGuardError
 from .exactgeom import (
     DEFAULT_CELL_GUARD,
     arrangement_cells,
     arrangement_rays,
+    dot_rows,
     kernel_basis,
     lp_feasible,
     zero_in_relative_interior,
@@ -116,7 +118,10 @@ class GITProblem:
     Ray and cell candidates are computed lazily from the nonzero weights (as
     pairing normals) in the fundamental chamber, which in coweight
     coordinates is the non-negative orthant, then cached; cells are
-    localised at the cached rays. `classify_torus` caches the same way the
+    localised at the cached rays. The pairing row of each ray and cell
+    witness with the support is computed once and read by every locus;
+    other one-parameter subgroups, such as those passed to `state_of`, are
+    paired afresh and not cached. `classify_torus` caches the same way the
     maximal unstable and non-stable chamber states it looks certificates up
     in, before any Weyl deduplication. `weyl_guard` bounds the Weyl set
     closure of that deduplication; no query enumerates the Weyl group.
@@ -144,8 +149,10 @@ class GITProblem:
         self._normals = tuple(
             u for _, u in self._pairing_vectors if any(x != 0 for x in u)
         )
+        self._pairing_columns = tuple(zip(*(u for _, u in self._pairing_vectors)))
         self._rays = None
         self._cells = None
+        self._witness_pairings = {}
         self._torus_loci = None
         self._set_canonical_cache = {}
 
@@ -163,13 +170,21 @@ class GITProblem:
             )
         return self._cells
 
-    def _select(self, coweight_coeffs, mode):
+    def _pairings(self, coweight_coeffs):
+        """The det-scaled pairing of each support weight with the coweight."""
+        return dot_rows(self._pairing_columns, coweight_coeffs)
+
+    def _witness_row(self, point):
+        """`_pairings` of a ray or cell witness point, computed once."""
+        row = self._witness_pairings.get(point)
+        if row is None:
+            row = self._witness_pairings[point] = self._pairings(point)
+        return row
+
+    def _select(self, pairings, mode):
+        """Indices of the support weights whose pairing the mode keeps."""
         keep = _MODES[mode][1]
-        return tuple(
-            w
-            for w, u in self._pairing_vectors
-            if keep(sum(a * b for a, b in zip(u, coweight_coeffs)), 0)
-        )
+        return tuple(compress(range(len(pairings)), map(keep, pairings, repeat(0))))
 
 
 def new_problem(
@@ -217,34 +232,40 @@ def state_of(problem, lam, mode):
         raise RankMismatchError("one-parameter subgroup belongs to a different group")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_MODES)}")
-    selected = problem._select(lam.coeffs, mode)
+    selected = _weights(problem, problem._select(problem._pairings(lam.coeffs), mode))
     return State(kind=_MODES[mode][0], weights=selected, witness=lam)
 
 
-def _state_sort_key(weights):
-    return tuple(w.coeffs for w in weights)
+def _weights(problem, indices):
+    """The support weights at the indices."""
+    vectors = problem._pairing_vectors
+    return tuple(vectors[i][0] for i in indices)
+
+
+def _coeffs(problem, indices):
+    """The coefficient tuples of the support weights at the indices."""
+    return tuple(w.coeffs for w in _weights(problem, indices))
 
 
 def _distinct(problem, witnesses, mode):
     """Each distinct non-empty state of the mode over the witnesses, as
-    (weights, point) with the first witness point that realises it, in the
-    order first seen."""
+    (indices into the support, point) with the first witness point that
+    realises it, in the order first seen."""
     out = {}
     for witness in witnesses:
-        selected = problem._select(witness.point, mode)
+        selected = problem._select(problem._witness_row(witness.point), mode)
         if selected:
-            out.setdefault(frozenset(w.coeffs for w in selected), (selected, witness.point))
-    return list(out.values())
+            out.setdefault(selected, witness.point)
+    return list(out.items())
 
 
 def _maximal_only(entries):
-    keys = [frozenset(w.coeffs for w in weights) for weights, _ in entries]
-    kept = []
-    for i, entry in enumerate(entries):
-        if any(j != i and keys[i] < keys[j] for j in range(len(entries))):
-            continue
-        kept.append(entry)
-    return kept
+    masks = [sum(1 << i for i in indices) for indices, _ in entries]
+    return [
+        entry
+        for entry, mask in zip(entries, masks)
+        if not any(mask != other and mask & other == mask for other in masks)
+    ]
 
 
 def _weyl_canonical_set(problem, coeff_set):
@@ -283,29 +304,30 @@ def _weyl_canonical_set(problem, coeff_set):
 def _drop_weyl_duplicates(problem, entries):
     kept = []
     seen = set()
-    for weights, point in entries:
-        canonical = _weyl_canonical_set(problem, frozenset(w.coeffs for w in weights))
+    for indices, point in entries:
+        canonical = _weyl_canonical_set(problem, frozenset(_coeffs(problem, indices)))
         if canonical in seen:
             continue
         seen.add(canonical)
-        kept.append((weights, point))
+        kept.append((indices, point))
     return kept
 
 
-def _as_states(mode, entries):
+def _as_states(problem, mode, entries):
     kind = _MODES[mode][0]
     states = []
-    for weights, point in entries:
-        witness = OneParameterSubgroup(weights[0].group, point) if weights else None
+    for indices, point in entries:
+        weights = _weights(problem, indices)
+        witness = OneParameterSubgroup(problem.group, point) if weights else None
         states.append(State(kind=kind, weights=weights, witness=witness))
     return states
 
 
 def _sorted_maximal(problem, witnesses, mode):
     """The inclusion-maximal distinct states of the mode over the witnesses,
-    as (weights, point), largest first."""
+    as (indices, point), largest first."""
     entries = _maximal_only(_distinct(problem, witnesses, mode))
-    entries.sort(key=lambda e: (-len(e[0]), _state_sort_key(e[0])))
+    entries.sort(key=lambda e: (-len(e[0]), _coeffs(problem, e[0])))
     return entries
 
 
@@ -315,7 +337,7 @@ def _maximal_states(problem, witnesses, mode):
     entries = _sorted_maximal(problem, witnesses, mode)
     if problem.weyl_optimisation:
         entries = _drop_weyl_duplicates(problem, entries)
-    return _as_states(mode, entries)
+    return _as_states(problem, mode, entries)
 
 
 def solve_non_stable(problem):
@@ -335,14 +357,15 @@ def solve_strictly_polystable(problem):
     whose hull has the origin in its relative interior, deduplicated up to
     Weyl equivalence of the weight sets. Nested states are kept on purpose.
     The relative-interior test runs once per distinct weight set."""
+    vectors = problem._pairing_vectors
     entries = [
-        (weights, point)
-        for weights, point in _distinct(problem, (*problem.rays(), *problem.cells()), "=0")
-        if zero_in_relative_interior([pairing_vector(problem.group, w.coeffs) for w in weights])
+        (indices, point)
+        for indices, point in _distinct(problem, (*problem.rays(), *problem.cells()), "=0")
+        if zero_in_relative_interior([vectors[i][1] for i in indices])
     ]
-    entries.sort(key=lambda e: (len(e[0]), _state_sort_key(e[0])))
+    entries.sort(key=lambda e: (len(e[0]), _coeffs(problem, e[0])))
     entries = _drop_weyl_duplicates(problem, entries)
-    return _as_states("=0", entries)
+    return _as_states(problem, "=0", entries)
 
 
 def _support_weights(problem, point_support, caller):
@@ -373,8 +396,8 @@ def _chamber_states(problem, witnesses, mode):
     before Weyl deduplication: the class representative kept by the
     deduplication need not contain a given reflected support."""
     return [
-        (frozenset(w.coeffs for w in weights), point)
-        for weights, point in _sorted_maximal(problem, witnesses, mode)
+        (frozenset(_coeffs(problem, indices)), point)
+        for indices, point in _sorted_maximal(problem, witnesses, mode)
     ]
 
 

@@ -8,6 +8,7 @@ hide behind the same bug in the test.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -394,3 +395,65 @@ def subset_rref_rays(normals, chamber, dim):
         )
         for point in sorted(found)
     ]
+
+
+def _primitive_oracle(vector):
+    """The primitive integer vector on the ray of a nonzero rational vector."""
+    fracs = [Fraction(x) for x in vector]
+    scale = 1
+    for x in fracs:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    ints = [int(x * scale) for x in fracs]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
+
+
+def structured_report_reference(solution, loci, display):
+    """The `--format json-like` report as the CLI used to write it: the whole
+    tree of dicts, the state dicts included, through one
+    ``json.dumps(indent=2, sort_keys=True)``. It checks the layout of the
+    CLI's fragment emitter, so the coordinate choices come from the same
+    display object (its `weight` and `witness` methods and its representation
+    name); only the coweight witness is made primitive here.
+    """
+    fields = {"nonstable": "nonstable", "unstable": "unstable", "polystable": "strictly_polystable"}
+    group = solution.group
+
+    def state_document(state):
+        witness = {"coweight": list(_primitive_oracle(state.witness.coeffs))}
+        if group.dynkin.letter == "A":
+            witness["H"] = list(display.witness(state.witness))
+        return {
+            "size": len(state.weights),
+            "weights": [list(display.weight(w)) for w in state.weights],
+            "witness": witness,
+        }
+
+    representation = {
+        "source": "highest-weight" if display.highest is not None else "weights-file",
+        "display": display.representation_name(solution.support),
+        "highest_weight_fundamental": (
+            list(display.highest.coeffs) if display.highest is not None else None
+        ),
+    }
+    if display.use_l_coords:
+        representation["highest_weight_L"] = list(display.highest_l)
+    doc = {
+        "format": "gitloci/1",
+        "group": {"letter": group.dynkin.letter, "rank": group.rank, "name": group.name},
+        "options": {"weyl_optimisation": solution.weyl_optimisation},
+        "representation": representation,
+        "support_size": len(solution.support),
+        "weight_coords": display.weight_coords,
+        "loci": {
+            locus: {
+                "count": len(getattr(solution, fields[locus])),
+                "states": [state_document(s) for s in getattr(solution, fields[locus])],
+            }
+            for locus in loci
+        },
+        "warnings": list(group.warnings),
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -5,11 +5,12 @@ import json
 
 import pytest
 
-from gitloci.cli import main
+from gitloci.cli import _Display, _render_structured, main
 from gitloci.errors import ParseError
-from gitloci.gitsolver import new_problem, solve_all
-from gitloci.repsupport import parse_highest_weight
+from gitloci.gitsolver import GITProblem, new_problem, parse_loci, solve_all
+from gitloci.repsupport import parse_highest_weight, support_from_weights, weight_support
 from gitloci.rootdata import make_group
+from _oracles import structured_report_reference
 
 A2_CUBIC_TEXT = """\
 ***************************************
@@ -198,6 +199,107 @@ def test_json_like_reports_match_frozen_hashes(capsys, key, loci, hashes):
         assert code == 0
         digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest()[:16])
     assert tuple(digests) == hashes
+
+
+# The same for the text reports of the rank-2 benchmark inputs, with every
+# locus, without and with `--weyl-opt`. The text path shares the display
+# coordinates with the json-like one.
+FROZEN_TEXT_REPORTS = {
+    ("A2", "3,0"): ("b8cb9a8c0cc74263", "b8cb9a8c0cc74263"),
+    ("A2", "4,0"): ("4cbf9c86f71e600c", "4cbf9c86f71e600c"),
+    ("A2", "5,0"): ("4991c961b427320c", "4991c961b427320c"),
+    ("A2", "6,0"): ("95ecb0e17a6de8db", "95ecb0e17a6de8db"),
+    ("A2", "7,0"): ("2672bb1d7c391320", "2672bb1d7c391320"),
+    ("A2", "8,0"): ("1583c30c17d0717e", "1583c30c17d0717e"),
+    ("A2", "9,0"): ("ba413fd2571b98bf", "ba413fd2571b98bf"),
+    ("A2", "10,0"): ("bfb6da670e318a45", "bfb6da670e318a45"),
+    ("A2", "11,0"): ("e2b51163ff831bad", "e2b51163ff831bad"),
+    ("A2", "12,0"): ("118ffb0ff4724093", "118ffb0ff4724093"),
+    ("B2", "3*w1"): ("92a208bb3c576f03", "92a208bb3c576f03"),
+    ("B2", "4*w1"): ("5a6498994f154ab9", "5a6498994f154ab9"),
+    ("B2", "5*w1"): ("b988af5c523842ed", "b988af5c523842ed"),
+    ("B2", "6*w1"): ("385b969c0e0cac19", "385b969c0e0cac19"),
+    ("B2", "7*w1"): ("53493313558a8413", "53493313558a8413"),
+    ("B2", "8*w1"): ("5edb98686f0dd1bf", "5edb98686f0dd1bf"),
+    ("B2", "9*w1"): ("7d82adc14d3da0db", "7d82adc14d3da0db"),
+    ("B2", "10*w1"): ("cc481d4e9d66a420", "cc481d4e9d66a420"),
+    ("B2", "11*w1"): ("4b8d2e9dea5c5db4", "4b8d2e9dea5c5db4"),
+    ("B2", "12*w1"): ("e39754135969d5e7", "e39754135969d5e7"),
+    ("G2", "1,0"): ("563f871413bafee1", "563f871413bafee1"),
+    ("G2", "2,0"): ("efeaed7cdbc2197b", "efeaed7cdbc2197b"),
+    ("G2", "3,0"): ("ec3574c7692bf50c", "ec3574c7692bf50c"),
+    ("G2", "4,0"): ("a658a5753037bcae", "a658a5753037bcae"),
+    ("G2", "0,1"): ("661bdd36c92822fe", "661bdd36c92822fe"),
+    ("G2", "0,2"): ("fcf3f4d6d4cf55d9", "fcf3f4d6d4cf55d9"),
+    ("G2", "0,3"): ("2fddcef248523a9c", "2fddcef248523a9c"),
+}
+
+
+@pytest.mark.parametrize(
+    "key, hashes", FROZEN_TEXT_REPORTS.items(), ids=[" ".join(key) for key in FROZEN_TEXT_REPORTS]
+)
+def test_text_reports_match_frozen_hashes(capsys, key, hashes):
+    group, highest = key
+    digests = []
+    for extra in ([], ["--weyl-opt"]):
+        code, out, _ = run(capsys, "solve", group, "--weight", highest, *extra)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest()[:16])
+    assert tuple(digests) == hashes
+
+
+# The json-like emitter against `structured_report_reference`, the whole-tree
+# `json.dumps` it replaced: every benchmark input with all loci, then a
+# single locus, loci asked for out of order, two loci, a group with
+# warnings (D2) and a locus with no states (A2 `0,0` has no unstable state).
+EMITTER_CASES = [
+    *((key, "nonstable,unstable,polystable") for key in FROZEN_REPORTS_ALL_LOCI),
+    *((key, "nonstable,unstable,polystable") for key in FROZEN_REPORTS_NONSTABLE_UNSTABLE),
+    (("A2", "3,0,0"), "unstable"),
+    (("B2", "4*w1"), "polystable,nonstable"),
+    (("G2", "2,0"), "unstable,nonstable"),
+    (("B3", "2,0,0"), "nonstable,unstable"),
+    (("D2", "1,0"), "nonstable,unstable,polystable"),
+    (("A2", "0,0"), "unstable"),
+]
+
+
+def assert_emitter_matches_reference(group, support, highest, loci):
+    display = _Display(group, highest)
+    for weyl in (False, True):
+        solution = solve_all(GITProblem(group, support, weyl_optimisation=weyl), loci)
+        report = _render_structured(solution, loci, display)
+        assert report == structured_report_reference(solution, loci, display)
+    return report
+
+
+@pytest.mark.parametrize(
+    "key, loci", EMITTER_CASES, ids=[f"{' '.join(key)} {loci}" for key, loci in EMITTER_CASES]
+)
+def test_structured_emitter_matches_the_reference_renderer(key, loci):
+    group = make_group(key[0])
+    highest = parse_highest_weight(group, key[1])
+    loci = parse_loci(loci)
+    report = assert_emitter_matches_reference(group, weight_support(group, highest), highest, loci)
+    if key == ("D2", "1,0"):
+        assert group.warnings and json.loads(report)["warnings"] == list(group.warnings)
+    if key == ("A2", "0,0"):
+        assert json.loads(report)["loci"]["unstable"] == {"count": 0, "states": []}
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [
+        ("A2", [(1, 0), (-1, 1), (0, -1), (0, 0)]),
+        ("B2", [(1, 0), (-1, 2), (0, 0), (1, -2), (-1, 0)]),
+    ],
+)
+def test_structured_emitter_matches_the_reference_on_a_weights_file_support(name, rows):
+    group = make_group(name)
+    support = support_from_weights(group, rows)
+    assert support.highest is None
+    report = assert_emitter_matches_reference(group, support, None, parse_loci("nonstable,unstable,polystable"))
+    assert json.loads(report)["representation"]["source"] == "weights-file"
 
 
 def test_out_writes_the_report_to_a_file(capsys, tmp_path):

@@ -9,16 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from gitloci.errors import ResourceGuardError
 from gitloci.exactgeom import (
+    ArrangementFaceWitness,
     FarkasCertificate,
     arrangement_cells,
     arrangement_rays,
     dot,
+    dot_rows,
     kernel_basis,
     lp_feasible,
     matrix_rank,
     primitive_vector,
     zero_in_relative_interior,
     _cell_witnesses_by_lp,
+    _eliminate,
+    _eliminated_pairings,
     _phase_one,
     _planar_cell_witnesses,
 )
@@ -561,3 +565,91 @@ def test_cells_need_rays_from_dimension_three():
     # Dimensions 1 and 2 do not read the rays.
     assert [c.point for c in arrangement_cells((), (), 1)] == [(1,)]
     assert [c.point for c in arrangement_cells(((1, -1),), (), 2)] == [(1, 2), (2, 1)]
+
+
+def test_cells_reject_rays_missing_an_axis_or_outside_the_orthant():
+    normals = ((1, -1, 0), (0, 1, -1), (1, 0, -1))
+    assert len(orthant_cells(normals, 3)) == 6
+    # Only the axis (0, 0, 1): two axes are missing, which used to give 2
+    # of the 6 cells without an error.
+    only_axis = [r for r in arrangement_rays(normals, 3) if r.point == (0, 0, 1)]
+    with pytest.raises(ValueError, match="axis"):
+        arrangement_cells(normals, only_axis, 3)
+    outside = ArrangementFaceWitness(point=(1, -1, 0), kind="ray", zero_set=frozenset({0}))
+    with pytest.raises(ValueError, match="orthant"):
+        arrangement_cells(normals, [*arrangement_rays(normals, 3), outside], 3)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_arrangements_need_integer_normals(dim):
+    normal = (Fraction(1, 2), *(-1,) * (dim - 1))
+    with pytest.raises(ValueError, match="arrangement_rays needs integer normals"):
+        arrangement_rays([normal], dim)
+    rays = arrangement_rays([(1, *(-1,) * (dim - 1))], dim)
+    with pytest.raises(ValueError, match="arrangement_cells needs integer normals"):
+        arrangement_cells([normal], rays, dim)
+    # A Fraction equal to an integer is not an integer either.
+    with pytest.raises(ValueError, match="integer normals"):
+        arrangement_rays([(Fraction(2), *(0,) * (dim - 1))], dim)
+
+
+@relaxed
+@given(orthant_arrangements(dims=(2, 3, 4, 5)))
+def test_eliminated_pairings_equal_the_pairings_with_the_new_basis(arrangement):
+    # Cut the unit basis down by each normal in turn, as the ray walk does
+    # along one branch, and check every normal's updated pairings each time.
+    dim, normals = arrangement
+    basis = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
+    for line in normals:
+        values = [dot(line, z) for z in basis]
+        if not any(values):
+            continue
+        new_basis, step = _eliminate(basis, values)
+        for other in normals:
+            before = [dot(other, z) for z in basis]
+            assert _eliminated_pairings(before, step) == [dot(other, z) for z in new_basis]
+        basis = new_basis
+
+
+@relaxed
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), max_size=6),
+       st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+def test_dot_rows_is_one_dot_per_row(rows, point):
+    columns = tuple(zip(*rows))
+    assert dot_rows(columns, point) == [dot(row, point) for row in rows]
+
+
+# The 18 rays of E6 `1,0,0,0,0,0` as the walk returned them before it kept a
+# pairing table: point and zero set (indices into the nonzero pairing
+# normals in support order), in order.
+E6_RAYS = [
+    ((0, 0, 0, 0, 0, 1), []),
+    ((0, 0, 0, 0, 1, 0), []),
+    ((0, 0, 0, 0, 1, 1), [2, 9, 15, 20, 23]),
+    ((0, 0, 0, 1, 0, 0), [1, 2, 3, 14, 15, 16, 22, 23, 24]),
+    ((0, 0, 0, 1, 0, 3), [9, 20]),
+    ((0, 0, 1, 0, 0, 0), []),
+    ((0, 0, 1, 0, 0, 2), [9, 15, 16, 20]),
+    ((0, 0, 1, 0, 1, 0), [1, 2, 16, 22, 23]),
+    ((0, 0, 2, 0, 0, 1), [1, 22]),
+    ((0, 1, 0, 0, 0, 0), [1, 2, 3, 5, 7, 8, 9, 14, 15, 16, 17, 22, 23, 24, 26]),
+    ((0, 1, 0, 0, 0, 3), [20]),
+    ((1, 0, 0, 0, 0, 0), []),
+    ((1, 0, 0, 0, 0, 1), [1, 9, 15, 16, 20, 21, 23, 24, 26]),
+    ((1, 0, 0, 0, 2, 0), [1, 2]),
+    ((1, 0, 1, 0, 0, 0), [21, 22, 23, 24, 26]),
+    ((2, 0, 0, 0, 1, 0), [16, 21, 24, 26]),
+    ((3, 0, 0, 1, 0, 0), [21, 26]),
+    ((3, 1, 0, 0, 0, 0), [21]),
+]
+
+
+def test_e6_rays_match_frozen_table():
+    group = make_group("E6")
+    problem = new_problem(group, parse_highest_weight(group, "1,0,0,0,0,0"))
+    normals = [pairing_vector(group, w.coeffs) for w in problem.support]
+    normals = [n for n in normals if any(n)]
+    rays = arrangement_rays(normals, group.rank)
+    assert [(r.point, sorted(r.zero_set)) for r in rays] == E6_RAYS
+    for ray in rays:
+        assert ray.zero_set == {i for i, n in enumerate(normals) if dot(n, ray.point) == 0}

@@ -304,3 +304,18 @@ def test_classification_certificates_are_primitive():
     points = [w for w in problem.support if w.coeffs in US5]
     certificate = classify_torus(problem, points).certificate
     assert certificate.coeffs == certificate.primitive().coeffs
+
+
+def test_witness_pairing_rows_are_cached_once_and_state_of_adds_none():
+    problem = new_problem(B2, parse_highest_weight(B2, "5*w1"))
+    solve_all(problem)
+    witnesses = {w.point for w in (*problem.rays(), *problem.cells())}
+    rows = problem._witness_pairings
+    assert set(rows) == witnesses
+    for point, row in rows.items():
+        assert list(row) == [dot(pairing_vector(B2, w.coeffs), point) for w in problem.support]
+    before = dict(rows)
+    for coeffs in [(1, 0), (3, 7), (-2, 5), *witnesses]:
+        state_of(problem, OneParameterSubgroup(B2, coeffs), ">=0")
+    assert problem._witness_pairings == before
+    assert all(rows[p] is before[p] for p in before)
