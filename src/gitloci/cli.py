@@ -14,6 +14,7 @@ GITLOCI_SUPPORT_GUARD, GITLOCI_CELL_GUARD and GITLOCI_WEYL_GUARD.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -342,7 +343,9 @@ def _run_support(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The command's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="gitloci",
         description=(

@@ -36,6 +36,15 @@ constant on each relatively open face.
 
 The dense-sampling acceptance test exercises the containment claims against
 brute force, in rank 2.
+
+States and the Weyl group
+-------------------------
+Inside the solver a state is the ascending tuple of its positions in the
+sorted support, so index order is coefficient order. `GITProblem`
+tabulates the permutation of the support by each simple reflection, and
+the Weyl group acts on states through them: Weyl deduplication labels each
+state by the set its class's breadth-first closure started from, and keeps
+the first state of each class in sort order. No query enumerates W.
 """
 
 from __future__ import annotations
@@ -115,16 +124,19 @@ class State:
 class GITProblem:
     """A stability problem: a group acting on the span of a weight support.
 
+    The support must be strictly sorted and closed under the simple
+    reflections. `index` maps coefficients to support positions, and
+    `reflections[i]` maps each position to that of its i-th reflection.
+
     Ray and cell candidates are computed lazily from the nonzero weights (as
     pairing normals) in the fundamental chamber, which in coweight
     coordinates is the non-negative orthant, then cached; cells are
     localised at the cached rays. The pairing row of each ray and cell
     witness with the support is computed once and read by every locus;
     other one-parameter subgroups, such as those passed to `state_of`, are
-    paired afresh and not cached. `classify_torus` caches the same way the
-    maximal unstable and non-stable chamber states it looks certificates up
-    in, before any Weyl deduplication. `weyl_guard` bounds the Weyl set
-    closure of that deduplication; no query enumerates the Weyl group.
+    paired afresh and not cached. The sorted maximal states of each mode,
+    before Weyl deduplication, are cached for the loci and `classify_torus`.
+    `weyl_guard` bounds the Weyl set closure of the deduplication.
     """
 
     def __init__(
@@ -143,18 +155,16 @@ class GITProblem:
         self.weyl_optimisation = bool(weyl_optimisation)
         self.cell_guard = cell_guard
         self.weyl_guard = weyl_guard
-        self._pairing_vectors = tuple(
-            (w, pairing_vector(group, w.coeffs)) for w in support.weights
-        )
-        self._normals = tuple(
-            u for _, u in self._pairing_vectors if any(x != 0 for x in u)
-        )
-        self._pairing_columns = tuple(zip(*(u for _, u in self._pairing_vectors)))
+        self.index = {w.coeffs: i for i, w in enumerate(support.weights)}
+        self.reflections = _reflection_table(group, support.weights, self.index)
+        self._pairing_vectors = tuple(pairing_vector(group, w.coeffs) for w in support.weights)
+        self._normals = tuple(u for u in self._pairing_vectors if any(x != 0 for x in u))
+        self._pairing_columns = tuple(zip(*self._pairing_vectors))
         self._rays = None
         self._cells = None
         self._witness_pairings = {}
-        self._torus_loci = None
-        self._set_canonical_cache = {}
+        self._maximal = {}
+        self._weyl_classes = {}
 
     def rays(self):
         if self._rays is None:
@@ -185,6 +195,28 @@ class GITProblem:
         """Indices of the support weights whose pairing the mode keeps."""
         keep = _MODES[mode][1]
         return tuple(compress(range(len(pairings)), map(keep, pairings, repeat(0))))
+
+
+def _reflection_table(group, weights, index):
+    """For each simple reflection, the support position of the image of the
+    weight at each position; raises ValueError unless the weights are
+    strictly sorted and closed under the simple reflections."""
+    for previous, w in zip(weights, weights[1:]):
+        if previous.coeffs >= w.coeffs:
+            raise ValueError(
+                f"support is not strictly sorted: weight {w.coeffs} follows {previous.coeffs}"
+            )
+    table = [[] for _ in range(group.rank)]
+    for w in weights:
+        for i, column in enumerate(table):
+            image = reflect_weight_coeffs(group.cartan, w.coeffs, i)
+            if image not in index:
+                raise ValueError(
+                    f"support is not closed under the Weyl group: reflection {i + 1}"
+                    f" maps {w.coeffs} to {image}, which is missing"
+                )
+            column.append(index[image])
+    return tuple(map(tuple, table))
 
 
 def new_problem(
@@ -238,13 +270,8 @@ def state_of(problem, lam, mode):
 
 def _weights(problem, indices):
     """The support weights at the indices."""
-    vectors = problem._pairing_vectors
-    return tuple(vectors[i][0] for i in indices)
-
-
-def _coeffs(problem, indices):
-    """The coefficient tuples of the support weights at the indices."""
-    return tuple(w.coeffs for w in _weights(problem, indices))
+    weights = problem.support.weights
+    return tuple(weights[i] for i in indices)
 
 
 def _distinct(problem, witnesses, mode):
@@ -260,56 +287,48 @@ def _distinct(problem, witnesses, mode):
 
 
 def _maximal_only(entries):
-    masks = [sum(1 << i for i in indices) for indices, _ in entries]
-    return [
-        entry
-        for entry, mask in zip(entries, masks)
-        if not any(mask != other and mask & other == mask for other in masks)
-    ]
+    sets = [frozenset(indices) for indices, _ in entries]
+    return [entry for entry, s in zip(entries, sets) if not any(s < other for other in sets)]
 
 
-def _weyl_canonical_set(problem, coeff_set):
-    """Canonical form of a weight set under the Weyl group action, by
-    breadth-first closure over set images; used for set-level deduplication."""
-    cached = problem._set_canonical_cache.get(coeff_set)
-    if cached is not None:
-        return cached
-    cartan = problem.group.cartan
-    rank = problem.group.rank
-    seen = {coeff_set}
-    frontier = [coeff_set]
+def _weyl_class(problem, indices):
+    """The Weyl class label of an index set: the first set of its class
+    reached, after a breadth-first closure under the simple reflections that
+    labels every member; used for set-level deduplication."""
+    label = problem._weyl_classes.get(indices)
+    if label is not None:
+        return label
+    seen = {indices}
+    frontier = [indices]
     rounds = 0
     while frontier:
         rounds += 1
         nxt = []
         for current in frontier:
-            for i in range(rank):
-                image = frozenset(reflect_weight_coeffs(cartan, c, i) for c in current)
+            for permutation in problem.reflections:
+                image = tuple(sorted(map(permutation.__getitem__, current)))
                 if image not in seen:
                     seen.add(image)
                     nxt.append(image)
                     if len(seen) > problem.weyl_guard:
                         raise ResourceGuardError(
                             f"Weyl set closure exceeded the guard of {problem.weyl_guard},"
-                            f" with {len(seen)} sets of {len(coeff_set)} weights reached"
+                            f" with {len(seen)} sets of {len(indices)} weights reached"
                             f" in round {rounds}"
                         )
         frontier = nxt
-    canonical = min(tuple(sorted(s)) for s in seen)
-    for member in seen:
-        problem._set_canonical_cache[member] = canonical
-    return canonical
+    problem._weyl_classes.update(dict.fromkeys(seen, indices))
+    return indices
 
 
 def _drop_weyl_duplicates(problem, entries):
     kept = []
     seen = set()
     for indices, point in entries:
-        canonical = _weyl_canonical_set(problem, frozenset(_coeffs(problem, indices)))
-        if canonical in seen:
-            continue
-        seen.add(canonical)
-        kept.append((indices, point))
+        label = _weyl_class(problem, indices)
+        if label not in seen:
+            seen.add(label)
+            kept.append((indices, point))
     return kept
 
 
@@ -323,18 +342,23 @@ def _as_states(problem, mode, entries):
     return states
 
 
-def _sorted_maximal(problem, witnesses, mode):
-    """The inclusion-maximal distinct states of the mode over the witnesses,
-    as (indices, point), largest first."""
-    entries = _maximal_only(_distinct(problem, witnesses, mode))
-    entries.sort(key=lambda e: (-len(e[0]), _coeffs(problem, e[0])))
+def _sorted_maximal(problem, mode):
+    """The inclusion-maximal distinct states of the mode (>=0 over the rays,
+    >0 over the cells) as (indices, point), largest first, before Weyl
+    deduplication; computed once per problem."""
+    entries = problem._maximal.get(mode)
+    if entries is None:
+        witnesses = problem.rays() if mode == ">=0" else problem.cells()
+        entries = _maximal_only(_distinct(problem, witnesses, mode))
+        entries.sort(key=lambda e: (-len(e[0]), e[0]))
+        problem._maximal[mode] = entries
     return entries
 
 
-def _maximal_states(problem, witnesses, mode):
-    """The inclusion-maximal distinct states of the mode over the witnesses,
-    largest first, one per Weyl class under the problem's optimisation."""
-    entries = _sorted_maximal(problem, witnesses, mode)
+def _maximal_states(problem, mode):
+    """The inclusion-maximal distinct states of the mode, largest first,
+    one per Weyl class under the problem's optimisation."""
+    entries = _sorted_maximal(problem, mode)
     if problem.weyl_optimisation:
         entries = _drop_weyl_duplicates(problem, entries)
     return _as_states(problem, mode, entries)
@@ -343,13 +367,13 @@ def _maximal_states(problem, witnesses, mode):
 def solve_non_stable(problem):
     """Maximal non-stable states: >= 0 states over the arrangement rays,
     filtered to inclusion-maximal ones."""
-    return _maximal_states(problem, problem.rays(), ">=0")
+    return _maximal_states(problem, ">=0")
 
 
 def solve_unstable(problem):
     """Maximal unstable states: > 0 states over the open-cell witnesses,
     filtered to inclusion-maximal ones; empty states are dropped."""
-    return _maximal_states(problem, problem.cells(), ">0")
+    return _maximal_states(problem, ">0")
 
 
 def solve_strictly_polystable(problem):
@@ -361,44 +385,36 @@ def solve_strictly_polystable(problem):
     entries = [
         (indices, point)
         for indices, point in _distinct(problem, (*problem.rays(), *problem.cells()), "=0")
-        if zero_in_relative_interior([vectors[i][1] for i in indices])
+        if zero_in_relative_interior([vectors[i] for i in indices])
     ]
-    entries.sort(key=lambda e: (len(e[0]), _coeffs(problem, e[0])))
+    entries.sort(key=lambda e: (len(e[0]), e[0]))
     entries = _drop_weyl_duplicates(problem, entries)
     return _as_states(problem, "=0", entries)
 
 
-def _support_weights(problem, point_support, caller):
-    """The point's support as a tuple, checked non-empty and inside the
-    problem's support."""
-    weights = tuple(point_support)
-    if not weights:
-        raise ValueError(f"{caller} needs a non-empty support")
-    available = problem.support.coeff_set()
-    for w in weights:
+def _support_indices(problem, point_support, caller):
+    """The support positions of the point's weights, checked non-empty and
+    inside the problem's support."""
+    indices = []
+    for w in point_support:
         if w.group != problem.group:
             raise RankMismatchError(
                 f"weight {w.coeffs} belongs to {w.group.name}, not {problem.group.name}"
             )
-        if w.coeffs not in available:
+        i = problem.index.get(w.coeffs)
+        if i is None:
             raise ValueError(f"weight {w.coeffs} is not in the problem's support")
-    return weights
+        indices.append(i)
+    if not indices:
+        raise ValueError(f"{caller} needs a non-empty support")
+    return indices
 
 
 def hm_mu(problem, point_support, lam):
     """Hilbert-Mumford pairing floor: min over the point's support of
     <chi, lam>. The point is non-stable for lam exactly when this is >= 0."""
-    return min(pairing(w, lam) for w in _support_weights(problem, point_support, "hm_mu"))
-
-
-def _chamber_states(problem, witnesses, mode):
-    """The sorted maximal states of the mode as (coefficient set, point),
-    before Weyl deduplication: the class representative kept by the
-    deduplication need not contain a given reflected support."""
-    return [
-        (frozenset(_coeffs(problem, indices)), point)
-        for indices, point in _sorted_maximal(problem, witnesses, mode)
-    ]
+    weights = _weights(problem, _support_indices(problem, point_support, "hm_mu"))
+    return min(pairing(w, lam) for w in weights)
 
 
 @dataclass(frozen=True)
@@ -420,18 +436,18 @@ def classify_torus(problem, point_support):
 
     The certificate comes from the cached loci, so that they stay under
     test: lam is reflected into the fundamental chamber by simple
-    reflections, the same word w is applied to S, and the first maximal
-    chamber state of the verdict's mode (unstable, else non-stable) that
-    contains w(S) gives its witness, mapped back by w^-1 and made primitive.
-    Such a state exists because w(lam)'s state contains w(S) and the loci
-    are complete; when none does, the loci are wrong and RuntimeError is
-    raised. The Weyl group is never enumerated. G-stability is out of scope:
-    only torus data is consulted.
+    reflections, the same word w permutes the indices of S, and the first
+    maximal chamber state of the verdict's mode (unstable, else non-stable)
+    that contains w(S) gives its witness, mapped back by w^-1 and made
+    primitive. Such a state exists because w(lam)'s state contains w(S) and
+    the loci are complete; when none does, the loci are wrong and
+    RuntimeError is raised. The Weyl group is never enumerated.
+    G-stability is out of scope: only torus data is consulted.
     """
-    weights = _support_weights(problem, point_support, "classify_torus")
+    indices = _support_indices(problem, point_support, "classify_torus")
     group = problem.group
     rank = group.rank
-    vectors = [pairing_vector(group, w.coeffs) for w in weights]
+    vectors = [problem._pairing_vectors[i] for i in indices]
     lam = lp_feasible((), (), vectors, rank)
     if lam is not None:
         verdict, mode = "T-unstable", ">0"
@@ -451,19 +467,11 @@ def classify_torus(problem, point_support):
             break
         lam = reflect_coweight_coeffs(cartan, lam, i)
         word.append(i)
-    target = set()
-    for w in weights:
-        coeffs = w.coeffs
-        for i in word:
-            coeffs = reflect_weight_coeffs(cartan, coeffs, i)
-        target.add(coeffs)
-    if problem._torus_loci is None:
-        problem._torus_loci = {
-            ">0": _chamber_states(problem, problem.cells(), ">0"),
-            ">=0": _chamber_states(problem, problem.rays(), ">=0"),
-        }
-    for coeff_set, point in problem._torus_loci[mode]:
-        if target <= coeff_set:
+    target = set(indices)
+    for i in word:
+        target = set(map(problem.reflections[i].__getitem__, target))
+    for state, point in _sorted_maximal(problem, mode):
+        if target.issubset(state):
             for i in reversed(word):
                 point = reflect_coweight_coeffs(cartan, point, i)
             certificate = OneParameterSubgroup(group, point).primitive()

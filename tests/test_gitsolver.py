@@ -24,7 +24,7 @@ from gitloci.gitsolver import (
     solve_unstable,
     state_of,
 )
-from gitloci.repsupport import parse_highest_weight, weight_support
+from gitloci.repsupport import RepresentationSupport, parse_highest_weight, weight_support
 from gitloci.rootdata import (
     OneParameterSubgroup,
     make_group,
@@ -181,8 +181,14 @@ def _weyl_set_images(group, coeff_set):
     }
 
 
+RANK_3_4_WEYL_INPUTS = (
+    (make_group("A3"), "2,0,0"), (make_group("B3"), "0,1,0"),
+    (make_group("C3"), "0,0,1"), (make_group("D4"), "1,0,0,0"),
+)
+
+
 def test_weyl_optimisation_keeps_one_state_per_orbit():
-    for group, spec in ((A2, "3,0"), (B2, "3,0"), (G2, "1,0")):
+    for group, spec in ((A2, "3,0"), (B2, "3,0"), (G2, "1,0"), *RANK_3_4_WEYL_INPUTS):
         plain = new_problem(group, parse_highest_weight(group, spec))
         reduced = new_problem(group, parse_highest_weight(group, spec), weyl_optimisation=True)
         for solve in (solve_non_stable, solve_unstable):
@@ -196,7 +202,7 @@ def test_weyl_optimisation_keeps_one_state_per_orbit():
 
 
 def test_strictly_polystable_states_are_pairwise_weyl_inequivalent():
-    for group, spec in ((A2, "3,0"), (B2, "3,0")):
+    for group, spec in ((A2, "3,0"), (B2, "3,0"), *RANK_3_4_WEYL_INPUTS):
         states = solve_strictly_polystable(new_problem(group, parse_highest_weight(group, spec)))
         for i, a in enumerate(states):
             images = _weyl_set_images(group, a.coeff_set())
@@ -225,6 +231,26 @@ def test_problem_rejects_mismatched_group_and_support():
     support = weight_support(B2, weight(B2, (1, 0)))
     with pytest.raises(RankMismatchError):
         GITProblem(A2, support)
+
+
+def test_problem_rejects_an_unsorted_or_unclosed_hand_built_support():
+    weights = weight_support(A2, weight(A2, (1, 0))).weights
+    assert [w.coeffs for w in weights] == [(-1, 1), (0, -1), (1, 0)]
+    swapped = RepresentationSupport(A2, None, (weights[1], weights[0], weights[2]))
+    with pytest.raises(
+        ValueError, match=r"^support is not strictly sorted: weight \(-1, 1\) follows \(0, -1\)$"
+    ):
+        GITProblem(A2, swapped)
+    repeated = RepresentationSupport(A2, None, (weights[0], weights[0], weights[1], weights[2]))
+    with pytest.raises(ValueError, match=r"^support is not strictly sorted"):
+        GITProblem(A2, repeated)
+    unclosed = RepresentationSupport(A2, None, weights[1:])
+    with pytest.raises(
+        ValueError,
+        match=r"^support is not closed under the Weyl group: reflection 2"
+        r" maps \(0, -1\) to \(-1, 1\), which is missing$",
+    ):
+        GITProblem(A2, unclosed)
 
 
 def test_solve_all_locus_selection():
