@@ -37,7 +37,7 @@ from .repsupport import (
     support_from_weights,
     weight_support,
 )
-from .rootdata import DEFAULT_WEYL_GUARD, convert_coordinates, make_group
+from .rootdata import DEFAULT_WEYL_GUARD, make_group
 
 _LOCI_TEXT = {
     "nonstable": (
@@ -85,40 +85,56 @@ def _natural_trace(hw_coeffs):
     return sum((i + 1) * c for i, c in enumerate(hw_coeffs))
 
 
+def _suffix_sums(values):
+    """The sums of each suffix of `values`, longest first, then 0: the type A
+    lift of fundamental coefficients to rank+1 coordinates."""
+    lifted = [0]
+    for c in reversed(values):
+        lifted.append(lifted[-1] + c)
+    lifted.reverse()
+    return lifted
+
+
 class _Display:
     """Coordinate choices for one run's report: L-forms for type A runs
-    generated from a highest weight, fundamental coefficients otherwise."""
+    generated from a highest weight, fundamental coefficients otherwise.
+
+    Both type A forms are computed on integers. A weight's L form is its
+    suffix sums shifted by a constant so that their sum is the highest
+    weight's natural trace; the sum of the suffix sums is
+    ``sum((i + 1) * c_i)``, which each simple root changes by 0 or by
+    rank+1, so the shift is exact on every weight of the support. A
+    witness's H form is its suffix sums minus their mean, taken times
+    rank+1 and made primitive."""
 
     def __init__(self, group, highest):
         self.group = group
         self.highest = highest
         self.use_l_coords = group.dynkin.letter == "A" and highest is not None
         self._trace = _natural_trace(highest.coeffs) if self.use_l_coords else None
-        self.highest_l = (
-            convert_coordinates(
-                group, highest.coeffs, "fundamental-weight", "L", trace=self._trace
-            )
-            if self.use_l_coords
-            else None
-        )
+        self.highest_l = self.weight(highest) if self.use_l_coords else None
 
     @property
     def weight_coords(self):
         return "L" if self.use_l_coords else "fundamental"
 
     def weight(self, w):
-        if self.use_l_coords:
-            return convert_coordinates(
-                self.group, w.coeffs, "fundamental-weight", "L", trace=self._trace
+        if not self.use_l_coords:
+            return w.coeffs
+        lifted = _suffix_sums(w.coeffs)
+        shift, remainder = divmod(self._trace - sum(lifted), self.group.rank + 1)
+        if remainder:
+            raise RuntimeError(
+                f"weight {w.coeffs} is not in the root-lattice coset of the highest weight;"
+                " this is a bug"
             )
-        return w.coeffs
+        return tuple(x + shift for x in lifted)
 
     def witness(self, lam):
         if self.group.dynkin.letter == "A":
-            h_form = convert_coordinates(
-                self.group, lam.coeffs, "fundamental-coweight", "H"
-            )
-            return primitive_vector(h_form)
+            lifted = _suffix_sums(lam.coeffs)
+            total = sum(lifted)
+            return primitive_vector([(self.group.rank + 1) * x - total for x in lifted])
         return primitive_vector(lam.coeffs)
 
     def representation_name(self, support):
@@ -129,7 +145,9 @@ class _Display:
 
 
 def _render_text(solution, loci, display):
+    """The text report; each distinct weight is formatted once per report."""
     lines = []
+    weight_texts = {}
     for locus in loci:
         title, set_header, state_label = _LOCI_TEXT[locus]
         states = getattr(solution, _SOLUTION_FIELD[locus])
@@ -149,9 +167,13 @@ def _render_text(solution, loci, display):
                 lines.append(
                     f"({index}) 1-PS = {witness} yields a state with {state.size} characters"
                 )
-            members = ", ".join(
-                _format_vector(display.weight(w)) for w in state.weights
-            )
+            members = []
+            for w in state.weights:
+                rendered = weight_texts.get(w.coeffs)
+                if rendered is None:
+                    rendered = weight_texts[w.coeffs] = _format_vector(display.weight(w))
+                members.append(rendered)
+            members = ", ".join(members)
             lines.append(f"{state_label}{{{members}}}")
         lines.append("")
     return "\n".join(lines)

@@ -66,7 +66,14 @@ def dot_rows(columns, point):
 
 def primitive_vector(v):
     """Scale a nonzero rational vector to the primitive integer vector with
-    the same direction (denominators cleared, gcd of entries reduced to 1)."""
+    the same direction (denominators cleared, gcd of entries reduced to 1).
+    An integer vector takes one gcd and no `Fraction`."""
+    v = tuple(v)
+    if all(isinstance(x, int) for x in v):
+        g = gcd(*v)
+        if g == 0:
+            raise ValueError("the zero vector has no primitive form")
+        return tuple(x // g for x in v)
     fracs = [Fraction(x) for x in v]
     if all(x == 0 for x in fracs):
         raise ValueError("the zero vector has no primitive form")
@@ -93,8 +100,9 @@ def _phase_one(rows, rhs):
     is 0. A negative entry of b would leave the artificial basis infeasible,
     so it is rejected.
 
-    The tableau holds integers only. Each row of ``[A | b]`` is scaled by
-    the lcm of its denominators, and with B the current basis the tableau is
+    The tableau holds integers only. Each row of ``[A | b]`` that holds a
+    `Fraction` is scaled by the lcm of its denominators (an all-int row has
+    scale 1), and with B the current basis the tableau is
     ``det(B) B^-1 [A | I | b]`` under a reduced-cost row ``det(B) (c - c_B
     B^-1 [A | I | b])``, c being 1 on the artificials. A pivot on p then
     updates every other entry as ``(p a - f b) // d``, d the previous pivot,
@@ -115,9 +123,11 @@ def _phase_one(rows, rhs):
     width = n + m
     tableau, scales = [], []
     for k, i in enumerate(kept):
-        entries = (*rows[i], rhs[i])
-        scale = lcm(*(x.denominator for x in entries))
-        ints = [x.numerator * (scale // x.denominator) for x in entries]
+        ints = [*rows[i], rhs[i]]
+        scale = 1
+        if not all(isinstance(x, int) for x in ints):
+            scale = lcm(*(x.denominator for x in ints))
+            ints = [x.numerator * (scale // x.denominator) for x in ints]
         tableau.append(ints[:n] + [1 if k == j else 0 for j in range(m)] + ints[n:])
         scales.append(scale)
     cost = [-sum(row[j] for row in tableau) for j in range(width + 1)]
@@ -299,7 +309,8 @@ def _eliminate(basis, values):
 def _eliminated_pairings(row, step):
     """A line's pairings with the basis after an `_eliminate` step, from its
     pairings `row` with the basis before it. Each division is exact, since g
-    divides every entry of the vector it reduced."""
+    divides every entry of the vector it reduced. The ray walk applies the
+    same update inline, row by row."""
     pivot, p, kept = step
     rp = row[pivot]
     return [(p * row[k] - v * rp) // g if v else row[k] for k, v, g in kept]
@@ -374,10 +385,15 @@ def arrangement_rays(normals, dim):
     table, not recomputed: at the root they are the lines themselves, and
     when a child's basis vector becomes ``(p z_k - v_k z_pivot) // g_k`` a
     line's pairing with it becomes ``(p P_k - v_k P_pivot) // g_k`` by the
-    same integers (`_eliminated_pairings`), so the walk evaluates no dot
-    product. Children at depth dim-1 need no table. A ray lies on a normal's
-    hyperplane exactly when the normal's line is in the closure of the
-    flat it spans, so its zero set is read from that closure.
+    same integers (`_eliminated_pairings`, inlined), so the walk evaluates
+    no dot product. The table is a list of (line, row) pairs, and each row
+    is made canonical (gcd, then the sign of its first nonzero entry) to
+    group the flats. A prefix whose kernel basis has two vectors z0, z1
+    builds the rays of its flats itself, with no child table: a line with
+    canonical row (u0, u1) cuts out the line through ``u0 z1 - u1 z0``. A
+    ray lies on a normal's hyperplane exactly when the normal's line is in
+    the closure of the flat it spans, so its zero set is read from that
+    closure.
     """
     if dim <= 0:
         return []
@@ -389,30 +405,72 @@ def arrangement_rays(normals, dim):
     normal_lines = [(i, index[_integer_direction(n)]) for i, n in enumerate(normals) if any(n)]
     found = []
 
-    def walk(kernel, table, closure, last, depth):
-        if depth == dim - 1:
-            direction = kernel[0]
-            for cand in (direction, tuple(-x for x in direction)):
-                if min(cand) >= 0:
-                    zero_set = frozenset(i for i, m in normal_lines if m in closure)
-                    found.append(ArrangementFaceWitness(point=cand, kind="ray", zero_set=zero_set))
-            return
+    def leaves(kernel, table, closure, last):
+        z0, z1 = kernel
         flats = {}
-        for m, row in table.items():
-            flats.setdefault(_integer_direction(row), []).append(m)
-        leaf = depth + 1 == dim - 1
-        for members in flats.values():
-            j = members[0]
-            if j > last:
-                child, step = _eliminate(kernel, table[j])
-                inner = closure.union(members)
-                child_table = None if leaf else {
-                    m: _eliminated_pairings(row, step)
-                    for m, row in table.items() if m not in inner
-                }
-                walk(child, child_table, inner, j, depth + 1)
+        for m, (v0, v1) in table:
+            g = gcd(v0, v1)
+            if v0 < 0 or (v0 == 0 and v1 < 0):
+                g = -g
+            key = (v0 // g, v1 // g)
+            flat = flats.get(key)
+            if flat is None:
+                flats[key] = [m]
+            else:
+                flat.append(m)
+        for (u0, u1), members in flats.items():
+            if members[0] <= last:
+                continue
+            if u0 == 0:
+                direction = z0
+            elif u1 == 0:
+                direction = z1
+            else:
+                direction = [u0 * b - u1 * a for a, b in zip(z0, z1)]
+                g = gcd(*direction)
+                direction = tuple([x // g for x in direction])
+            if min(direction) < 0:
+                if max(direction) > 0:
+                    continue
+                direction = tuple([-x for x in direction])
+            closed = closure.union(members)
+            zero_set = frozenset(i for i, m in normal_lines if m in closed)
+            found.append(ArrangementFaceWitness(point=direction, kind="ray", zero_set=zero_set))
 
-    walk(identity, dict(enumerate(lines)), frozenset(), -1, 0)
+    def walk(kernel, table, closure, last):
+        flats = {}
+        for m, row in table:
+            g = gcd(*row)
+            for x in row:
+                if x:
+                    break
+            if x < 0:
+                g = -g
+            key = tuple([x // g for x in row])
+            flat = flats.get(key)
+            if flat is None:
+                flats[key] = (row, [m])
+            else:
+                flat[1].append(m)
+        for row, members in flats.values():
+            j = members[0]
+            if j <= last:
+                continue
+            inner = closure.union(members)
+            child, (pivot, p, kept) = _eliminate(kernel, row)
+            child_table = []
+            for m, r in table:
+                if m not in inner:
+                    rp = r[pivot]
+                    child_table.append(
+                        (m, [(p * r[k] - v * rp) // g if v else r[k] for k, v, g in kept])
+                    )
+            (leaves if len(child) == 2 else walk)(child, child_table, inner, j)
+
+    if dim == 1:
+        found.append(ArrangementFaceWitness(point=(1,), kind="ray", zero_set=frozenset()))
+    else:
+        (leaves if dim == 2 else walk)(identity, list(enumerate(lines)), frozenset(), -1)
     return sorted(found, key=lambda w: w.point)
 
 
@@ -479,13 +537,13 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard):
 
     Regions of the arrangement of the first k lines are refined one line at a
     time; the side of the new line already containing a region's witness is
-    kept for free, and only the far side costs one feasibility check.
+    kept for free, and only the far side costs one feasibility check. The
+    walls must be distinct unit vectors, so the seed region, the whole
+    partial orthant, is witnessed by their sum (the indicator of the wall
+    coordinates; the zero vector when there are none) with no LP.
     """
     lines = _dedupe_lines(normals)
-    seed = lp_feasible((), (), walls, dim)
-    if seed is None:
-        return []
-    regions = [((), seed)]
+    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim)]
     processed = []
     for index, line in enumerate(lines, 1):
         refined = []

@@ -32,7 +32,7 @@ constant on each relatively open face.
   set attainable in the chamber, up to the solver's Weyl deduplication.
   In rank >= 3 that is not proven and not true: zero sets realised only on
   faces of dimension 2 and more are missed (for instance A3 ``3,0,0`` at
-  lam = (1, 1, 3)). The fix is open item 2 of ROADMAP.md.
+  lam = (1, 1, 3)). The fix is item 1 of ROADMAP.md.
 
 The dense-sampling acceptance test exercises the containment claims against
 brute force, in rank 2.
@@ -57,6 +57,7 @@ from itertools import compress, repeat
 from .errors import ParseError, RankMismatchError, ResourceGuardError
 from .exactgeom import (
     DEFAULT_CELL_GUARD,
+    _dedupe_lines,
     arrangement_cells,
     arrangement_rays,
     dot_rows,
@@ -128,13 +129,15 @@ class GITProblem:
     reflections. `index` maps coefficients to support positions, and
     `reflections[i]` maps each position to that of its i-th reflection.
 
-    Ray and cell candidates are computed lazily from the nonzero weights (as
-    pairing normals) in the fundamental chamber, which in coweight
-    coordinates is the non-negative orthant, then cached; cells are
-    localised at the cached rays. The pairing row of each ray and cell
-    witness with the support is computed once and read by every locus;
-    other one-parameter subgroups, such as those passed to `state_of`, are
-    paired afresh and not cached. The sorted maximal states of each mode,
+    Ray and cell candidates are computed lazily in the fundamental chamber,
+    which in coweight coordinates is the non-negative orthant, then cached;
+    cells are localised at the cached rays. The arrangement's normals are
+    the support's distinct lines: the pairing vectors of the nonzero
+    weights, each line once, in first-seen order. A ray's `zero_set`
+    therefore indexes those lines, not the support; no locus reads it. The
+    pairing row of each ray and cell witness with the support is computed
+    once and read by every locus; other one-parameter subgroups, such as
+    those passed to `state_of`, are paired afresh and not cached. The sorted maximal states of each mode,
     before Weyl deduplication, are cached for the loci and `classify_torus`.
     `weyl_guard` bounds the Weyl set closure of the deduplication.
     """
@@ -158,7 +161,7 @@ class GITProblem:
         self.index = {w.coeffs: i for i, w in enumerate(support.weights)}
         self.reflections = _reflection_table(group, support.weights, self.index)
         self._pairing_vectors = tuple(pairing_vector(group, w.coeffs) for w in support.weights)
-        self._normals = tuple(u for u in self._pairing_vectors if any(x != 0 for x in u))
+        self._normals = tuple(_dedupe_lines(self._pairing_vectors))
         self._pairing_columns = tuple(zip(*self._pairing_vectors))
         self._rays = None
         self._cells = None

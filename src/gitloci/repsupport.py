@@ -4,7 +4,8 @@ Only the set of weights matters for the stability solver, so multiplicities
 are never computed. The support of the irreducible module with dominant
 highest weight ``hw`` is the saturated set: all weights ``mu`` whose dominant
 representative ``delta`` satisfies ``hw - delta = sum k_j alpha_j`` with
-every ``k_j`` a non-negative integer.
+every ``k_j`` a non-negative integer. It is found from ``hw`` downwards,
+by the alpha-string property alone, with no dominance test.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import NonDominantError, ParseError, RankMismatchError, ResourceGuardError
-from .rootdata import (
-    SimpleGroup,
-    Weight,
-    _dominant_coeffs,
-    reflect_weight_coeffs,
-)
+from .rootdata import SimpleGroup, Weight, reflect_weight_coeffs
 
 DEFAULT_SUPPORT_GUARD = 10**6
 
@@ -97,47 +93,24 @@ def parse_highest_weight(group, text):
     )
 
 
-def _saturation_test(group, hw_coeffs):
-    """Membership test for dominant representatives, memoized per call site.
-
-    delta is in the support iff adj(cartan) . (hw - delta) is componentwise
-    divisible by det(cartan) with non-negative quotients, i.e. hw - delta is
-    a non-negative integer combination of simple roots.
-    """
-    adjugate = group.cartan_adjugate
-    det = group.cartan_det
-    rank = group.rank
-    cache = {}
-
-    def member(delta):
-        known = cache.get(delta)
-        if known is not None:
-            return known
-        diff = [hw_coeffs[i] - delta[i] for i in range(rank)]
-        verdict = True
-        for j in range(rank):
-            value = sum(adjugate[j][k] * diff[k] for k in range(rank))
-            if value % det != 0 or value < 0:
-                verdict = False
-                break
-        cache[delta] = verdict
-        return verdict
-
-    return member
-
-
 def weight_support(group, highest, guard=DEFAULT_SUPPORT_GUARD):
     """All weights of the irreducible representation with the given dominant
     highest weight, found by descending from it through simple-root
-    subtractions with a memoized dominant-representative membership test."""
+    subtractions. Round k finds the weights hw - (a sum of k simple roots),
+    so every weight of an earlier round is known when round k+1 starts.
+
+    Membership comes from the unbroken alpha-strings: the alpha_i-string
+    through a weight mu of the support runs from mu - p alpha_i to
+    mu + q alpha_i with no gaps, and p - q = <mu, alpha_i^vee> = c, the
+    i-th fundamental coefficient of mu (Humphreys, *Introduction to Lie
+    Algebras and Representation Theory*, 21.3). So mu - alpha_i is a weight
+    exactly when p >= 1: always when c > 0, and otherwise exactly when
+    mu + (1 - c) alpha_i is one, a weight 1 - c rounds before mu."""
     if highest.group != group:
         raise RankMismatchError("highest weight belongs to a different group")
     if not highest.is_dominant:
         raise NonDominantError(f"highest weight {highest.coeffs} is not dominant")
-    rank = group.rank
-    cartan = group.cartan
     simple_root_columns = group.simple_roots_fundamental
-    member = _saturation_test(group, highest.coeffs)
     start = highest.coeffs
     seen = {start}
     frontier = [start]
@@ -146,11 +119,11 @@ def weight_support(group, highest, guard=DEFAULT_SUPPORT_GUARD):
         rounds += 1
         nxt = []
         for coeffs in frontier:
-            for alpha in simple_root_columns:
-                cand = tuple(coeffs[k] - alpha[k] for k in range(rank))
+            for c, alpha in zip(coeffs, simple_root_columns):
+                cand = tuple([m - a for m, a in zip(coeffs, alpha)])
                 if cand in seen:
                     continue
-                if member(_dominant_coeffs(cartan, cand)):
+                if c > 0 or tuple([m + (1 - c) * a for m, a in zip(coeffs, alpha)]) in seen:
                     seen.add(cand)
                     nxt.append(cand)
                     if len(seen) > guard:

@@ -91,6 +91,55 @@ def _solve_exact(rows, rhs):
     return x
 
 
+def saturated_support_oracle(cartan, hw_coeffs):
+    """The weight support of the irreducible module with dominant highest
+    weight `hw_coeffs`, as a set of fundamental-coefficient tuples, by the
+    saturation test alone.
+
+    A weight mu belongs to the support exactly when its dominant
+    representative delta satisfies hw - delta = sum k_j alpha_j with every
+    k_j a non-negative integer. The support is connected through
+    simple-root subtractions from hw, so a breadth-first descent that keeps
+    the candidates passing the test finds all of it. Column j of the Cartan
+    matrix is alpha_j in fundamental-weight coordinates, so the k_j solve
+    ``cartan k = hw - delta``; dominant representatives come from
+    reflecting any negative coordinate, ``s_i(c)[j] = c[j] - c[i] *
+    cartan[j][i]``, until none is left.
+    """
+    n = len(cartan)
+    verdicts = {}
+
+    def dominant(coeffs):
+        current = list(coeffs)
+        while True:
+            i = next((k for k, c in enumerate(current) if c < 0), None)
+            if i is None:
+                return tuple(current)
+            ci = current[i]
+            current = [current[j] - ci * cartan[j][i] for j in range(n)]
+
+    def member(coeffs):
+        delta = dominant(coeffs)
+        if delta not in verdicts:
+            k = _solve_exact(cartan, [h - d for h, d in zip(hw_coeffs, delta)])
+            verdicts[delta] = k is not None and all(x >= 0 and x.denominator == 1 for x in k)
+        return verdicts[delta]
+
+    roots = [tuple(cartan[i][j] for i in range(n)) for j in range(n)]
+    seen = {tuple(hw_coeffs)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for coeffs in frontier:
+            for alpha in roots:
+                cand = tuple(c - a for c, a in zip(coeffs, alpha))
+                if cand not in seen and member(cand):
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return seen
+
+
 def pairing_oracle(cartan, weight_coeffs, coweight_coeffs):
     """<chi, lam> as a Fraction, from the Cartan matrix alone.
 

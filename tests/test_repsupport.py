@@ -1,5 +1,6 @@
 """Unit tests for highest-weight parsing and weight support enumeration."""
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gitloci.errors import NonDominantError, ParseError, RankMismatchError, ResourceGuardError
 from gitloci.repsupport import parse_highest_weight, support_from_weights, weight_support
 from gitloci.rootdata import dominant_representative, make_group, weight, weyl_orbit
-from _oracles import b2_ball_support, type_a_monomial_support
+from _oracles import b2_ball_support, saturated_support_oracle, type_a_monomial_support
 
 A2 = make_group("A2")
 B2 = make_group("B2")
@@ -107,6 +108,31 @@ def test_support_is_weyl_closed_and_respects_dominance(name, c1, c2):
         assert dominant_representative(group, member).coeffs in coeffs
         for image in weyl_orbit(group, member):
             assert image.coeffs in coeffs
+
+
+# Coefficient bound per rank for the small highest weights; F4 keeps only
+# the trivial and fundamental ones.
+SMALL_COEFF_BOUND = {1: 4, 2: 3, 3: 3, 4: 2}
+ORACLE_HIGHEST_WEIGHTS = [
+    (name, coeffs)
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D2", "D3", "D4", "G2", "F4")
+    for coeffs in product(range(SMALL_COEFF_BOUND[int(name[1])]), repeat=int(name[1]))
+    if name != "F4" or sum(coeffs) <= 1
+] + [("E6", tuple(int(i == j) for j in range(6))) for i in range(6)] + [
+    ("E7", (0, 0, 0, 0, 0, 0, 1)),
+    ("E7", (1, 0, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,coeffs",
+    ORACLE_HIGHEST_WEIGHTS,
+    ids=[f"{name}-{','.join(map(str, coeffs))}" for name, coeffs in ORACLE_HIGHEST_WEIGHTS],
+)
+def test_support_matches_the_saturation_oracle(name, coeffs):
+    group = make_group(name)
+    support = weight_support(group, weight(group, coeffs))
+    assert support.coeff_set() == saturated_support_oracle(group.cartan, coeffs)
 
 
 def test_support_rejects_wrong_group():
