@@ -25,8 +25,9 @@ callers hand it a system with one row per ambient coordinate (plus one):
 `lp_feasible` poses the transposition dual of its system (Gordan, Motzkin)
 and reads its witness off the Farkas certificate that an infeasible phase
 one returns, and the relative-interior test, after lam = 1 + mu, has one
-column per point. These two, and `kernel_basis`, also take `Fraction`
-entries, which they scale to integers row by row.
+column per point. These two and `kernel_basis` (so `matrix_rank` too)
+take integer entries only, like the arrangement operations; a
+`ValueError` naming the function says so otherwise.
 
 Every system `lp_feasible` decides is homogeneous (linear forms with no
 right-hand side), which is what the transposition theorem needs; the
@@ -37,9 +38,8 @@ dual's normalisation sum(y) = 1 plays the part of rescaling ``f > 0`` to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ResourceGuardError
 
@@ -65,55 +65,42 @@ def dot_rows(columns, point):
 
 
 def primitive_vector(v):
-    """Scale a nonzero rational vector to the primitive integer vector with
-    the same direction (denominators cleared, gcd of entries reduced to 1).
-    An integer vector takes one gcd and no `Fraction`."""
-    v = tuple(v)
-    if all(isinstance(x, int) for x in v):
-        g = gcd(*v)
-        if g == 0:
-            raise ValueError("the zero vector has no primitive form")
-        return tuple(x // g for x in v)
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
+    """The nonzero integer vector v divided by the gcd of its entries: the
+    primitive integer vector with the same direction."""
+    g = gcd(*v)
+    if g == 0:
         raise ValueError("the zero vector has no primitive form")
-    mult = lcm(*(x.denominator for x in fracs))
-    ints = [int(x * mult) for x in fracs]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
-@dataclass(frozen=True, slots=True)
-class FarkasCertificate:
-    """Proof that ``A z = b`` has no solution ``z >= 0``: an integer vector
-    y with ``y . A_j >= 0`` for every column A_j and ``y . b < 0``."""
-
-    y: tuple[int, ...]
+def _require_integers(rows, caller, what="entries"):
+    if any(not isinstance(x, int) for row in rows for x in row):
+        raise ValueError(f"{caller} needs integer {what}")
 
 
 def _phase_one(rows, rhs):
-    """Find z >= 0 with A z = b (b >= 0) by a phase-one simplex.
+    """Decide whether A z = b (b >= 0) has a solution z >= 0 by a phase-one
+    simplex, on integer rows of A and integer b.
 
-    Returns a feasible z as a list of `Fraction`s, or, when there is none, a
-    `FarkasCertificate` read off the phase-one duals. Rows of ``[A | b]``
-    that are all zero say nothing and are dropped; their certificate entry
-    is 0. A negative entry of b would leave the artificial basis infeasible,
-    so it is rejected.
+    Returns None when there is one, and otherwise a Farkas certificate: an
+    integer tuple y with ``y . A_j >= 0`` for every column A_j and
+    ``y . b < 0``, read off the phase-one duals. Rows of ``[A | b]`` that
+    are all zero say nothing and are dropped; their certificate entry is 0.
+    A negative entry of b would leave the artificial basis infeasible, so it
+    is rejected.
 
-    The tableau holds integers only. Each row of ``[A | b]`` that holds a
-    `Fraction` is scaled by the lcm of its denominators (an all-int row has
-    scale 1), and with B the current basis the tableau is
-    ``det(B) B^-1 [A | I | b]`` under a reduced-cost row ``det(B) (c - c_B
-    B^-1 [A | I | b])``, c being 1 on the artificials. A pivot on p then
-    updates every other entry as ``(p a - f b) // d``, d the previous pivot,
-    and the division is exact (Bareiss); the ratio test cross-multiplies.
-    Bland's rule on both the entering and the leaving choice guarantees
-    termination without any degeneracy handling; only columns of A enter.
+    With B the current basis the tableau is ``det(B) B^-1 [A | I | b]``
+    under a reduced-cost row ``det(B) (c - c_B B^-1 [A | I | b])``, c being
+    1 on the artificials. A pivot on p then updates every other entry as
+    ``(p a - f b) // d``, d the previous pivot, and the division is exact
+    (Bareiss); the ratio test cross-multiplies. Bland's rule on both the
+    entering and the leaving choice guarantees termination without any
+    degeneracy handling; only columns of A enter.
 
     When no column of A has a negative reduced cost the duals
     ``pi = c_B B^-1`` pair non-positively with every column of A, and
     ``pi . b`` is the artificials' total. If that is positive,
-    ``y = -det(B) pi`` (times the row scales) is the certificate.
+    ``y = -det(B) pi`` is the certificate.
     """
     if any(b < 0 for b in rhs):
         raise ValueError("phase-one simplex needs a non-negative right-hand side")
@@ -121,15 +108,9 @@ def _phase_one(rows, rhs):
     kept = [i for i, (row, b) in enumerate(zip(rows, rhs)) if b or any(row)]
     m = len(kept)
     width = n + m
-    tableau, scales = [], []
-    for k, i in enumerate(kept):
-        ints = [*rows[i], rhs[i]]
-        scale = 1
-        if not all(isinstance(x, int) for x in ints):
-            scale = lcm(*(x.denominator for x in ints))
-            ints = [x.numerator * (scale // x.denominator) for x in ints]
-        tableau.append(ints[:n] + [1 if k == j else 0 for j in range(m)] + ints[n:])
-        scales.append(scale)
+    tableau = [
+        [*rows[i], *(1 if k == j else 0 for j in range(m)), rhs[i]] for k, i in enumerate(kept)
+    ]
     cost = [-sum(row[j] for row in tableau) for j in range(width + 1)]
     cost[n:width] = [0] * m
     tableau.append(cost)
@@ -162,67 +143,50 @@ def _phase_one(rows, rhs):
         det = p
         basis[leaving] = entering
     cost = tableau[m]
-    if cost[width]:
-        y = [0] * len(rows)
-        for k, i in enumerate(kept):
-            y[i] = scales[k] * (cost[n + k] - det)
-        return FarkasCertificate(tuple(y))
-    z = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            z[basis[i]] = Fraction(tableau[i][width], det)
-    return z
+    if not cost[width]:
+        return None
+    y = [0] * len(rows)
+    for k, i in enumerate(kept):
+        y[i] = cost[n + k] - det
+    return tuple(y)
 
 
-def _rational_row(row):
-    return tuple(c if isinstance(c, int) else Fraction(c) for c in row)
-
-
-def lp_feasible(equalities, weak, strict, dim):
-    """Search for x with e.x = 0, w.x >= 0, s.x > 0 for the given forms.
+def lp_feasible(weak, strict, dim):
+    """Search for x with w.x >= 0 and s.x > 0 for the given integer forms.
 
     Returns an exact integer witness tuple, or None when infeasible. The
     system is decided through its transposition dual (Gordan, Motzkin): such
-    an x exists exactly when no u free, v >= 0, y >= 0 with sum(y) = 1 solve
-    ``E^T u + W^T v + S^T y = 0``. That dual has dim + 1 rows (one per
-    coordinate, one for sum(y) = 1) and right-hand side (0, ..., 0, 1), and
-    `_phase_one` decides it, with u split into two non-negative halves. A
-    feasible dual means None. An infeasible one comes with a Farkas
-    certificate (x, t) that pairs non-negatively with every dual column, so
-    ``e.x = 0``, ``w.x >= 0`` and ``s.x + t >= 0``, and has ``t < 0``. Its
-    x is the witness, since then ``s.x >= -t > 0``; a coordinate that no
-    form touches gives an all-zero dual row, which `_phase_one` drops, and
-    is 0 in the witness.
+    an x exists exactly when no v >= 0, y >= 0 with sum(y) = 1 solve
+    ``W^T v + S^T y = 0``. That dual has dim + 1 rows (one per coordinate,
+    one for sum(y) = 1) and right-hand side (0, ..., 0, 1), and
+    `_phase_one` decides it. A feasible dual means None. An infeasible one
+    comes with a Farkas certificate (x, t) that pairs non-negatively with
+    every dual column, so ``w.x >= 0`` and ``s.x + t >= 0``, and has
+    ``t < 0``. Its x is the witness, since then ``s.x >= -t > 0``; a
+    coordinate that no form touches gives an all-zero dual row, which
+    `_phase_one` drops, and is 0 in the witness.
     """
-    eqs = [_rational_row(row) for row in equalities]
-    weaks = [_rational_row(row) for row in weak]
-    stricts = [_rational_row(row) for row in strict]
-    for row in (*eqs, *weaks, *stricts):
+    weak = [tuple(row) for row in weak]
+    strict = [tuple(row) for row in strict]
+    _require_integers((*weak, *strict), "lp_feasible")
+    for row in (*weak, *strict):
         if len(row) != dim:
             raise ValueError(f"constraint of length {len(row)} in dimension {dim}")
-    if not stricts:
+    if not strict:
         return (0,) * dim
-    columns = [
-        *((*e, 0) for e in eqs),
-        *((*(-c for c in e), 0) for e in eqs),
-        *((*w, 0) for w in weaks),
-        *((*s, 1) for s in stricts),
-    ]
-    result = _phase_one(list(zip(*columns)), (0,) * dim + (1,))
-    if not isinstance(result, FarkasCertificate):
+    columns = [*((*w, 0) for w in weak), *((*s, 1) for s in strict)]
+    certificate = _phase_one(list(zip(*columns)), (0,) * dim + (1,))
+    if certificate is None:
         return None
-    x = result.y[:dim]
-    if (
-        any(dot(e, x) != 0 for e in eqs)
-        or any(dot(w, x) < 0 for w in weaks)
-        or any(dot(s, x) <= 0 for s in stricts)
-    ):
+    x = certificate[:dim]
+    if any(dot(w, x) < 0 for w in weak) or any(dot(s, x) <= 0 for s in strict):
         raise RuntimeError("simplex witness fails re-substitution; this is a bug")
     return x
 
 
 def zero_in_relative_interior(points):
-    """Whether the origin lies in the relative interior of the convex hull.
+    """Whether the origin lies in the relative interior of the convex hull
+    of the integer points.
 
     For a finite point set this is equivalent to the origin being a strictly
     positive combination of ALL the points: some lam_i > 0 with
@@ -233,14 +197,15 @@ def zero_in_relative_interior(points):
     the phase-one simplex decides feasibility; it drops all-zero rows, so
     when the points are all zero nothing is left and the answer is yes.
     """
-    pts = [_rational_row(p) for p in points]
+    pts = [tuple(p) for p in points]
+    _require_integers(pts, "zero_in_relative_interior")
     if not pts:
         raise ValueError("zero_in_relative_interior needs at least one point")
     if any(len(p) != len(pts[0]) for p in pts):
         raise ValueError("zero_in_relative_interior needs points of one dimension")
     rows = [row if sum(row) <= 0 else tuple(-c for c in row) for row in zip(*pts)]
     rhs = [-sum(row) for row in rows]
-    return not isinstance(_phase_one(rows, rhs), FarkasCertificate)
+    return _phase_one(rows, rhs) is None
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,12 +221,6 @@ class ArrangementFaceWitness:
     zero_set: frozenset[int]
 
 
-def _primitive(v):
-    """The nonzero integer vector v divided by the gcd of its entries."""
-    g = gcd(*v)
-    return tuple(x // g for x in v)
-
-
 def _integer_direction(v):
     """The primitive integer vector spanning the same line as the nonzero
     integer vector v, with its first nonzero entry positive."""
@@ -275,11 +234,6 @@ def _dedupe_lines(vectors):
     """The distinct lines through the nonzero integer vectors, each as its
     `_integer_direction`, in first-seen order."""
     return list(dict.fromkeys(_integer_direction(v) for v in vectors if any(v)))
-
-
-def _require_integer_normals(normals, caller):
-    if any(not isinstance(x, int) for n in normals for x in n):
-        raise ValueError(f"{caller} needs integer normals")
 
 
 def _eliminate(basis, values):
@@ -338,23 +292,25 @@ def _unit_vectors(dim):
 def kernel_basis(rows, dim):
     """Integer basis of the right kernel {x in Q^dim : row . x = 0 for all rows}.
 
-    `_annihilate` is applied row by row to the unit basis, each nonzero row
-    first made primitive so that rational rows eliminate on integers; a row
-    in the span of the earlier ones leaves the basis as it is."""
+    `_annihilate` is applied row by row to the unit basis; a row in the
+    span of the earlier ones leaves the basis as it is. The rows must be
+    integer vectors."""
     rows = list(rows)
+    _require_integers(rows, "kernel_basis")
     if any(len(row) != dim for row in rows):
         raise ValueError("kernel_basis rows must have length dim")
     basis = _unit_vectors(dim)
     for row in rows:
         if not basis:
             break
-        if any(row):
-            basis = _annihilate(basis, primitive_vector(row))
+        basis = _annihilate(basis, row)
     return basis
 
 
 def matrix_rank(rows):
+    """The rank of a list of integer rows."""
     rows = list(rows)
+    _require_integers(rows, "matrix_rank")
     dim = len(rows[0]) if rows else 0
     return dim - len(kernel_basis(rows, dim))
 
@@ -398,7 +354,7 @@ def arrangement_rays(normals, dim):
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]
-    _require_integer_normals(normals, "arrangement_rays")
+    _require_integers(normals, "arrangement_rays", "normals")
     identity = _unit_vectors(dim)
     lines = _dedupe_lines([*normals, *identity])
     index = {line: m for m, line in enumerate(lines)}
@@ -504,6 +460,11 @@ def _planar_cell_witnesses(normals, walls):
     arc yields one interior witness, and the sector survives iff it is
     strictly inside the walls. This avoids any LP work in the dimension
     that dominates the supported workloads.
+
+    The system must be essential (rank 2), as both callers' are: the
+    quadrant's two walls, or a rank-3 local system of full rank 2. Then
+    there are at least two lines, so at least four directions, and every
+    open arc between neighbours is shorter than pi.
     """
     lines = _dedupe_lines([*normals, *walls])
     directions = set()
@@ -511,23 +472,14 @@ def _planar_cell_witnesses(normals, walls):
         along = _rot90(line)
         directions.add(along)
         directions.add((-along[0], -along[1]))
-    if not directions:
-        candidates = [(1, 0)]
-    else:
-        ordered = sorted(directions, key=cmp_to_key(_angular_cmp))
-        candidates = []
-        count = len(ordered)
-        for i in range(count):
-            a, b = ordered[i], ordered[(i + 1) % count]
-            cross = a[0] * b[1] - a[1] * b[0]
-            if cross > 0:
-                candidates.append(_primitive((a[0] + b[0], a[1] + b[1])))
-            elif cross == 0:
-                # Antipodal pair: the open arc is the half-plane on the
-                # counterclockwise side of a.
-                candidates.append(_rot90(a))
-            else:
-                raise RuntimeError("angular sort produced a reflex arc; this is a bug")
+    ordered = sorted(directions, key=cmp_to_key(_angular_cmp))
+    candidates = []
+    count = len(ordered)
+    for i in range(count):
+        a, b = ordered[i], ordered[(i + 1) % count]
+        if a[0] * b[1] - a[1] * b[0] <= 0:
+            raise RuntimeError("angular sort produced an arc of at least pi; this is a bug")
+        candidates.append(primitive_vector((a[0] + b[0], a[1] + b[1])))
     return [w for w in candidates if all(dot(c, w) > 0 for c in walls)]
 
 
@@ -563,7 +515,7 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard):
                 ]
                 stricts.append(tuple(sign * c for c in line))
                 stricts.extend(walls)
-                point = lp_feasible((), (), stricts, dim)
+                point = lp_feasible((), stricts, dim)
                 if point is not None:
                     refined.append((signs + (sign,), point))
             if len(refined) > guard:
@@ -573,7 +525,7 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard):
                 )
         regions = refined
         processed.append(line)
-    return [_primitive(witness) for _, witness in regions]
+    return [primitive_vector(witness) for _, witness in regions]
 
 
 def _cells_localised_at_rays(normals, dim, guard, rays):
@@ -613,7 +565,7 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
         for y in local:
             y = (*y[:j], 0, *y[j:])
             k = 1 + max((abs(dot(f, y)) // fr for f, fr in far), default=0)
-            point = _primitive(tuple(k * a + b for a, b in zip(r, y)))
+            point = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
             signs = tuple(dot(n, point) > 0 for n in normals)
             by_signs.setdefault(signs, point)
             if len(by_signs) > guard:
@@ -640,7 +592,7 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]
-    _require_integer_normals(normals, "arrangement_cells")
+    _require_integers(normals, "arrangement_cells", "normals")
     nonzero = [n for n in normals if any(n)]
     if dim == 1:
         witnesses = [(1,)]

@@ -451,12 +451,12 @@ def classify_torus(problem, point_support):
     group = problem.group
     rank = group.rank
     vectors = [problem._pairing_vectors[i] for i in indices]
-    lam = lp_feasible((), (), vectors, rank)
+    lam = lp_feasible((), vectors, rank)
     if lam is not None:
         verdict, mode = "T-unstable", ">0"
     else:
         verdict, mode = "T-non-stable-semistable", ">=0"
-        lam = lp_feasible((), vectors, [tuple(map(sum, zip(*vectors)))], rank)
+        lam = lp_feasible(vectors, [tuple(map(sum, zip(*vectors)))], rank)
         if lam is None:
             kernel = kernel_basis(vectors, rank)
             if not kernel:

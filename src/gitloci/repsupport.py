@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import NonDominantError, ParseError, RankMismatchError, ResourceGuardError
 from .rootdata import SimpleGroup, Weight, reflect_weight_coeffs
@@ -140,8 +141,17 @@ def weight_support(group, highest, guard=DEFAULT_SUPPORT_GUARD):
 def support_from_weights(group, coeff_rows):
     """Build a support directly from fundamental-coefficient rows, after
     validating closure under the Weyl group (the solver's correctness and the
-    meaning of its outputs both need a Weyl-stable weight set)."""
-    coeffs = sorted({tuple(int(c) for c in row) for row in coeff_rows})
+    meaning of its outputs both need a Weyl-stable weight set). Each
+    coefficient must be an `int` or a `Fraction` with denominator 1."""
+    coeffs = set()
+    for row in coeff_rows:
+        row = tuple(row)
+        if not all(
+            isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1) for c in row
+        ):
+            raise ParseError(f"weight {row} has a coefficient that is not an integer")
+        coeffs.add(tuple(int(c) for c in row))
+    coeffs = sorted(coeffs)
     if not coeffs:
         raise ParseError("weight list is empty")
     for row in coeffs:

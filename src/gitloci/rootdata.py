@@ -510,8 +510,18 @@ def _system_length(group, system):
     return group.rank
 
 
+def _exact(x):
+    """x as a `Fraction`. A float is refused: its exact value is its binary
+    expansion, not the decimal it was written as."""
+    if isinstance(x, float):
+        raise ConversionError(
+            f"{x!r} is a float; give an int, a Fraction or a string such as '1/4'"
+        )
+    return Fraction(x)
+
+
 def _exactify(v):
-    return [Fraction(x) for x in v]
+    return [_exact(x) for x in v]
 
 
 def _intify(values):
@@ -564,7 +574,7 @@ def convert_coordinates(group, v, source, target, *, trace=None):
             return _intify(canonical)
         lifted = [sum(canonical[j] for j in range(i, rank)) for i in range(rank)] + [Fraction(0)]
         if trace is not None:
-            shift = (Fraction(trace) - sum(lifted)) / (rank + 1)
+            shift = (_exact(trace) - sum(lifted)) / (rank + 1)
             lifted = [x + shift for x in lifted]
         return _intify(lifted)
 

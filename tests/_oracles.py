@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 
 def type_a_monomial_support(rank, degree):
@@ -235,6 +235,30 @@ def pairing_functionals(cartan, weight_rows):
     return [tuple(_solve_exact(cartan, chi)) for chi in weight_rows]
 
 
+def weyl_set_orbit_oracle(cartan, coeff_set):
+    """Every image of a set of weights (fundamental-coefficient tuples)
+    under the Weyl group, as frozensets, by closing the set under the
+    simple reflections ``s_i(c)[j] = c[j] - c[i] * cartan[j][i]``."""
+    n = len(cartan)
+
+    def reflect(c, i):
+        return tuple(c[j] - c[i] * cartan[j][i] for j in range(n))
+
+    start = frozenset(coeff_set)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for current in frontier:
+            for i in range(n):
+                image = frozenset(reflect(c, i) for c in current)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return seen
+
+
 def torus_verdict_oracle(cartan, weight_rows, box=3):
     """The torus Hilbert-Mumford verdict of a point with the given weight
     support, from the hull of its pairing functionals u.
@@ -444,6 +468,15 @@ def subset_rref_rays(normals, chamber, dim):
         )
         for point in sorted(found)
     ]
+
+
+def cleared_denominators(vector):
+    """The rational vector times the lcm of its entries' denominators: an
+    integer vector on the same ray, so every sign it takes against a point
+    is kept (the zero vector stays zero)."""
+    fracs = [Fraction(x) for x in vector]
+    scale = lcm(*(x.denominator for x in fracs))
+    return tuple(int(x * scale) for x in fracs)
 
 
 def _primitive_oracle(vector):

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from gitloci.errors import ResourceGuardError
 from gitloci.exactgeom import (
     ArrangementFaceWitness,
-    FarkasCertificate,
     arrangement_cells,
     arrangement_rays,
     dot,
@@ -30,7 +28,9 @@ from gitloci.gitsolver import new_problem, pairing_vector
 from gitloci.repsupport import parse_highest_weight
 from gitloci.rootdata import make_group
 from _oracles import (
+    _bland_phase_one,
     _rank_exact,
+    cleared_denominators,
     lp_relint_reference,
     primal_lp_reference,
     sign_vector,
@@ -54,11 +54,6 @@ def test_primitive_vector_reduces_integers():
     assert primitive_vector((5,)) == (1,)
 
 
-def test_primitive_vector_clears_denominators():
-    assert primitive_vector((Fraction(1), Fraction(1, 4), Fraction(-5, 4))) == (4, 1, -5)
-    assert primitive_vector((Fraction(2, 3), Fraction(4, 3))) == (1, 2)
-
-
 def test_primitive_vector_rejects_zero():
     with pytest.raises(ValueError):
         primitive_vector((0, 0))
@@ -73,32 +68,39 @@ def test_primitive_vector_is_scale_invariant(coords, scale):
 
 
 def test_lp_feasible_no_strict_constraints_is_trivially_feasible():
-    point = lp_feasible([], [(1, 1)], [], 2)
+    point = lp_feasible([(1, 1)], [], 2)
     assert point == (0, 0)
 
 
 def test_lp_feasible_single_strict_inequality():
-    point = lp_feasible([], [], [(1,)], 1)
+    point = lp_feasible([], [(1,)], 1)
     assert point is not None and point[0] > 0
 
 
 def test_lp_feasible_zero_strict_row_is_infeasible():
-    assert lp_feasible([], [], [(0, 0)], 2) is None
+    assert lp_feasible([], [(0, 0)], 2) is None
 
 
 def test_lp_feasible_contradictory_system():
-    assert lp_feasible([], [], [(1, 0), (-1, 0)], 2) is None
-    assert lp_feasible([(1,)], [], [(1,)], 1) is None
-    assert lp_feasible([], [(-1, -1)], [(1, 0), (0, 1)], 2) is None
+    assert lp_feasible([], [(1, 0), (-1, 0)], 2) is None
+    # x = 0, as the two weak forms x >= 0 and -x >= 0, against x > 0.
+    assert lp_feasible([(1,), (-1,)], [(1,)], 1) is None
+    assert lp_feasible([(-1, -1)], [(1, 0), (0, 1)], 2) is None
 
 
 def test_lp_feasible_open_quadrant_sector():
-    point = lp_feasible([], [], [(1, 0), (0, 1), (1, -1)], 2)
+    point = lp_feasible([], [(1, 0), (0, 1), (1, -1)], 2)
     assert point is not None
     assert point[0] > 0 and point[1] > 0 and point[0] > point[1]
 
 
 constraint_row = st.lists(st.integers(-4, 4), min_size=2, max_size=2).map(tuple)
+
+
+def with_equalities(weak, eqs):
+    """The weak forms, and each equality e.x = 0 as the two weak forms e
+    and -e."""
+    return [*weak, *eqs, *(tuple(-c for c in e) for e in eqs)]
 
 
 @relaxed
@@ -108,7 +110,7 @@ constraint_row = st.lists(st.integers(-4, 4), min_size=2, max_size=2).map(tuple)
     st.lists(constraint_row, min_size=1, max_size=3),
 )
 def test_lp_feasible_witness_satisfies_every_constraint(eqs, weak, strict):
-    point = lp_feasible(eqs, weak, strict, 2)
+    point = lp_feasible(with_equalities(weak, eqs), strict, 2)
     if point is None:
         return
     assert all(dot(row, point) == 0 for row in eqs)
@@ -157,8 +159,13 @@ def lp_systems(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(lp_systems())
 def test_lp_feasible_matches_primal_reference(system):
+    # Each form is scaled to integers, a positive scale that keeps the
+    # system's answer; the reference and the checks read the drawn forms.
     eqs, weak, strict, dim = system
-    point = lp_feasible(eqs, weak, strict, dim)
+    int_eqs, int_weak, int_strict = (
+        [cleared_denominators(row) for row in forms] for forms in (eqs, weak, strict)
+    )
+    point = lp_feasible(with_equalities(int_weak, int_eqs), int_strict, dim)
     reference = primal_lp_reference(eqs, weak, strict, dim)
     assert (point is None) == (reference is None)
     if point is not None:
@@ -171,16 +178,19 @@ def test_lp_feasible_matches_primal_reference(system):
 @given(lp_systems())
 def test_kernel_basis_and_matrix_rank_match_exact_elimination(system):
     # The rows of a drawn system: integer and `Fraction` entries, zero rows,
-    # repeats and antipodes, in dimensions 1-6.
+    # repeats and antipodes, in dimensions 1-6. Each row is scaled to
+    # integers for the kernel, which keeps its kernel and rank; the checks
+    # read the drawn rows.
     *forms, dim = system
     rows = [row for group in forms for row in group]
-    kernel = kernel_basis(rows, dim)
+    integer_rows = [cleared_denominators(row) for row in rows]
+    kernel = kernel_basis(integer_rows, dim)
     rank = _rank_exact(rows)
     assert all(type(x) is int for vector in kernel for x in vector)
     assert all(dot(row, vector) == 0 for row in rows for vector in kernel)
     assert len(kernel) == dim - rank
     assert _rank_exact(kernel) == len(kernel)
-    assert matrix_rank(rows) == rank
+    assert matrix_rank(integer_rows) == rank
 
 
 def test_kernel_basis_of_no_rows_is_the_unit_basis():
@@ -190,18 +200,17 @@ def test_kernel_basis_of_no_rows_is_the_unit_basis():
         kernel_basis([(1, 0)], 3)
 
 def check_phase_one(rows, rhs):
-    """Run `_phase_one` and check what it returns: A z = b with z >= 0, or
-    a certificate y with y . A_j >= 0 on every column and y . b < 0."""
-    result = _phase_one(rows, rhs)
-    if isinstance(result, FarkasCertificate):
-        y = result.y
+    """Run `_phase_one` and check what it returns: None when the textbook
+    simplex of `_bland_phase_one` finds some z >= 0 with A z = b, or a
+    certificate y with y . A_j >= 0 on every column and y . b < 0."""
+    y = _phase_one(rows, rhs)
+    if y is None:
+        assert _bland_phase_one(rows, rhs) is not None
+    else:
         assert len(y) == len(rows)
         assert all(dot(y, column) >= 0 for column in zip(*rows))
         assert dot(y, rhs) < 0
-    else:
-        assert all(z >= 0 for z in result)
-        assert all(dot(row, result) == b for row, b in zip(rows, rhs))
-    return result
+    return y
 
 
 def test_phase_one_certificates_of_infeasible_systems():
@@ -212,36 +221,13 @@ def test_phase_one_certificates_of_infeasible_systems():
         ([[1, 2, 3], [2, 4, 6]], [1, 3]),
         ([[1, 1], [0, 0], [1, 1]], [1, 0, 2]),
         ([[1, -1, 0], [0, 1, -1], [1, 0, -1]], [1, 1, 1]),
-        ([[Fraction(1, 2), 1], [1, 2]], [1, 3]),
+        # z_0 / 2 + z_1 = 1 against z_0 + 2 z_1 = 3, its first row doubled.
+        ([[1, 2], [1, 2]], [2, 3]),
     ]
     for rows, rhs in infeasible:
-        assert isinstance(check_phase_one(rows, rhs), FarkasCertificate)
+        assert check_phase_one(rows, rhs) is not None
     # An all-zero row says nothing and gets no weight in the certificate.
-    assert check_phase_one([[1, 1], [0, 0], [1, 1]], [1, 0, 2]).y[1] == 0
-
-
-augmented_rows = st.integers(1, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1), min_size=1, max_size=4
-    )
-)
-
-
-@relaxed
-@given(augmented_rows, st.lists(st.integers(1, 6), min_size=4, max_size=4))
-def test_phase_one_fraction_rows_answer_as_their_integer_scaled_rows(augmented, divisors):
-    # Rows of [A | b] with b >= 0, row i divided by divisors[i].
-    fractional = [
-        [Fraction(c if row[-1] >= 0 else -c, k) for c in row] for row, k in zip(augmented, divisors)
-    ]
-    scales = [lcm(*(x.denominator for x in row)) for row in fractional]
-    integer = [[int(x * m) for x in row] for row, m in zip(fractional, scales)]
-    answer = check_phase_one([r[:-1] for r in fractional], [r[-1] for r in fractional])
-    scaled = check_phase_one([r[:-1] for r in integer], [r[-1] for r in integer])
-    if isinstance(scaled, FarkasCertificate):
-        assert answer == FarkasCertificate(tuple(m * y for m, y in zip(scales, scaled.y)))
-    else:
-        assert answer == scaled
+    assert check_phase_one([[1, 1], [0, 0], [1, 1]], [1, 0, 2])[1] == 0
 
 
 def test_zero_in_relative_interior_known_cases():
@@ -256,10 +242,12 @@ def test_zero_in_relative_interior_further_known_cases():
     assert zero_in_relative_interior([(0, 0, 0), (0, 0, 0)]) is True
     assert zero_in_relative_interior([(1, 0), (0, 1), (0, 0)]) is False
     assert zero_in_relative_interior([(1, 2, 0), (0, 0, 0)]) is False
-    half, third = Fraction(1, 2), Fraction(1, 3)
-    assert zero_in_relative_interior([(half, -third), (-half, third)]) is True
-    assert zero_in_relative_interior([(half, third), (-third, 0), (0, -half)]) is True
-    assert zero_in_relative_interior([(half, third), (-third, 0)]) is False
+    # The points (1/2, -1/3), (-1/2, 1/3), (1/2, 1/3), (-1/3, 0) and
+    # (0, -1/2), each scaled by 6 (or 3, or 2) to integers: a positive scale
+    # per point keeps the answer.
+    assert zero_in_relative_interior([(3, -2), (-3, 2)]) is True
+    assert zero_in_relative_interior([(3, 2), (-1, 0), (0, -1)]) is True
+    assert zero_in_relative_interior([(3, 2), (-1, 0)]) is False
 
 
 def test_zero_in_relative_interior_rejects_empty_input():
@@ -275,8 +263,8 @@ def test_zero_in_relative_interior_rejects_mixed_dimensions():
 def test_phase_one_rejects_negative_right_hand_side():
     with pytest.raises(ValueError):
         _phase_one([[1, 0], [0, 1]], [1, -1])
-    assert _phase_one([[1, 1]], [Fraction(2)]) is not None
-    assert _phase_one([], []) == []
+    assert _phase_one([[1, 1]], [2]) is None
+    assert _phase_one([], []) is None
 
 
 @st.composite
@@ -300,7 +288,10 @@ def point_sets(draw, dims, sizes, coordinates=rational):
 @relaxed
 @given(point_sets(st.integers(1, 5), st.integers(1, 8)))
 def test_zero_in_relative_interior_matches_brute_force(points):
-    assert zero_in_relative_interior(points) == zero_in_relative_interior_oracle(points)
+    # Each drawn rational point is scaled to integers for the kernel; the
+    # oracle reads the drawn points.
+    integer_points = [cleared_denominators(p) for p in points]
+    assert zero_in_relative_interior(integer_points) == zero_in_relative_interior_oracle(points)
 
 
 @relaxed
@@ -591,6 +582,17 @@ def test_arrangements_need_integer_normals(dim):
     # A Fraction equal to an integer is not an integer either.
     with pytest.raises(ValueError, match="integer normals"):
         arrangement_rays([(Fraction(2), *(0,) * (dim - 1))], dim)
+    # The exact kernels under the arrangement take integers only too.
+    with pytest.raises(ValueError, match="lp_feasible needs integer"):
+        lp_feasible([], [normal], dim)
+    with pytest.raises(ValueError, match="lp_feasible needs integer"):
+        lp_feasible([normal], [(1, *(0,) * (dim - 1))], dim)
+    with pytest.raises(ValueError, match="zero_in_relative_interior needs integer"):
+        zero_in_relative_interior([normal])
+    with pytest.raises(ValueError, match="kernel_basis needs integer"):
+        kernel_basis([normal], dim)
+    with pytest.raises(ValueError, match="matrix_rank needs integer"):
+        matrix_rank([normal])
 
 
 @relaxed

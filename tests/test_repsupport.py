@@ -1,5 +1,6 @@
 """Unit tests for highest-weight parsing and weight support enumeration."""
 
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -157,6 +158,19 @@ def test_support_from_weights_rejects_non_closed_sets():
     with pytest.raises(ParseError) as err:
         support_from_weights(A2, [(1, 0)])
     assert "not closed" in str(err.value)
+
+
+def test_support_from_weights_rejects_non_integral_coefficients():
+    # The halves of the A2 weights (1, 0), (-1, 1) and (0, -1) used to be
+    # truncated to the one weight (0, 0), and (1.7, 0) to (1, 0).
+    halves = [(Fraction(1, 2), 0), (Fraction(-1, 2), Fraction(1, 2)), (0, Fraction(-1, 2))]
+    with pytest.raises(ParseError, match=r"weight \(Fraction\(1, 2\), 0\)"):
+        support_from_weights(A2, halves)
+    with pytest.raises(ParseError, match=r"weight \(1\.7, 0\)"):
+        support_from_weights(A2, [(1.7, 0), (-1, 1), (0, -1)])
+    # A Fraction equal to an integer is that integer.
+    rows = [(Fraction(1), 0), (-1, Fraction(2, 2)), (0, -1)]
+    assert support_from_weights(A2, rows).coeff_set() == {(1, 0), (-1, 1), (0, -1)}
 
 
 def test_support_from_weights_rejects_wrong_length_rows():

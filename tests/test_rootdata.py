@@ -349,6 +349,21 @@ def test_l_round_trip_preserves_trace(coords):
     assert convert_coordinates(A2, fundamental, "fundamental-weight", "L", trace=trace) == coords
 
 
+def test_coordinate_conversion_rejects_floats():
+    # 0.1 and 0.2 used to become their binary expansions, so the subgroup
+    # was (3602879701896397, 7205759403792794), not (1, 2).
+    with pytest.raises(ConversionError, match="float"):
+        one_param_subgroup(A2, (0.1, 0.2))
+    with pytest.raises(ConversionError, match="float"):
+        weight(A2, (1.0, 0))
+    with pytest.raises(ConversionError, match="float"):
+        convert_coordinates(A2, (0.5, -0.25, -0.25), "H", "coroot")
+    with pytest.raises(ConversionError, match="float"):
+        convert_coordinates(A2, (1, 0), "fundamental-weight", "L", trace=0.1)
+    assert one_param_subgroup(A2, (Fraction(1, 10), "1/5")).coeffs == (1, 2)
+    assert convert_coordinates(A2, ("1/2", "-1/4", "-1/4"), "H", "T") == (Fraction(3, 4), 0)
+
+
 def test_coordinate_conversion_errors():
     with pytest.raises(ConversionError):
         convert_coordinates(A2, (1, 0), "fundamental-weight", "coroot")
