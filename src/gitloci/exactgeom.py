@@ -10,16 +10,27 @@ Both take integer normals only (a `ValueError` says so otherwise): every
 line is canonicalised with `gcd` alone, and every ray and cell witness is
 an integer point.
 
+A normal whose nonzero entries all sit on wall coordinates and share one
+sign (`_wall_sign`) does not cut the open (partial) orthant: on the closed
+one it vanishes exactly where the walls of its support do, so it adds no
+face there. In fundamental-coweight coordinates that is every weight in
+plus or minus the positive root cone, since a weight's pairing vector is
+its simple-root expansion; for an adjoint representation it is every
+weight. The ray walk and the planar sweep leave such normals out, and the
+cell splitting gives each region their sign without a feasibility probe,
+so rays, cells and their witnesses are the same as with them.
+
 All elimination is fraction-free on integers: one step, `_annihilate`,
 cuts a kernel basis down by one line, and `kernel_basis` and `matrix_rank`
 are that step applied row by row. Rays come from a walk over flats with
 the same step; the walk carries each open line's pairings with the current
 kernel basis and updates them by the step's own integer combination, so it
-evaluates no dot product, and it reads each ray's zero set off the lines
-it has closed. Cells come from an exact angular sweep in dimension 2; in
-higher dimension they are localised at the rays, where the local walls
-form a partial orthant, and only the small local systems of rank-4 and
-larger arrangements reach the cell LP `lp_feasible`. There is one
+evaluates no dot product, and each ray's zero set is then read from its
+pairings with the caller's nonzero normals. Cells come from an exact
+angular sweep in dimension 2; in higher dimension they are localised at
+the rays, where the local walls form a partial orthant, and only the small
+local systems of rank-4 and larger arrangements reach the cell LP
+`lp_feasible`. There is one
 simplex, `_phase_one`, and it pivots fraction-free on integers. Both of its
 callers hand it a system with one row per ambient coordinate (plus one):
 `lp_feasible` poses the transposition dual of its system (Gordan, Motzkin)
@@ -315,20 +326,51 @@ def matrix_rank(rows):
     return dim - len(kernel_basis(rows, dim))
 
 
+def _wall_sign(line, walled):
+    """The sign of the nonzero integer `line` on the open partial orthant
+    {x : x_i > 0 for every i in `walled`}, other coordinates free.
+
+    That is 1 or -1 when every nonzero entry of `line` sits on a `walled`
+    coordinate and all of them share that sign, and 0 otherwise. A line
+    with sign 0 cuts the open partial orthant: a free coordinate in its
+    support, or two entries of opposite signs, can be traded against the
+    rest. A line with a sign does not, and on the closed partial orthant it
+    vanishes exactly where every coordinate of its support does, so its
+    hyperplane adds no face that the walls do not already cut out there.
+    """
+    if min(line) >= 0:
+        sign = 1
+    elif max(line) <= 0:
+        sign = -1
+    else:
+        return 0
+    return sign if all(i in walled for i, x in enumerate(line) if x) else 0
+
+
 def arrangement_rays(normals, dim):
     """Rays (1-dimensional intersection faces) of the arrangement in the
     non-negative orthant. The normals must be integer vectors.
 
     A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
     drawn from the normals and the coordinate walls together, oriented into
-    the orthant. The flats are walked depth first over index-increasing subsets
-    of the distinct constraint lines, keeping a gcd-reduced integer basis of
-    the prefix's kernel (`_annihilate`); at depth dim-1 that basis is the ray.
+    the orthant. Only the normals that cut the open orthant (`_wall_sign`
+    0: entries of both signs) enter the walk. A sign-definite normal n
+    leaves the faces in the closed orthant as they are: there n . x = 0
+    exactly when x vanishes on the support of n, which the walls already
+    say, so every sign class, and hence every ray, is the same set with or
+    without n. In fundamental-coweight coordinates a weight's pairing
+    vector is its simple-root expansion, so the weights in plus or minus
+    the positive root cone are sign-definite, and an adjoint arrangement
+    keeps no normal at all.
+
+    The flats are walked depth first over index-increasing subsets of the
+    distinct constraint lines, keeping a gcd-reduced integer basis of the
+    prefix's kernel (`_annihilate`); at depth dim-1 that basis is the ray.
     Two cuts keep the walk to one visit per flat:
 
     * a line in the span of the prefix (it pairs to zero with the whole
       kernel basis) is never appended, since every subset through it is
-      dependent; such lines make up the prefix's closure;
+      dependent; such lines leave the table;
     * the other lines fall into the flats one rank up, two lines sharing a
       flat exactly when their pairings with the kernel basis are parallel.
       Each such flat is entered once, through its smallest line, and only
@@ -346,22 +388,21 @@ def arrangement_rays(normals, dim):
     is made canonical (gcd, then the sign of its first nonzero entry) to
     group the flats. A prefix whose kernel basis has two vectors z0, z1
     builds the rays of its flats itself, with no child table: a line with
-    canonical row (u0, u1) cuts out the line through ``u0 z1 - u1 z0``. A
-    ray lies on a normal's hyperplane exactly when the normal's line is in
-    the closure of the flat it spans, so its zero set is read from that
-    closure.
+    canonical row (u0, u1) cuts out the line through ``u0 z1 - u1 z0``.
+    Each ray's zero set comes from its pairings with every nonzero normal
+    of the caller, one `dot_rows` per ray; a ray spans the kernel of its
+    flat, so these are the normals whose lines the flat closes.
     """
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]
     _require_integers(normals, "arrangement_rays", "normals")
     identity = _unit_vectors(dim)
-    lines = _dedupe_lines([*normals, *identity])
-    index = {line: m for m, line in enumerate(lines)}
-    normal_lines = [(i, index[_integer_direction(n)]) for i, n in enumerate(normals) if any(n)]
+    walled = range(dim)
+    lines = _dedupe_lines([*(n for n in normals if any(n) and not _wall_sign(n, walled)), *identity])
     found = []
 
-    def leaves(kernel, table, closure, last):
+    def leaves(kernel, table, last):
         z0, z1 = kernel
         flats = {}
         for m, (v0, v1) in table:
@@ -369,13 +410,10 @@ def arrangement_rays(normals, dim):
             if v0 < 0 or (v0 == 0 and v1 < 0):
                 g = -g
             key = (v0 // g, v1 // g)
-            flat = flats.get(key)
-            if flat is None:
-                flats[key] = [m]
-            else:
-                flat.append(m)
-        for (u0, u1), members in flats.items():
-            if members[0] <= last:
+            if key not in flats:
+                flats[key] = m
+        for (u0, u1), first in flats.items():
+            if first <= last:
                 continue
             if u0 == 0:
                 direction = z0
@@ -389,11 +427,9 @@ def arrangement_rays(normals, dim):
                 if max(direction) > 0:
                     continue
                 direction = tuple([-x for x in direction])
-            closed = closure.union(members)
-            zero_set = frozenset(i for i, m in normal_lines if m in closed)
-            found.append(ArrangementFaceWitness(point=direction, kind="ray", zero_set=zero_set))
+            found.append(direction)
 
-    def walk(kernel, table, closure, last):
+    def walk(kernel, table, last):
         flats = {}
         for m, row in table:
             g = gcd(*row)
@@ -412,22 +448,31 @@ def arrangement_rays(normals, dim):
             j = members[0]
             if j <= last:
                 continue
-            inner = closure.union(members)
+            closed = set(members)
             child, (pivot, p, kept) = _eliminate(kernel, row)
             child_table = []
             for m, r in table:
-                if m not in inner:
+                if m not in closed:
                     rp = r[pivot]
                     child_table.append(
                         (m, [(p * r[k] - v * rp) // g if v else r[k] for k, v, g in kept])
                     )
-            (leaves if len(child) == 2 else walk)(child, child_table, inner, j)
+            (leaves if len(child) == 2 else walk)(child, child_table, j)
 
     if dim == 1:
-        found.append(ArrangementFaceWitness(point=(1,), kind="ray", zero_set=frozenset()))
+        found.append((1,))
     else:
-        (leaves if dim == 2 else walk)(identity, list(enumerate(lines)), frozenset(), -1)
-    return sorted(found, key=lambda w: w.point)
+        (leaves if dim == 2 else walk)(identity, list(enumerate(lines)), -1)
+    indexed = [(i, n) for i, n in enumerate(normals) if any(n)]
+    columns = tuple(zip(*(n for _, n in indexed)))
+    return [
+        ArrangementFaceWitness(
+            point=point,
+            kind="ray",
+            zero_set=frozenset(i for (i, _), v in zip(indexed, dot_rows(columns, point)) if v == 0),
+        )
+        for point in sorted(found)
+    ]
 
 
 def _rot90(v):
@@ -454,19 +499,25 @@ def _planar_cell_witnesses(normals, walls):
     """Cell witnesses in dimension 2 by an exact angular sweep, strictly
     inside `walls` (the quadrant's, or a local system's partial orthant).
 
-    The boundary directions of the plane sectors cut out by all constraint
-    lines (normals and walls alike) are sorted by angle; each line is
-    primitive, so both directions along it are too. Each consecutive open
-    arc yields one interior witness, and the sector survives iff it is
-    strictly inside the walls. This avoids any LP work in the dimension
-    that dominates the supported workloads.
+    The normals that do not cut the open region inside the walls
+    (`_wall_sign` nonzero) are dropped first: both directions along such a
+    line lie outside the closed region, so no arc inside it ends there. The
+    boundary directions of the plane sectors cut out by the remaining
+    constraint lines (normals and walls alike) are sorted by angle; each
+    line is primitive, so both directions along it are too. Each
+    consecutive open arc yields one interior witness, and the sector
+    survives iff it is strictly inside the walls. This avoids any LP work
+    in the dimension that dominates the supported workloads.
 
     The system must be essential (rank 2), as both callers' are: the
-    quadrant's two walls, or a rank-3 local system of full rank 2. Then
-    there are at least two lines, so at least four directions, and every
-    open arc between neighbours is shorter than pi.
+    quadrant's two walls, or a rank-3 local system of full rank 2. A
+    dropped normal lies in the span of the walls, so the walls and the
+    normals kept still have rank 2. Then there are at least two lines,
+    so at least four directions, and every open arc between neighbours is
+    shorter than pi.
     """
-    lines = _dedupe_lines([*normals, *walls])
+    walled = {i for wall in walls for i, x in enumerate(wall) if x}
+    lines = _dedupe_lines([*(n for n in normals if not _wall_sign(n, walled)), *walls])
     directions = set()
     for line in lines:
         along = _rot90(line)
@@ -489,15 +540,26 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard):
 
     Regions of the arrangement of the first k lines are refined one line at a
     time; the side of the new line already containing a region's witness is
-    kept for free, and only the far side costs one feasibility check. The
-    walls must be distinct unit vectors, so the seed region, the whole
-    partial orthant, is witnessed by their sum (the indicator of the wall
+    kept for free, and only the far side costs one feasibility check. A
+    line that does not cut the open partial orthant (`_wall_sign` nonzero)
+    has that sign on every region, so each region takes it with no probe.
+    The line still joins the systems of later probes, so they are the
+    systems, and give the witnesses, that a failed probe of it would have
+    left. The walls
+    must be distinct unit vectors, so the seed region, the whole partial
+    orthant, is witnessed by their sum (the indicator of the wall
     coordinates; the zero vector when there are none) with no LP.
     """
     lines = _dedupe_lines(normals)
+    walled = {i for wall in walls for i, x in enumerate(wall) if x}
     regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim)]
     processed = []
     for index, line in enumerate(lines, 1):
+        known = _wall_sign(line, walled)
+        if known:
+            regions = [(signs + (known,), witness) for signs, witness in regions]
+            processed.append(line)
+            continue
         refined = []
         for signs, witness in regions:
             value = dot(line, witness)

@@ -34,8 +34,10 @@ constant on each relatively open face.
   faces of dimension 2 and more are missed (for instance A3 ``3,0,0`` at
   lam = (1, 1, 3)). The fix is item 1 of ROADMAP.md.
 
-The dense-sampling acceptance test exercises the containment claims against
-brute force, in rank 2.
+The dense-sampling tests exercise the containment claims against brute
+force: the acceptance test in rank 2, and `tests/test_dense_sampling.py` in
+rank 3-7 on the benchmark's `midrank` and `minuscule` inputs, where its
+check of the = 0 states is marked as failing on the inputs of item 1.
 
 States and the Weyl group
 -------------------------
@@ -137,8 +139,9 @@ class GITProblem:
     therefore indexes those lines, not the support; no locus reads it. The
     pairing row of each ray and cell witness with the support is computed
     once and read by every locus; other one-parameter subgroups, such as
-    those passed to `state_of`, are paired afresh and not cached. The sorted maximal states of each mode,
-    before Weyl deduplication, are cached for the loci and `classify_torus`.
+    those passed to `state_of`, are paired afresh and not cached. The
+    sorted maximal states of each mode, before Weyl deduplication, are
+    cached for the loci and `classify_torus`.
     `weyl_guard` bounds the Weyl set closure of the deduplication.
     """
 

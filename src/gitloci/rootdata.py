@@ -266,6 +266,14 @@ def fundamental_chamber_generators(group):
     return group.chamber_generators
 
 
+def _require_int_coeffs(kind, coeffs):
+    """Refuse coefficients that are not `int`: the coordinate factories
+    `weight` and `one_param_subgroup` take other exact numbers and clear
+    them to integers first."""
+    if any(not isinstance(c, int) for c in coeffs):
+        raise ConversionError(f"{kind} coefficients must be integers, got {tuple(coeffs)!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Weight:
     """A character of the maximal torus, in fundamental-weight coefficients."""
@@ -278,6 +286,7 @@ class Weight:
             raise RankMismatchError(
                 f"weight of length {len(self.coeffs)} for group {self.group.name}"
             )
+        _require_int_coeffs("Weight", self.coeffs)
 
     @property
     def is_dominant(self):
@@ -310,6 +319,7 @@ class OneParameterSubgroup:
             raise RankMismatchError(
                 f"one-parameter subgroup of length {len(self.coeffs)} for group {self.group.name}"
             )
+        _require_int_coeffs("OneParameterSubgroup", self.coeffs)
         if all(c == 0 for c in self.coeffs):
             raise ValueError("a one-parameter subgroup must be nonzero")
 

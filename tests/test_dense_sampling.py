@@ -1,11 +1,12 @@
-"""Dense sampling of the fundamental chamber in rank 3-4.
+"""Dense sampling of the fundamental chamber in rank 3-7.
 
-Every fundamental-coweight vector with coordinates in 0..4 (the zero vector
-left out) is a sampled one-parameter subgroup lam. Its >= 0, > 0 and = 0
-sets are computed from the oracles of `_oracles`: the support by the
-saturation test, the pairings from the Cartan matrix alone, balance by
-subset enumeration and Weyl images by closing under the simple reflections.
-The inputs are the benchmark's `midrank` workload.
+Every fundamental-coweight vector with coordinates in 0..4 in rank 3-4, and
+in 0..2 in rank 5-7 (the zero vector left out), is a sampled one-parameter
+subgroup lam. Its >= 0, > 0 and = 0 sets are computed from the oracles of
+`_oracles`: the support by the saturation test, the pairings from the
+Cartan matrix alone, balance by subset enumeration and Weyl images by
+closing under the simple reflections.
+The inputs are the benchmark's `midrank` and `minuscule` workloads.
 """
 
 from itertools import product
@@ -26,14 +27,22 @@ MIDRANK = [
     ("A3", "1,0,0"), ("A3", "2,0,0"), ("B3", "2,0,0"), ("B3", "0,1,0"), ("C3", "0,0,1"),
     ("A4", "1,0,0,0"), ("A4", "0,1,0,0"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"), ("D4", "1,0,0,0"),
 ]
+MINUSCULE = [
+    ("A5", "0,0,1,0,0"), ("A6", "1,0,0,0,0,0"), ("B6", "1,0,0,0,0,0"),
+    ("C6", "1,0,0,0,0,0"), ("D6", "1,0,0,0,0,0"), ("C7", "1,0,0,0,0,0,0"),
+]
 # The inputs on which the solver misses strictly polystable Weyl classes:
 # it reads = 0 states only off rays and cell witnesses (ROADMAP item 1).
 POLYSTABLE_INCOMPLETE = {
     ("A3", "2,0,0"), ("B3", "2,0,0"), ("B3", "0,1,0"),
-    ("C3", "0,0,1"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"),
+    ("C3", "0,0,1"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"), ("A5", "0,0,1,0,0"),
 }
 MISSES_POLYSTABLE = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
-COWEIGHT_RANGE = range(5)
+
+
+def coweight_range(rank):
+    """The sampled coordinates: 0..4 up to rank 4, 0..2 above it."""
+    return range(5) if rank <= 4 else range(3)
 
 
 def sampled_sets(group, spec):
@@ -42,7 +51,7 @@ def sampled_sets(group, spec):
     hw = tuple(int(c) for c in spec.split(","))
     support = sorted(saturated_support_oracle(group.cartan, hw))
     functionals = pairing_functionals(group.cartan, support)
-    for lam in product(COWEIGHT_RANGE, repeat=group.rank):
+    for lam in product(coweight_range(group.rank), repeat=group.rank):
         if not any(lam):
             continue
         values = [sum(a * b for a, b in zip(u, lam)) for u in functionals]
@@ -58,7 +67,7 @@ def solved(name, spec):
     return group, solve_all(new_problem(group, parse_highest_weight(group, spec)))
 
 
-@pytest.mark.parametrize("name, spec", MIDRANK)
+@pytest.mark.parametrize("name, spec", MIDRANK + MINUSCULE)
 def test_sampled_nonstable_and_unstable_sets_are_covered(name, spec):
     group, solution = solved(name, spec)
     nonstable = [s.coeff_set() for s in solution.nonstable]
@@ -72,7 +81,7 @@ def test_sampled_nonstable_and_unstable_sets_are_covered(name, spec):
     "name, spec",
     [
         pytest.param(*case, marks=MISSES_POLYSTABLE) if case in POLYSTABLE_INCOMPLETE else case
-        for case in MIDRANK
+        for case in MIDRANK + MINUSCULE
     ],
 )
 def test_sampled_balanced_zero_sets_are_listed_polystable_states(name, spec):

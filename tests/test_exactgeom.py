@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gitloci import exactgeom
 from gitloci.errors import ResourceGuardError
 from gitloci.exactgeom import (
     ArrangementFaceWitness,
@@ -23,6 +24,7 @@ from gitloci.exactgeom import (
     _eliminated_pairings,
     _phase_one,
     _planar_cell_witnesses,
+    _wall_sign,
 )
 from gitloci.gitsolver import new_problem, pairing_vector
 from gitloci.repsupport import parse_highest_weight
@@ -447,6 +449,85 @@ def test_rays_match_subset_rref_enumeration(arrangement):
     dim, normals = arrangement
     rays = arrangement_rays(normals, dim)
     assert [(r.point, r.zero_set) for r in rays] == subset_rref_rays(normals, orthant(dim), dim)
+
+
+@st.composite
+def half_definite_arrangements(draw):
+    """Integer normals in dimension 3-6, about half of them sign-definite
+    (every entry >= 0, or every entry <= 0; scaled unit vectors among
+    them), the rest of mixed sign, with rescaled duplicates mixed in."""
+    dim = draw(st.integers(3, 6))
+    mixed = st.tuples(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+        st.permutations(range(dim)),
+        st.integers(1, 3),
+        st.integers(1, 3),
+    ).map(lambda t: tuple(t[2] if j == t[1][0] else -t[3] if j == t[1][1] else x for j, x in enumerate(t[0])))
+    definite = st.tuples(
+        st.lists(st.integers(0, 3), min_size=dim, max_size=dim).filter(any),
+        st.sampled_from((1, -1)),
+    ).map(lambda pair: tuple(pair[1] * x for x in pair[0]))
+    unit = st.tuples(st.integers(0, dim - 1), st.sampled_from((1, -1, 2))).map(
+        lambda pair: tuple(pair[1] if j == pair[0] else 0 for j in range(dim))
+    )
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=7))
+    normals = [draw(st.one_of(definite, unit) if kind else mixed) for kind in kinds]
+    if normals:
+        for base in draw(st.lists(st.sampled_from(normals), max_size=2)):
+            scale = draw(st.sampled_from((1, -1, 2)))
+            normals.append(tuple(scale * x for x in base))
+    return dim, tuple(draw(st.permutations(normals)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(half_definite_arrangements())
+def test_rays_without_sign_definite_normals_match_subset_rref_enumeration(arrangement):
+    dim, normals = arrangement
+    rays = arrangement_rays(normals, dim)
+    assert [(r.point, r.zero_set) for r in rays] == subset_rref_rays(normals, orthant(dim), dim)
+
+
+def test_wall_sign_on_full_and_partial_orthants():
+    assert _wall_sign((1, 0, 2), range(3)) == 1
+    assert _wall_sign((0, -3, -1), range(3)) == -1
+    assert _wall_sign((1, -1, 0), range(3)) == 0
+    assert _wall_sign((1, 0, 2), {0}) == 0
+    assert _wall_sign((-2, 0, 0), {0}) == -1
+    assert _wall_sign((0, 1), set()) == 0
+
+
+@pytest.mark.parametrize("name, spec", [("E7", "1,0,0,0,0,0,0"), ("E8", "0,0,0,0,0,0,0,1")])
+def test_adjoint_rays_are_the_unit_axes(name, spec):
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    normals = [pairing_vector(group, w.coeffs) for w in problem.support]
+    normals = [n for n in normals if any(n)]
+    rays = arrangement_rays(normals, group.rank)
+    assert [r.point for r in rays] == sorted(orthant(group.rank))
+    for ray in rays:
+        assert ray.zero_set == {i for i, n in enumerate(normals) if dot(n, ray.point) == 0}
+
+
+def cell_lp_calls(monkeypatch, name, spec):
+    """The number of `lp_feasible` calls the cells of one problem make."""
+    calls = []
+    real = exactgeom.lp_feasible
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exactgeom, "lp_feasible", counted)
+    group = make_group(name)
+    new_problem(group, parse_highest_weight(group, spec)).cells()
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("name, spec", [("C7", "1,0,0,0,0,0,0"), ("F4", "0,0,0,1")])
+def test_sign_definite_arrangements_make_no_cell_lp(monkeypatch, name, spec):
+    assert cell_lp_calls(monkeypatch, name, spec) == 0
+    assert cell_lp_calls(monkeypatch, "A5", "0,0,1,0,0") > 0
 
 
 def test_rays_of_repeated_and_wall_equal_normals():

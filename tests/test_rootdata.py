@@ -160,6 +160,16 @@ def test_one_parameter_subgroup_factory_clears_denominators_minimally():
     assert lam.primitive().coeffs == (1, 2)
 
 
+def test_weight_and_subgroup_refuse_non_integer_coefficients():
+    with pytest.raises(ConversionError, match=r"Weight coefficients must be integers.*1\.5"):
+        Weight(A2, (Fraction(1, 2), 1.5))
+    with pytest.raises(ConversionError, match=r"OneParameterSubgroup coefficients .*Fraction\(1, 2\)"):
+        OneParameterSubgroup(A2, (Fraction(1, 2), 1))
+    with pytest.raises(ConversionError):
+        OneParameterSubgroup(A2, (2.0, 1))
+    assert OneParameterSubgroup(A2, (2, 4)).primitive().coeffs == (1, 2)
+
+
 def test_chamber_membership():
     assert OneParameterSubgroup(A2, (1, 0)).in_fundamental_chamber
     assert OneParameterSubgroup(A2, (0, 3)).in_fundamental_chamber
