@@ -56,7 +56,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 
-from .errors import ParseError, RankMismatchError, ResourceGuardError
+from .errors import ParseError, RankMismatchError
 from .exactgeom import (
     DEFAULT_CELL_GUARD,
     _dedupe_lines,
@@ -78,6 +78,8 @@ from .rootdata import (
     OneParameterSubgroup,
     SimpleGroup,
     Weight,
+    _chamber_word,
+    _closure,
     one_param_subgroup,
     pairing,
     pairing_vector,
@@ -304,26 +306,15 @@ def _weyl_class(problem, indices):
     label = problem._weyl_classes.get(indices)
     if label is not None:
         return label
-    seen = {indices}
-    frontier = [indices]
-    rounds = 0
-    while frontier:
-        rounds += 1
-        nxt = []
-        for current in frontier:
-            for permutation in problem.reflections:
-                image = tuple(sorted(map(permutation.__getitem__, current)))
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-                    if len(seen) > problem.weyl_guard:
-                        raise ResourceGuardError(
-                            f"Weyl set closure exceeded the guard of {problem.weyl_guard},"
-                            f" with {len(seen)} sets of {len(indices)} weights reached"
-                            f" in round {rounds}"
-                        )
-        frontier = nxt
-    problem._weyl_classes.update(dict.fromkeys(seen, indices))
+    reflections, guard = problem.reflections, problem.weyl_guard
+    members = _closure(
+        indices,
+        lambda current: [tuple(sorted(map(p.__getitem__, current))) for p in reflections],
+        guard,
+        lambda reached, rounds: f"Weyl set closure exceeded the guard of {guard},"
+        f" with {len(reached)} sets of {len(indices)} weights reached in round {rounds}",
+    )
+    problem._weyl_classes.update(dict.fromkeys(members, indices))
     return indices
 
 
@@ -466,13 +457,7 @@ def classify_torus(problem, point_support):
                 return TorusClassification(verdict="T-stable", certificate=None)
             lam = kernel[0]
     cartan = group.cartan
-    word = []
-    while True:
-        i = next((k for k, c in enumerate(lam) if c < 0), None)
-        if i is None:
-            break
-        lam = reflect_coweight_coeffs(cartan, lam, i)
-        word.append(i)
+    word = _chamber_word(cartan, lam, reflect_coweight_coeffs)[1]
     target = set(indices)
     for i in word:
         target = set(map(problem.reflections[i].__getitem__, target))

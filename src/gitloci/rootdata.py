@@ -11,14 +11,19 @@ coweight's expansion in simple coroots.
 
 Cartan convention
 -----------------
-``cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i)``, so that row i
-holds the simple coroot ``alpha_i^vee`` in fundamental-coweight coordinates
-and column j holds the simple root ``alpha_j`` in fundamental-weight
-coordinates. Every reflection and conversion formula in this module refers
-back to this single convention:
+The Cartan matrices come from one integer Gram table of the simple roots
+(`_gram_matrix`), as ``cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i,
+alpha_i)``, so that row i holds the simple coroot ``alpha_i^vee`` in
+fundamental-coweight coordinates and column j holds the simple root
+``alpha_j`` in fundamental-weight coordinates. Every reflection and
+conversion formula in this module refers back to this single convention:
 
 * reflection of a weight:    ``s_i(c)[j]   = c[j] - c[i] * cartan[j][i]``
 * reflection of a coweight:  ``s_i(m)[j]   = m[j] - m[i] * cartan[i][j]``
+
+The Weyl generator matrices are these formulas on the unit vectors. Weyl
+orbits and the Weyl class labels of `gitsolver` share one guarded closure
+(`_closure`), and dominant weights and chamber words one loop (`_chamber_word`).
 
 Type A extras
 -------------
@@ -59,12 +64,6 @@ _RANK_RULES = {
     "G": (2, 2),
 }
 
-_E_TYPE_EDGES = {
-    6: ((1, 3), (3, 4), (4, 5), (5, 6), (2, 4)),
-    7: ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)),
-    8: ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)),
-}
-
 _D2_WARNING = (
     "D2 is semisimple but not simple (it is A1 x A1); outputs describe the product action."
 )
@@ -87,65 +86,26 @@ class DynkinType:
         return f"{self.letter}{self.rank}"
 
 
-def _euclidean_simple_roots(letter, rank):
-    """Simple roots in the classical display coordinates (types A-D and F4)."""
-    rows = []
-    if letter == "A":
-        n = rank + 1
-        for i in range(rank):
-            row = [0] * n
-            row[i], row[i + 1] = 1, -1
-            rows.append(tuple(row))
-    elif letter in ("B", "C", "D"):
-        for i in range(rank - 1):
-            row = [0] * rank
-            row[i], row[i + 1] = 1, -1
-            rows.append(tuple(row))
-        last = [0] * rank
-        if letter == "B":
-            last[rank - 1] = 1
-        elif letter == "C":
-            last[rank - 1] = 2
-        else:
-            last[rank - 2], last[rank - 1] = 1, 1
-        rows.append(tuple(last))
-    elif letter == "F":
-        half = Fraction(1, 2)
-        rows = [
-            (0, 1, -1, 0),
-            (0, 0, 1, -1),
-            (0, 0, 0, 1),
-            (half, -half, -half, -half),
-        ]
-    else:
-        raise InvalidRankError(f"no Euclidean display coordinates for type {letter}")
-    return tuple(rows)
-
-
-def _cartan_from_roots(roots):
-    matrix = []
-    for alpha in roots:
-        norm = sum(Fraction(x) * Fraction(x) for x in alpha)
-        row = []
-        for beta in roots:
-            value = 2 * sum(Fraction(x) * Fraction(y) for x, y in zip(alpha, beta)) / norm
-            if value.denominator != 1:
-                raise ValueError("non-integral Cartan entry; root data is inconsistent")
-            row.append(int(value))
-        matrix.append(tuple(row))
-    return tuple(matrix)
+def _gram_matrix(letter, rank):
+    """The integer Gram matrix (alpha_i, alpha_j) of the simple roots in
+    Bourbaki's numbering, but with G2's long root first. Bonded roots meet at
+    120, 135 or 150 degrees, so pair to minus half the longer squared length."""
+    lengths = [2] * (rank - 1) + [{"B": 1, "C": 4}.get(letter, 2)]
+    lengths = {"F": [4, 4, 2, 2], "G": [6, 2]}.get(letter, lengths)
+    bonds = [(i, i + 1) for i in range(rank - 1)]
+    if letter == "D":
+        bonds[-1:] = [(rank - 3, rank - 1)] if rank > 2 else []
+    elif letter == "E":
+        bonds = [(0, 2), (1, 3), *((i, i + 1) for i in range(2, rank - 1))]
+    gram = [[lengths[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in bonds:
+        gram[i][j] = gram[j][i] = -max(lengths[i], lengths[j]) // 2
+    return gram
 
 
 def _cartan_matrix(letter, rank):
-    if letter == "G":
-        return ((2, -1), (-3, 2))
-    if letter == "E":
-        matrix = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        for a, b in _E_TYPE_EDGES[rank]:
-            matrix[a - 1][b - 1] = -1
-            matrix[b - 1][a - 1] = -1
-        return tuple(tuple(row) for row in matrix)
-    return _cartan_from_roots(_euclidean_simple_roots(letter, rank))
+    gram = _gram_matrix(letter, rank)
+    return tuple(tuple(2 * gram[i][j] // gram[i][i] for j in range(rank)) for i in range(rank))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,26 +147,6 @@ class SimpleGroup:
         return self.dynkin.name
 
 
-def _reflection_on_weights(cartan, i):
-    rank = len(cartan)
-    rows = []
-    for j in range(rank):
-        row = [1 if j == k else 0 for k in range(rank)]
-        row[i] = (1 if j == i else 0) - cartan[j][i]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _reflection_on_coweights(cartan, i):
-    rank = len(cartan)
-    rows = []
-    for j in range(rank):
-        row = [1 if j == k else 0 for k in range(rank)]
-        row[i] = (1 if j == i else 0) - cartan[i][j]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 @lru_cache(maxsize=None)
 def _build_group(letter, rank):
     dynkin = DynkinType(letter, rank)
@@ -231,6 +171,12 @@ def _build_group(letter, rank):
         tuple(cartan[i][j] for i in range(rank)) for j in range(rank)
     )
     chamber = tuple(primitive_vector(row) for row in adjugate)
+    # A reflection's matrix has the images of the unit vectors as columns.
+    units = [tuple(int(j == k) for k in range(rank)) for j in range(rank)]
+    generators, cogenerators = (
+        tuple(tuple(zip(*(reflect(cartan, unit, i) for unit in units))) for i in range(rank))
+        for reflect in (reflect_weight_coeffs, reflect_coweight_coeffs)
+    )
     warnings = (_D2_WARNING,) if (letter, rank) == ("D", 2) else ()
     return SimpleGroup(
         dynkin=dynkin,
@@ -240,8 +186,8 @@ def _build_group(letter, rank):
         cartan_det=det,
         simple_roots_fundamental=roots_fundamental,
         chamber_generators=chamber,
-        weyl_generators=tuple(_reflection_on_weights(cartan, i) for i in range(rank)),
-        weyl_cogenerators=tuple(_reflection_on_coweights(cartan, i) for i in range(rank)),
+        weyl_generators=generators,
+        weyl_cogenerators=cogenerators,
         warnings=warnings,
     )
 
@@ -386,46 +332,60 @@ def reflect_coweight_coeffs(cartan, coeffs, i):
     return tuple(coeffs[j] - coeffs[i] * cartan[i][j] for j in range(len(coeffs)))
 
 
-def weyl_orbit(group, w, guard=DEFAULT_WEYL_GUARD):
-    """Full Weyl orbit of a weight, by breadth-first closure."""
-    if w.group != group:
-        raise RankMismatchError("weight belongs to a different group")
-    rank = group.rank
-    seen = {w.coeffs}
-    frontier = [w.coeffs]
+def _closure(start, images, guard, describe):
+    """Every item reached from `start` by repeated `images(item)`, breadth
+    first, in the order reached. Raises ResourceGuardError with the message
+    `describe(reached, round)` as soon as more than `guard` are reached."""
+    reached = {start: None}
+    frontier = [start]
     rounds = 0
     while frontier:
         rounds += 1
         nxt = []
-        for coeffs in frontier:
-            for i in range(rank):
-                image = reflect_weight_coeffs(group.cartan, coeffs, i)
-                if image not in seen:
-                    seen.add(image)
+        for item in frontier:
+            for image in images(item):
+                if image not in reached:
+                    reached[image] = None
                     nxt.append(image)
-                    if len(seen) > guard:
-                        raise ResourceGuardError(
-                            f"Weyl orbit exceeded the guard of {guard} elements,"
-                            f" with {len(seen)} elements reached in round {rounds}"
-                        )
+                    if len(reached) > guard:
+                        raise ResourceGuardError(describe(reached, rounds))
         frontier = nxt
-    return frozenset(Weight(group, c) for c in seen)
+    return list(reached)
+
+
+def weyl_orbit(group, w, guard=DEFAULT_WEYL_GUARD):
+    """Full Weyl orbit of a weight, by breadth-first closure."""
+    if w.group != group:
+        raise RankMismatchError("weight belongs to a different group")
+    cartan, rank = group.cartan, group.rank
+    orbit = _closure(
+        w.coeffs,
+        lambda coeffs: [reflect_weight_coeffs(cartan, coeffs, i) for i in range(rank)],
+        guard,
+        lambda reached, rounds: f"Weyl orbit exceeded the guard of {guard} elements,"
+        f" with {len(reached)} elements reached in round {rounds}",
+    )
+    return frozenset(Weight(group, c) for c in orbit)
 
 
 def dominant_representative(group, w):
     """The unique dominant element of the Weyl orbit of w."""
     if w.group != group:
         raise RankMismatchError("weight belongs to a different group")
-    return Weight(group, _dominant_coeffs(group.cartan, w.coeffs))
+    return Weight(group, _chamber_word(group.cartan, w.coeffs, reflect_weight_coeffs)[0])
 
 
-def _dominant_coeffs(cartan, coeffs):
-    current = tuple(coeffs)
+def _chamber_word(cartan, coeffs, reflect):
+    """The image of `coeffs` in the non-negative orthant, and the word that
+    takes it there: the indices of the simple reflections `reflect` applied,
+    each at the first negative coordinate."""
+    word = []
     while True:
-        i = next((k for k, c in enumerate(current) if c < 0), None)
+        i = next((k for k, c in enumerate(coeffs) if c < 0), None)
         if i is None:
-            return current
-        current = reflect_weight_coeffs(cartan, current, i)
+            return tuple(coeffs), word
+        coeffs = reflect(cartan, coeffs, i)
+        word.append(i)
 
 
 def weyl_group_order(group):

@@ -140,6 +140,56 @@ def saturated_support_oracle(cartan, hw_coeffs):
     return seen
 
 
+def _euclidean_simple_roots(letter, rank):
+    """Simple roots of types A-D and F4 in the classical Euclidean
+    coordinates of Bourbaki's plates."""
+    if letter == "F":
+        half = Fraction(1, 2)
+        return [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (half, -half, -half, -half)]
+    n = rank + 1 if letter == "A" else rank
+    roots = []
+    for i in range(rank if letter == "A" else rank - 1):
+        row = [0] * n
+        row[i], row[i + 1] = 1, -1
+        roots.append(row)
+    if letter != "A":
+        last = [0] * n
+        if letter == "B":
+            last[-1] = 1
+        elif letter == "C":
+            last[-1] = 2
+        else:
+            last[-2], last[-1] = 1, 1
+        roots.append(last)
+    return roots
+
+
+# Bourbaki's E diagrams: the chain 1-3-4-...-r with node 2 joined to node 4.
+_E_EDGES = ((1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8))
+
+
+def cartan_oracle(letter, rank):
+    """The Cartan matrix 2 (a_i, a_j) / (a_i, a_i): from Euclidean simple
+    roots for A-D and F4, from the E edges, and by hand for G2 (long root
+    first)."""
+    if letter == "G":
+        return ((2, -1), (-3, 2))
+    if letter == "E":
+        edges = {frozenset(e) for e in _E_EDGES if max(e) <= rank}
+        return tuple(
+            tuple(2 if i == j else -int(frozenset((i + 1, j + 1)) in edges) for j in range(rank))
+            for i in range(rank)
+        )
+    roots = _euclidean_simple_roots(letter, rank)
+    out = []
+    for a in roots:
+        norm = sum(Fraction(x) ** 2 for x in a)
+        row = [2 * sum(Fraction(x) * y for x, y in zip(a, b)) / norm for b in roots]
+        assert all(v.denominator == 1 for v in row)
+        out.append(tuple(int(v) for v in row))
+    return tuple(out)
+
+
 def pairing_oracle(cartan, weight_coeffs, coweight_coeffs):
     """<chi, lam> as a Fraction, from the Cartan matrix alone.
 

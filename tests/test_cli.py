@@ -132,7 +132,7 @@ def test_weyl_opt_flag_is_recorded_and_reduces_no_worse(capsys):
 # it does not: the criterion-7 commands and the rank-2 benchmark inputs with
 # every locus, then the rank 3-7 benchmark inputs with the non-stable and
 # unstable loci (their polystable locus is known to be incomplete and is
-# due to change; ROADMAP item 2).
+# due to change; ROADMAP item 1).
 FROZEN_REPORTS_ALL_LOCI = {
     ("A2", "3,0,0"): ("1da87abe41dd9dca", "2f0259e629f08212"),
     ("A2", "3,0"): ("1da87abe41dd9dca", "2f0259e629f08212"),

@@ -284,6 +284,32 @@ def test_solve_all_skips_empty_locus_parts_and_takes_iterables():
             parse_loci(empty)
 
 
+# B2 = C2 and D3 = A3 with their diagrams' nodes swapped: the B2 bond
+# arrow points the other way in C2, and the D3 fork sits on A3's middle
+# node. Isomorphic representations have equal supports and loci.
+EXCEPTIONAL_ISOMORPHISMS = [
+    (("B2", "0,1"), ("C2", "1,0")),
+    (("B2", "1,0"), ("C2", "0,1")),
+    (("B2", "2,1"), ("C2", "1,2")),
+    (("D3", "1,0,0"), ("A3", "0,1,0")),
+    (("D3", "0,1,0"), ("A3", "1,0,0")),
+    (("D3", "0,1,1"), ("A3", "1,0,1")),
+]
+
+
+def _locus_shape(name, spec, weyl):
+    group = make_group(name)
+    solution = solve_all(new_problem(group, parse_highest_weight(group, spec), weyl))
+    loci = (solution.nonstable, solution.unstable, solution.strictly_polystable)
+    return len(solution.support.weights), [sorted(map(len, states)) for states in loci]
+
+
+@pytest.mark.parametrize("weyl", [False, True])
+@pytest.mark.parametrize("left, right", EXCEPTIONAL_ISOMORPHISMS)
+def test_exceptional_isomorphisms_give_the_same_loci(left, right, weyl):
+    assert _locus_shape(*left, weyl) == _locus_shape(*right, weyl)
+
+
 def test_classification_of_the_generic_point_is_stable():
     problem = a2_cubic_problem()
     result = classify_torus(problem, list(problem.support))

@@ -22,7 +22,7 @@ from gitloci.rootdata import (
     weyl_group_order,
     weyl_orbit,
 )
-from _oracles import pairing_oracle
+from _oracles import cartan_oracle, pairing_oracle
 
 A2 = make_group("A2")
 B2 = make_group("B2")
@@ -63,9 +63,16 @@ EVERY_TYPE_THROUGH_RANK_8 = (
     *(f"B{r}" for r in range(2, 9)),
     *(f"C{r}" for r in range(2, 9)),
     "D2",
+    "D3",
     *(f"D{r}" for r in range(4, 9)),
     "E6", "E7", "E8", "F4", "G2",
 )
+
+
+def test_cartan_matrices_match_an_independent_construction():
+    for name in EVERY_TYPE_THROUGH_RANK_8:
+        group = make_group(name)
+        assert group.cartan == cartan_oracle(group.dynkin.letter, group.rank), name
 
 
 def test_cartan_adjugate_times_matrix_is_det_times_identity():
