@@ -303,8 +303,11 @@ def _read_weights_file(path, rank):
 
 def _emit(report, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(report)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(report)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from None
         print(f"wrote {out_path}", file=sys.stderr)
     else:
         sys.stdout.write(report)

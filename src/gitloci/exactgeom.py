@@ -271,16 +271,6 @@ def _eliminate(basis, values):
     return out, (pivot, p, kept)
 
 
-def _eliminated_pairings(row, step):
-    """A line's pairings with the basis after an `_eliminate` step, from its
-    pairings `row` with the basis before it. Each division is exact, since g
-    divides every entry of the vector it reduced. The ray walk applies the
-    same update inline, row by row."""
-    pivot, p, kept = step
-    rp = row[pivot]
-    return [(p * row[k] - v * rp) // g if v else row[k] for k, v, g in kept]
-
-
 def _annihilate(basis, line):
     """Integer basis of {z in span(basis) : line . z = 0}.
 
@@ -383,12 +373,13 @@ def arrangement_rays(normals, dim):
     table, not recomputed: at the root they are the lines themselves, and
     when a child's basis vector becomes ``(p z_k - v_k z_pivot) // g_k`` a
     line's pairing with it becomes ``(p P_k - v_k P_pivot) // g_k`` by the
-    same integers (`_eliminated_pairings`, inlined), so the walk evaluates
-    no dot product. The table is a list of (line, row) pairs, and each row
-    is made canonical (gcd, then the sign of its first nonzero entry) to
-    group the flats. A prefix whose kernel basis has two vectors z0, z1
-    builds the rays of its flats itself, with no child table: a line with
-    canonical row (u0, u1) cuts out the line through ``u0 z1 - u1 z0``.
+    same integers, an exact division since g_k divides every entry of the
+    vector it reduced, so the walk evaluates no dot product. The table is a
+    list of (line, row) pairs, and each row is made canonical (gcd, then the
+    sign of its first nonzero entry) to group the flats. A prefix whose
+    kernel basis has two vectors z0, z1 builds the rays of its flats itself,
+    with no child table: a line with canonical row (u0, u1) cuts out the
+    line through ``u0 z1 - u1 z0``.
     Each ray's zero set comes from its pairings with every nonzero normal
     of the caller, one `dot_rows` per ray; a ray spans the kernel of its
     flat, so these are the normals whose lines the flat closes.

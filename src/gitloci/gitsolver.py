@@ -44,9 +44,11 @@ States and the Weyl group
 Inside the solver a state is the ascending tuple of its positions in the
 sorted support, so index order is coefficient order. `GITProblem`
 tabulates the permutation of the support by each simple reflection, and
-the Weyl group acts on states through them: Weyl deduplication labels each
-state by the set its class's breadth-first closure started from, and keeps
-the first state of each class in sort order. No query enumerates W.
+the Weyl group acts on states through them. Weyl deduplication walks the
+sorted states once: it keeps a state unless an earlier kept state's class
+reached it, and closes each kept state's class breadth first, so the first
+state of each class in sort order is kept. Nothing of a class outlives the
+deduplication that closed it, and no query enumerates W.
 """
 
 from __future__ import annotations
@@ -172,7 +174,6 @@ class GITProblem:
         self._cells = None
         self._witness_pairings = {}
         self._maximal = {}
-        self._weyl_classes = {}
 
     def rays(self):
         if self._rays is None:
@@ -299,33 +300,24 @@ def _maximal_only(entries):
     return [entry for entry, s in zip(entries, sets) if not any(s < other for other in sets)]
 
 
-def _weyl_class(problem, indices):
-    """The Weyl class label of an index set: the first set of its class
-    reached, after a breadth-first closure under the simple reflections that
-    labels every member; used for set-level deduplication."""
-    label = problem._weyl_classes.get(indices)
-    if label is not None:
-        return label
-    reflections, guard = problem.reflections, problem.weyl_guard
-    members = _closure(
-        indices,
-        lambda current: [tuple(sorted(map(p.__getitem__, current))) for p in reflections],
-        guard,
-        lambda reached, rounds: f"Weyl set closure exceeded the guard of {guard},"
-        f" with {len(reached)} sets of {len(indices)} weights reached in round {rounds}",
-    )
-    problem._weyl_classes.update(dict.fromkeys(members, indices))
-    return indices
-
-
 def _drop_weyl_duplicates(problem, entries):
+    """The entries, in order, whose index set is in the Weyl class of no
+    earlier entry: each kept set closes its class under the simple
+    reflections, breadth first within the guard, and every member is seen."""
+    reflections, guard = problem.reflections, problem.weyl_guard
     kept = []
     seen = set()
     for indices, point in entries:
-        label = _weyl_class(problem, indices)
-        if label not in seen:
-            seen.add(label)
+        if indices not in seen:
             kept.append((indices, point))
+            members = _closure(
+                indices,
+                lambda current: [tuple(sorted(map(p.__getitem__, current))) for p in reflections],
+                guard,
+                lambda reached, rounds: f"Weyl set closure exceeded the guard of {guard},"
+                f" with {len(reached)} sets of {len(indices)} weights reached in round {rounds}",
+            )
+            seen.update(members)
     return kept
 
 

@@ -22,8 +22,9 @@ conversion formula in this module refers back to this single convention:
 * reflection of a coweight:  ``s_i(m)[j]   = m[j] - m[i] * cartan[i][j]``
 
 The Weyl generator matrices are these formulas on the unit vectors. Weyl
-orbits and the Weyl class labels of `gitsolver` share one guarded closure
-(`_closure`), and dominant weights and chamber words one loop (`_chamber_word`).
+orbits and the Weyl classes that `gitsolver`'s deduplication closes, one per
+kept state, share one guarded closure (`_closure`), and dominant weights and
+chamber words one loop (`_chamber_word`).
 
 Type A extras
 -------------
@@ -460,7 +461,6 @@ def weyl_elements(group, guard=DEFAULT_WEYL_GUARD):
 
 
 _M_SYSTEMS = {"fundamental-weight", "L"}
-_N_SYSTEMS = {"fundamental-coweight", "coroot", "H", "T"}
 _TYPE_A_ONLY = {"L", "H", "T"}
 
 

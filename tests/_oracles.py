@@ -520,6 +520,16 @@ def subset_rref_rays(normals, chamber, dim):
     ]
 
 
+def _eliminated_pairings(row, step):
+    """A line's pairings with the basis after an `exactgeom._eliminate` step,
+    from its pairings `row` with the basis before it: the rule the ray walk
+    applies inline to its pairing table, row by row. Each division is exact,
+    since g divides every entry of the vector it reduced."""
+    pivot, p, kept = step
+    rp = row[pivot]
+    return [(p * row[k] - v * rp) // g if v else row[k] for k, v, g in kept]
+
+
 def cleared_denominators(vector):
     """The rational vector times the lcm of its entries' denominators: an
     integer vector on the same ray, so every sign it takes against a point

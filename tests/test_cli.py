@@ -311,6 +311,17 @@ def test_out_writes_the_report_to_a_file(capsys, tmp_path):
     assert target.read_text() == A2_CUBIC_TEXT
 
 
+@pytest.mark.parametrize("command", ["solve", "support"])
+def test_unwritable_out_path_exits_with_two(capsys, tmp_path, command):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, command, "A2", "--weight", "3,0", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"gitloci: error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_weights_file_input(capsys, tmp_path):
     source = tmp_path / "weights.txt"
     source.write_text(

@@ -21,7 +21,6 @@ from gitloci.exactgeom import (
     zero_in_relative_interior,
     _cell_witnesses_by_lp,
     _eliminate,
-    _eliminated_pairings,
     _phase_one,
     _planar_cell_witnesses,
     _wall_sign,
@@ -31,6 +30,7 @@ from gitloci.repsupport import parse_highest_weight
 from gitloci.rootdata import make_group
 from _oracles import (
     _bland_phase_one,
+    _eliminated_pairings,
     _rank_exact,
     cleared_denominators,
     lp_relint_reference,

@@ -210,6 +210,18 @@ def test_strictly_polystable_states_are_pairwise_weyl_inequivalent():
                 assert b.coeff_set() not in images
 
 
+def test_weyl_deduplicated_loci_do_not_depend_on_the_order_they_are_solved_in():
+    for group, spec in RANK_3_4_WEYL_INPUTS:
+        forward, backward = (
+            solve_all(
+                new_problem(group, parse_highest_weight(group, spec), weyl_optimisation=True),
+                loci,
+            )
+            for loci in ("nonstable,unstable,polystable", "polystable,unstable,nonstable")
+        )
+        assert forward == backward
+
+
 def test_trivial_representation_degenerates():
     problem = new_problem(A2, parse_highest_weight(A2, "0,0"))
     solution = solve_all(problem)
