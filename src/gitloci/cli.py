@@ -37,7 +37,7 @@ from .repsupport import (
     support_from_weights,
     weight_support,
 )
-from .rootdata import DEFAULT_WEYL_GUARD, make_group
+from .rootdata import DEFAULT_WEYL_GUARD, _suffix_sums, make_group
 
 _LOCI_TEXT = {
     "nonstable": (
@@ -81,27 +81,14 @@ def _format_vector(values):
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
-def _natural_trace(hw_coeffs):
-    return sum((i + 1) * c for i, c in enumerate(hw_coeffs))
-
-
-def _suffix_sums(values):
-    """The sums of each suffix of `values`, longest first, then 0: the type A
-    lift of fundamental coefficients to rank+1 coordinates."""
-    lifted = [0]
-    for c in reversed(values):
-        lifted.append(lifted[-1] + c)
-    lifted.reverse()
-    return lifted
-
-
 class _Display:
     """Coordinate choices for one run's report: L-forms for type A runs
     generated from a highest weight, fundamental coefficients otherwise.
 
-    Both type A forms are computed on integers. A weight's L form is its
-    suffix sums shifted by a constant so that their sum is the highest
-    weight's natural trace; the sum of the suffix sums is
+    Both type A forms are computed on integers, from the suffix-sum lift
+    that `rootdata.convert_coordinates` uses for L and H. A weight's L form
+    is its suffix sums shifted by a constant so that their sum is that of
+    the highest weight's suffix sums, its natural trace; that sum is
     ``sum((i + 1) * c_i)``, which each simple root changes by 0 or by
     rank+1, so the shift is exact on every weight of the support. A
     witness's H form is its suffix sums minus their mean, taken times
@@ -111,7 +98,7 @@ class _Display:
         self.group = group
         self.highest = highest
         self.use_l_coords = group.dynkin.letter == "A" and highest is not None
-        self._trace = _natural_trace(highest.coeffs) if self.use_l_coords else None
+        self._trace = sum(_suffix_sums(highest.coeffs)) if self.use_l_coords else None
         self.highest_l = self.weight(highest) if self.use_l_coords else None
 
     @property

@@ -82,7 +82,6 @@ from .rootdata import (
     Weight,
     _chamber_word,
     _closure,
-    one_param_subgroup,
     pairing,
     pairing_vector,
     reflect_coweight_coeffs,

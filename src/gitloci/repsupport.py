@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonDominantError, ParseError, RankMismatchError, ResourceGuardError
-from .rootdata import SimpleGroup, Weight, reflect_weight_coeffs
+from .rootdata import SimpleGroup, Weight, _differences, reflect_weight_coeffs
 
 DEFAULT_SUPPORT_GUARD = 10**6
 
@@ -81,11 +81,12 @@ def parse_highest_weight(group, text):
             )
         return Weight(group, tuple(values))
     if group.dynkin.letter == "A" and len(values) == group.rank + 1:
-        if any(values[i] < values[i + 1] for i in range(group.rank)):
+        coeffs = tuple(_differences(values))
+        if any(c < 0 for c in coeffs):
             raise NonDominantError(
                 f"L-coordinates must be weakly decreasing, got {tuple(values)}"
             )
-        return Weight(group, tuple(values[i] - values[i + 1] for i in range(group.rank)))
+        return Weight(group, coeffs)
     raise ParseError(
         f"weight specification {text!r} has length {len(values)}; expected"
         f" {group.rank} fundamental coefficients"

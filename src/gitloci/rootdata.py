@@ -33,7 +33,10 @@ ones. "L" writes a weight of SL(r+1) as r+1 monomial exponents (defined up to
 adding a constant to every entry; the ``trace`` argument pins that choice).
 "H" writes a one-parameter subgroup as r+1 diagonal exponents summing to
 zero. "T" holds the consecutive differences of H, which coincide with the
-fundamental-coweight coefficients.
+fundamental-coweight coefficients. L and H share one pair of maps: the
+consecutive differences (`_differences`) give the fundamental coefficients,
+and the suffix sums followed by 0 (`_suffix_sums`) lift them back, shifted
+by a constant to the requested trace; H is the lift with trace 0.
 """
 
 from __future__ import annotations
@@ -214,11 +217,14 @@ def fundamental_chamber_generators(group):
 
 
 def _require_int_coeffs(kind, coeffs):
-    """Refuse coefficients that are not `int`: the coordinate factories
-    `weight` and `one_param_subgroup` take other exact numbers and clear
-    them to integers first."""
+    """Refuse coefficients that are not a tuple of `int`: a list would make
+    the frozen dataclass unequal to its tuple twin and unhashable, and the
+    coordinate factories `weight` and `one_param_subgroup` take other exact
+    numbers and clear them to integers first."""
+    if not isinstance(coeffs, tuple):
+        raise ConversionError(f"{kind} coefficients must be a tuple, got {coeffs!r}")
     if any(not isinstance(c, int) for c in coeffs):
-        raise ConversionError(f"{kind} coefficients must be integers, got {tuple(coeffs)!r}")
+        raise ConversionError(f"{kind} coefficients must be integers, got {coeffs!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,13 +290,9 @@ class OneParameterSubgroup:
 def weight(group, coords, system="fundamental-weight"):
     """Build a Weight from coordinates in any supported weight system."""
     vec = convert_coordinates(group, coords, system, "fundamental-weight")
-    out = []
-    for x in vec:
-        frac = Fraction(x)
-        if frac.denominator != 1:
-            raise ConversionError(f"{coords!r} in system {system!r} is not an integral weight")
-        out.append(int(frac))
-    return Weight(group, tuple(out))
+    if any(isinstance(x, Fraction) for x in vec):
+        raise ConversionError(f"{coords!r} in system {system!r} is not an integral weight")
+    return Weight(group, vec)
 
 
 def one_param_subgroup(group, coords, system="fundamental-coweight"):
@@ -474,12 +476,6 @@ def _canonical_system_name(name):
     raise ConversionError(f"unknown coordinate system {name!r}")
 
 
-def _system_length(group, system):
-    if system in ("L", "H"):
-        return group.rank + 1
-    return group.rank
-
-
 def _exact(x):
     """x as a `Fraction`. A float is refused: its exact value is its binary
     expansion, not the decimal it was written as."""
@@ -490,8 +486,20 @@ def _exact(x):
     return Fraction(x)
 
 
-def _exactify(v):
-    return [_exact(x) for x in v]
+def _differences(values):
+    """The consecutive differences of `values`: the fundamental coefficients
+    of type A rank+1 coordinates."""
+    return [a - b for a, b in zip(values, values[1:])]
+
+
+def _suffix_sums(values):
+    """The sums of each suffix of `values`, longest first, then 0: the type A
+    lift of fundamental coefficients to rank+1 coordinates."""
+    lifted = [0]
+    for c in reversed(values):
+        lifted.append(lifted[-1] + c)
+    lifted.reverse()
+    return lifted
 
 
 def _intify(values):
@@ -523,46 +531,31 @@ def convert_coordinates(group, v, source, target, *, trace=None):
         )
     if trace is not None and dst != "L":
         raise ConversionError("the trace argument only applies when converting to L")
-    values = _exactify(v)
-    if len(values) != _system_length(group, src):
-        raise RankMismatchError(
-            f"system {src!r} for {group.name} expects length {_system_length(group, src)},"
-            f" got {len(values)}"
-        )
+    values = [_exact(x) for x in v]
     rank = group.rank
+    length = rank + 1 if src in ("L", "H") else rank
+    if len(values) != length:
+        raise RankMismatchError(
+            f"system {src!r} for {group.name} expects length {length}, got {len(values)}"
+        )
     if src == "H" and sum(values) != 0:
         raise ConversionError("H-coordinates must sum to zero")
     if src == dst and trace is None:
         return _intify(values)
 
-    if src in _M_SYSTEMS:
-        if src == "L":
-            canonical = [values[i] - values[i + 1] for i in range(rank)]
-        else:
-            canonical = values
-        if dst == "fundamental-weight":
-            return _intify(canonical)
-        lifted = [sum(canonical[j] for j in range(i, rank)) for i in range(rank)] + [Fraction(0)]
-        if trace is not None:
-            shift = (_exact(trace) - sum(lifted)) / (rank + 1)
-            lifted = [x + shift for x in lifted]
-        return _intify(lifted)
-
-    if src == "coroot":
-        canonical = [
-            sum(group.cartan[i][j] * values[i] for i in range(rank)) for j in range(rank)
-        ]
-    elif src == "H":
-        canonical = [values[i] - values[i + 1] for i in range(rank)]
+    if src in ("L", "H"):
+        canonical = _differences(values)
+    elif src == "coroot":
+        canonical = [dot(column, values) for column in zip(*group.cartan)]
     else:
         canonical = values
-    if dst in ("fundamental-coweight", "T"):
-        return _intify(canonical)
     if dst == "coroot":
-        return _intify(
-            sum(group.cartan_inverse[i][j] * canonical[i] for i in range(rank))
-            for j in range(rank)
-        )
-    lifted = [sum(canonical[j] for j in range(i, rank)) for i in range(rank)] + [Fraction(0)]
-    mean = sum(lifted) / (rank + 1)
-    return _intify(x - mean for x in lifted)
+        return _intify(dot(column, canonical) for column in zip(*group.cartan_inverse))
+    if dst not in ("L", "H"):
+        return _intify(canonical)
+    lifted = _suffix_sums(canonical)
+    trace = 0 if dst == "H" else trace
+    if trace is not None:
+        shift = (_exact(trace) - sum(lifted)) / (rank + 1)
+        lifted = [x + shift for x in lifted]
+    return _intify(lifted)

@@ -9,7 +9,8 @@ from gitloci.cli import _Display, _render_structured, main
 from gitloci.errors import ParseError
 from gitloci.gitsolver import GITProblem, new_problem, parse_loci, solve_all
 from gitloci.repsupport import parse_highest_weight, support_from_weights, weight_support
-from gitloci.rootdata import make_group
+from gitloci.exactgeom import primitive_vector
+from gitloci.rootdata import OneParameterSubgroup, convert_coordinates, make_group, weight
 from _oracles import structured_report_reference
 
 A2_CUBIC_TEXT = """\
@@ -300,6 +301,30 @@ def test_structured_emitter_matches_the_reference_on_a_weights_file_support(name
     assert support.highest is None
     report = assert_emitter_matches_reference(group, support, None, parse_loci("nonstable,unstable,polystable"))
     assert json.loads(report)["representation"]["source"] == "weights-file"
+
+
+@pytest.mark.parametrize(
+    "name, text", [("A1", "2"), ("A2", "3,0"), ("A2", "12,0"), ("A3", "2,0,0"), ("A4", "0,1,0,0")]
+)
+def test_display_forms_equal_the_library_conversions(name, text):
+    """The report's integer L and H forms are the library's conversions: L
+    at the highest weight's natural trace, H times rank+1 made primitive."""
+    group = make_group(name)
+    highest = parse_highest_weight(group, text)
+    problem = new_problem(group, highest)
+    display = _Display(group, highest)
+    trace = sum((i + 1) * c for i, c in enumerate(highest.coeffs))
+    for w in problem.support:
+        form = display.weight(w)
+        assert form == convert_coordinates(group, w.coeffs, "fundamental-weight", "L", trace=trace)
+        if w.is_dominant:
+            assert parse_highest_weight(group, ",".join(map(str, form))) == weight(group, form, "L")
+    for face in (*problem.rays(), *problem.cells()):
+        h_form = convert_coordinates(group, face.point, "fundamental-coweight", "H")
+        scaled = [(group.rank + 1) * x for x in h_form]
+        assert all(x.denominator == 1 for x in scaled)
+        expected = primitive_vector([int(x) for x in scaled])
+        assert display.witness(OneParameterSubgroup(group, face.point)) == expected
 
 
 def test_out_writes_the_report_to_a_file(capsys, tmp_path):

@@ -174,6 +174,10 @@ def test_weight_and_subgroup_refuse_non_integer_coefficients():
         OneParameterSubgroup(A2, (Fraction(1, 2), 1))
     with pytest.raises(ConversionError):
         OneParameterSubgroup(A2, (2.0, 1))
+    with pytest.raises(ConversionError, match=r"Weight coefficients must be a tuple, got \[1, 0\]"):
+        Weight(A2, [1, 0])
+    with pytest.raises(ConversionError, match=r"OneParameterSubgroup coefficients must be a tuple"):
+        OneParameterSubgroup(A2, [1, 0])
     assert OneParameterSubgroup(A2, (2, 4)).primitive().coeffs == (1, 2)
 
 
