@@ -42,10 +42,11 @@ check of the = 0 states is marked as failing on the inputs of item 1.
 States and the Weyl group
 -------------------------
 Inside the solver a state is the ascending tuple of its positions in the
-sorted support, so index order is coefficient order. `GITProblem`
-tabulates the permutation of the support by each simple reflection, and
-the Weyl group acts on states through them. Weyl deduplication walks the
-sorted states once: it keeps a state unless an earlier kept state's class
+sorted support, so index order is coefficient order. `GITProblem` keeps
+the permutation of the support by each simple reflection, tabulated by
+`repsupport`'s check that the support is Weyl-closed, and the Weyl group
+acts on states through them. Weyl deduplication walks the sorted states
+once: it keeps a state unless an earlier kept state's class
 reached it, and closes each kept state's class breadth first, so the first
 state of each class in sort order is kept. Nothing of a class outlives the
 deduplication that closed it, and no query enumerates W.
@@ -72,6 +73,7 @@ from .exactgeom import (
 from .repsupport import (
     DEFAULT_SUPPORT_GUARD,
     RepresentationSupport,
+    _reflection_table,
     support_from_weights,
     weight_support,
 )
@@ -85,7 +87,6 @@ from .rootdata import (
     pairing,
     pairing_vector,
     reflect_coweight_coeffs,
-    reflect_weight_coeffs,
     weyl_elements,  # unused here; the benchmark's tracer wraps it under this module
 )
 
@@ -131,7 +132,7 @@ class GITProblem:
     """A stability problem: a group acting on the span of a weight support.
 
     The support must be strictly sorted and closed under the simple
-    reflections. `index` maps coefficients to support positions, and
+    reflections; otherwise `ParseError` is raised. `index` maps coefficients to support positions, and
     `reflections[i]` maps each position to that of its i-th reflection.
 
     Ray and cell candidates are computed lazily in the fundamental chamber,
@@ -203,28 +204,6 @@ class GITProblem:
         """Indices of the support weights whose pairing the mode keeps."""
         keep = _MODES[mode][1]
         return tuple(compress(range(len(pairings)), map(keep, pairings, repeat(0))))
-
-
-def _reflection_table(group, weights, index):
-    """For each simple reflection, the support position of the image of the
-    weight at each position; raises ValueError unless the weights are
-    strictly sorted and closed under the simple reflections."""
-    for previous, w in zip(weights, weights[1:]):
-        if previous.coeffs >= w.coeffs:
-            raise ValueError(
-                f"support is not strictly sorted: weight {w.coeffs} follows {previous.coeffs}"
-            )
-    table = [[] for _ in range(group.rank)]
-    for w in weights:
-        for i, column in enumerate(table):
-            image = reflect_weight_coeffs(group.cartan, w.coeffs, i)
-            if image not in index:
-                raise ValueError(
-                    f"support is not closed under the Weyl group: reflection {i + 1}"
-                    f" maps {w.coeffs} to {image}, which is missing"
-                )
-            column.append(index[image])
-    return tuple(map(tuple, table))
 
 
 def new_problem(

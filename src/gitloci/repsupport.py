@@ -160,14 +160,28 @@ def support_from_weights(group, coeff_rows):
             raise RankMismatchError(
                 f"weight {row} has length {len(row)}; group {group.name} has rank {group.rank}"
             )
-    universe = set(coeffs)
-    for row in coeffs:
-        for i in range(group.rank):
-            image = reflect_weight_coeffs(group.cartan, row, i)
-            if image not in universe:
-                raise ParseError(
-                    f"weight set is not closed under the Weyl group: reflection {i + 1}"
-                    f" maps {row} to {image}, which is missing"
-                )
     weights = tuple(Weight(group, c) for c in coeffs)
+    _reflection_table(group, weights, {c: i for i, c in enumerate(coeffs)})
     return RepresentationSupport(group=group, highest=None, weights=weights)
+
+
+def _reflection_table(group, weights, index):
+    """For each simple reflection, the position (by `index`) of the image of
+    the weight at each position; raises ParseError unless the weights are
+    strictly sorted and closed under the simple reflections."""
+    for previous, w in zip(weights, weights[1:]):
+        if previous.coeffs >= w.coeffs:
+            raise ParseError(
+                f"support is not strictly sorted: weight {w.coeffs} follows {previous.coeffs}"
+            )
+    table = [[] for _ in range(group.rank)]
+    for w in weights:
+        for i, column in enumerate(table):
+            image = reflect_weight_coeffs(group.cartan, w.coeffs, i)
+            if image not in index:
+                raise ParseError(
+                    f"support is not closed under the Weyl group: reflection {i + 1}"
+                    f" maps {w.coeffs} to {image}, which is missing"
+                )
+            column.append(index[image])
+    return tuple(map(tuple, table))

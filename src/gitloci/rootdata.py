@@ -21,10 +21,12 @@ conversion formula in this module refers back to this single convention:
 * reflection of a weight:    ``s_i(c)[j]   = c[j] - c[i] * cartan[j][i]``
 * reflection of a coweight:  ``s_i(m)[j]   = m[j] - m[i] * cartan[i][j]``
 
-The Weyl generator matrices are these formulas on the unit vectors. Weyl
-orbits and the Weyl classes that `gitsolver`'s deduplication closes, one per
-kept state, share one guarded closure (`_closure`), and dominant weights and
-chamber words one loop (`_chamber_word`).
+The Weyl generator matrices are these formulas on the unit vectors. Every
+Weyl closure goes through one guarded breadth-first closure (`_closure`):
+weight orbits, the Weyl classes that `gitsolver`'s deduplication closes, one
+per kept state, and the enumeration of the group itself, whose elements are
+closed as their images of the unit vectors. Dominant weights and chamber
+words share one loop (`_chamber_word`).
 
 Type A extras
 -------------
@@ -274,7 +276,7 @@ class OneParameterSubgroup:
             )
         _require_int_coeffs("OneParameterSubgroup", self.coeffs)
         if all(c == 0 for c in self.coeffs):
-            raise ValueError("a one-parameter subgroup must be nonzero")
+            raise ConversionError("a one-parameter subgroup must be nonzero")
 
     def primitive(self):
         return OneParameterSubgroup(self.group, primitive_vector(self.coeffs))
@@ -424,42 +426,30 @@ class WeylElement:
         )
 
 
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-
-
 def weyl_elements(group, guard=DEFAULT_WEYL_GUARD):
-    """All Weyl group elements, enumerated by breadth-first closure over the
-    generator matrices. Guarded: E7/E8-sized groups are refused by default.
-    Nothing is cached, and no solve or query path calls this."""
-    rank = group.rank
-    identity = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
-    elements = {identity: WeylElement(identity, identity)}
-    frontier = [elements[identity]]
-    rounds = 0
-    while frontier:
-        rounds += 1
-        nxt = []
-        for element in frontier:
-            for s_weight, s_coweight in zip(group.weyl_generators, group.weyl_cogenerators):
-                weight_matrix = _matmul(s_weight, element.weight_matrix)
-                if weight_matrix in elements:
-                    continue
-                new_element = WeylElement(
-                    weight_matrix, _matmul(s_coweight, element.coweight_matrix)
-                )
-                elements[weight_matrix] = new_element
-                nxt.append(new_element)
-                if len(elements) > guard:
-                    raise ResourceGuardError(
-                        f"Weyl enumeration exceeded the guard of {guard} elements,"
-                        f" with {len(elements)} elements reached in round {rounds}"
-                    )
-        frontier = nxt
-    return tuple(elements.values())
+    """All Weyl group elements, in breadth-first order from the identity.
+
+    An element is closed as the pair of its images of the unit vectors on
+    the weight and the coweight side, each image reflected by the module's
+    reflection formulas, and its `WeylElement` matrices have those images as
+    columns. Guarded: E7/E8-sized groups are refused by default. Nothing is
+    cached, and no solve or query path calls this."""
+    cartan, rank = group.cartan, group.rank
+    units = tuple(tuple(int(j == k) for k in range(rank)) for j in range(rank))
+    pairs = _closure(
+        (units, units),
+        lambda pair: [
+            (
+                tuple(reflect_weight_coeffs(cartan, image, i) for image in pair[0]),
+                tuple(reflect_coweight_coeffs(cartan, image, i) for image in pair[1]),
+            )
+            for i in range(rank)
+        ],
+        guard,
+        lambda reached, rounds: f"Weyl enumeration exceeded the guard of {guard} elements,"
+        f" with {len(reached)} elements reached in round {rounds}",
+    )
+    return tuple(WeylElement(*(tuple(zip(*images)) for images in pair)) for pair in pairs)
 
 
 _M_SYSTEMS = {"fundamental-weight", "L"}
@@ -478,12 +468,18 @@ def _canonical_system_name(name):
 
 def _exact(x):
     """x as a `Fraction`. A float is refused: its exact value is its binary
-    expansion, not the decimal it was written as."""
+    expansion, not the decimal it was written as. So is anything `Fraction`
+    cannot read, such as None, 'x' or '1/0'."""
     if isinstance(x, float):
         raise ConversionError(
             f"{x!r} is a float; give an int, a Fraction or a string such as '1/4'"
         )
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ConversionError(
+            f"{x!r} is not an exact number; give an int, a Fraction or a string such as '1/4'"
+        ) from None
 
 
 def _differences(values):

@@ -190,6 +190,46 @@ def cartan_oracle(letter, rank):
     return tuple(out)
 
 
+def matmul(a, b):
+    """The integer matrix product a b."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def weyl_elements_by_matmul(cartan):
+    """Every Weyl group element as its pair (weight matrix, coweight matrix),
+    breadth first from the identity over left products with the generator
+    matrices, in the order reached. Generator i sends the unit vector e_k to
+    ``e_k - [k == i] * cartan[.][i]`` on the weight side and to
+    ``e_k - [k == i] * cartan[i][.]`` on the coweight side."""
+    rank = len(cartan)
+    identity = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
+    generators = [
+        tuple(tuple(identity[j][k] - (k == i) * cartan[j][i] for k in range(rank)) for j in range(rank))
+        for i in range(rank)
+    ]
+    cogenerators = [
+        tuple(tuple(identity[j][k] - (k == i) * cartan[i][j] for k in range(rank)) for j in range(rank))
+        for i in range(rank)
+    ]
+    elements = {identity: (identity, identity)}
+    frontier = [elements[identity]]
+    while frontier:
+        nxt = []
+        for element in frontier:
+            for s_weight, s_coweight in zip(generators, cogenerators):
+                weight_matrix = matmul(s_weight, element[0])
+                if weight_matrix in elements:
+                    continue
+                new_element = (weight_matrix, matmul(s_coweight, element[1]))
+                elements[weight_matrix] = new_element
+                nxt.append(new_element)
+        frontier = nxt
+    return tuple(elements.values())
+
+
 def pairing_oracle(cartan, weight_coeffs, coweight_coeffs):
     """<chi, lam> as a Fraction, from the Cartan matrix alone.
 

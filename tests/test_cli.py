@@ -8,7 +8,12 @@ import pytest
 from gitloci.cli import _Display, _render_structured, main
 from gitloci.errors import ParseError
 from gitloci.gitsolver import GITProblem, new_problem, parse_loci, solve_all
-from gitloci.repsupport import parse_highest_weight, support_from_weights, weight_support
+from gitloci.repsupport import (
+    RepresentationSupport,
+    parse_highest_weight,
+    support_from_weights,
+    weight_support,
+)
 from gitloci.exactgeom import primitive_vector
 from gitloci.rootdata import OneParameterSubgroup, convert_coordinates, make_group, weight
 from _oracles import structured_report_reference
@@ -370,6 +375,27 @@ def test_weights_file_rejects_non_closed_sets(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "A2", "--weights-file", str(source))
     assert code == 2
     assert "not closed" in err
+
+
+def test_non_closed_weights_read_the_same_from_library_and_cli(capsys, tmp_path):
+    group = make_group("A2")
+    rows = [(0, -1), (1, 0)]
+    with pytest.raises(ParseError) as from_rows:
+        support_from_weights(group, rows)
+    hand_built = RepresentationSupport(group, None, tuple(weight(group, row) for row in rows))
+    with pytest.raises(ParseError) as from_problem:
+        GITProblem(group, hand_built)
+    message = (
+        "support is not closed under the Weyl group: reflection 2 maps (0, -1) to (-1, 1),"
+        " which is missing"
+    )
+    assert str(from_rows.value) == str(from_problem.value) == message
+    source = tmp_path / "weights.txt"
+    source.write_text("0, -1\n1, 0\n")
+    code, out, err = run(capsys, "solve", "A2", "--weights-file", str(source))
+    assert code == 2
+    assert out == ""
+    assert err == f"gitloci: error: {message}\n"
 
 
 def test_weights_file_reports_offending_line(capsys, tmp_path):

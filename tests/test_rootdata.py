@@ -22,7 +22,7 @@ from gitloci.rootdata import (
     weyl_group_order,
     weyl_orbit,
 )
-from _oracles import cartan_oracle, pairing_oracle
+from _oracles import cartan_oracle, matmul, pairing_oracle, weyl_elements_by_matmul
 
 A2 = make_group("A2")
 B2 = make_group("B2")
@@ -228,15 +228,8 @@ def test_braid_relations_hold_for_generator_matrices():
                 m = orders[group.cartan[i][j] * group.cartan[j][i]]
                 power = identity
                 for _ in range(m):
-                    power = _matmul(_matmul(power, group.weyl_generators[i]), group.weyl_generators[j])
+                    power = matmul(matmul(power, group.weyl_generators[i]), group.weyl_generators[j])
                 assert power == identity
-
-
-def _matmul(a, b):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
 
 
 def test_weyl_group_orders():
@@ -254,6 +247,17 @@ def test_weyl_elements_enumeration_matches_order_for_small_groups():
     for name in ("A1", "A2", "B2", "G2"):
         group = make_group(name)
         assert len(weyl_elements(group)) == weyl_group_order(group)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "D5", "F4", "G2"],
+)
+def test_weyl_elements_match_the_matrix_product_enumeration_in_order(name):
+    group = make_group(name)
+    expected = weyl_elements_by_matmul(cartan_oracle(group.dynkin.letter, group.rank))
+    assert len(expected) == weyl_group_order(group)
+    assert tuple((e.weight_matrix, e.coweight_matrix) for e in weyl_elements(group)) == expected
 
 
 def test_weyl_elements_guard_trips():
@@ -383,6 +387,15 @@ def test_coordinate_conversion_rejects_floats():
         convert_coordinates(A2, (1, 0), "fundamental-weight", "L", trace=0.1)
     assert one_param_subgroup(A2, (Fraction(1, 10), "1/5")).coeffs == (1, 2)
     assert convert_coordinates(A2, ("1/2", "-1/4", "-1/4"), "H", "T") == (Fraction(3, 4), 0)
+
+
+@pytest.mark.parametrize(
+    "build, coords",
+    [(weight, ("x", 0)), (weight, (None, 0)), (weight, ("1/0", 0)), (one_param_subgroup, (0, 0))],
+)
+def test_malformed_coordinates_raise_conversion_errors(build, coords):
+    with pytest.raises(ConversionError):
+        build(A2, coords)
 
 
 def test_coordinate_conversion_errors():
