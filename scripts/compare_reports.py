@@ -14,9 +14,18 @@ the ``--format json-like`` and ``--format text`` reports of every locus of:
 
 each with and without ``--weyl-opt``. It lists every report that differs,
 or that one tree wrote and the other did not (a nonzero exit is recorded
-with its code and standard error in place of the report), and exits 1 on
-any difference, 0 when every report is byte-identical. Standard library
-only.
+with its code and standard error in place of the report).
+
+It then compares ``classify_torus`` verdicts and certificates on every
+input of the benchmark's classify workload (``CLASSIFY_PROBLEMS``), with
+and without Weyl optimisation. The queries are fixed by the working tree:
+every state of the three torus loci, the support less each such state
+when that is not empty, and the full support. Each tree answers them on
+its own problem (an exception is recorded with its type and message), and
+every query whose answer differs is listed.
+
+It exits 1 on any difference, 0 when every report is byte-identical and
+every classification equal. Standard library only.
 """
 
 from __future__ import annotations
@@ -40,12 +49,15 @@ HEAVY = [
 FORMATS = {"json-like": "json", "text": "txt"}
 
 
-def benchmark_inputs():
+def benchmark_workloads():
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        workloads = importlib.import_module("workloads")
+        return importlib.import_module("workloads")
     finally:
         sys.path.pop(0)
+
+
+def benchmark_inputs(workloads):
     return [*workloads.PLANAR, *workloads.MIDRANK, *workloads.MINUSCULE, *workloads.CLASSIFY_PROBLEMS]
 
 
@@ -66,12 +78,22 @@ def drop_gitloci():
         del sys.modules[name]
 
 
-def write_reports(tree, out_dir, inputs):
-    """Write each report of `inputs` from the gitloci in `tree`/src."""
-    out_dir.mkdir()
+@contextlib.contextmanager
+def gitloci_from(tree):
+    """Import gitloci from `tree`/src for the duration of the block."""
     drop_gitloci()
     sys.path.insert(0, str(tree / "src"))
     try:
+        yield importlib.import_module("gitloci")
+    finally:
+        sys.path.pop(0)
+        drop_gitloci()
+
+
+def write_reports(tree, out_dir, inputs):
+    """Write each report of `inputs` from the gitloci in `tree`/src."""
+    out_dir.mkdir()
+    with gitloci_from(tree):
         cli = importlib.import_module("gitloci.cli")
         for group, weight in inputs:
             for fmt, suffix in FORMATS.items():
@@ -83,9 +105,50 @@ def write_reports(tree, out_dir, inputs):
                         code = cli.main(argv)
                     if code != 0:
                         path.write_text(f"exit {code}\n{err.getvalue()}", encoding="utf-8")
-    finally:
-        sys.path.pop(0)
-        drop_gitloci()
+
+
+def problem(gitloci, group_name, weight, weyl_optimisation):
+    group = gitloci.make_group(group_name)
+    highest = gitloci.parse_highest_weight(group, weight)
+    return gitloci.new_problem(group, highest, weyl_optimisation=weyl_optimisation)
+
+
+def classify_queries(inputs):
+    """The classify_torus queries on each input, each a sorted tuple of weight
+    coefficients, from the gitloci of the working tree."""
+    queries = {}
+    with gitloci_from(ROOT) as gitloci:
+        gitsolver = importlib.import_module("gitloci.gitsolver")
+        loci = (gitsolver.solve_non_stable, gitsolver.solve_unstable, gitsolver.solve_strictly_polystable)
+        for key in inputs:
+            solver = problem(gitloci, *key, False)
+            support = tuple(w.coeffs for w in solver.support)
+            states = [tuple(sorted(w.coeffs for w in state)) for solve in loci for state in solve(solver)]
+            rests = [tuple(c for c in support if c not in members) for members in map(set, states)]
+            queries[key] = list(dict.fromkeys([*states, *filter(None, rests), support]))
+    return queries
+
+
+def classify_answers(tree, queries):
+    """The verdict and certificate of `classify_torus` from the gitloci in
+    `tree`/src on every query, keyed by (input, Weyl optimisation, query
+    number)."""
+    answers = {}
+    with gitloci_from(tree) as gitloci:
+        gitsolver = importlib.import_module("gitloci.gitsolver")
+        for key, supports in queries.items():
+            for weyl_optimisation in (False, True):
+                solver = problem(gitloci, *key, weyl_optimisation)
+                by_coeffs = {w.coeffs: w for w in solver.support}
+                for number, support in enumerate(supports):
+                    try:
+                        result = gitsolver.classify_torus(solver, [by_coeffs[c] for c in support])
+                        certificate = None if result.certificate is None else result.certificate.coeffs
+                        answer = (result.verdict, certificate)
+                    except Exception as error:
+                        answer = f"{type(error).__name__}: {error}"
+                    answers[(key, weyl_optimisation, number)] = answer
+    return answers
 
 
 def main(argv=None):
@@ -94,12 +157,16 @@ def main(argv=None):
         print("usage: compare_reports.py REV", file=sys.stderr)
         return 2
     rev = args[0]
-    inputs = list(dict.fromkeys([*CRITERION_7, *benchmark_inputs(), *HEAVY]))
+    workloads = benchmark_workloads()
+    inputs = list(dict.fromkeys([*CRITERION_7, *benchmark_inputs(workloads), *HEAVY]))
+    queries = classify_queries(workloads.CLASSIFY_PROBLEMS)
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as workdir:
         workdir = Path(workdir)
         unpack(rev, workdir / "tree")
         write_reports(workdir / "tree", workdir / "base", inputs)
         write_reports(ROOT, workdir / "work", inputs)
+        base_answers = classify_answers(workdir / "tree", queries)
+        work_answers = classify_answers(ROOT, queries)
         names = sorted({p.name for p in (workdir / "base").iterdir()} | {p.name for p in (workdir / "work").iterdir()})
         differing = []
         for name in names:
@@ -109,7 +176,16 @@ def main(argv=None):
     for name in differing:
         print(f"differs: {name}")
     print(f"{len(names)} reports compared against {rev}, {len(differing)} differ")
-    return 1 if differing else 0
+    changed = [key for key in work_answers if base_answers[key] != work_answers[key]]
+    for key in changed:
+        (group, weight), weyl_optimisation, number = key
+        print(
+            f"classify differs: {group} {weight}{' --weyl-opt' if weyl_optimisation else ''}"
+            f" query {number} ({len(queries[(group, weight)][number])} weights):"
+            f" {base_answers[key]} -> {work_answers[key]}"
+        )
+    print(f"{len(work_answers)} classifications compared against {rev}, {len(changed)} differ")
+    return 1 if differing or changed else 0
 
 
 if __name__ == "__main__":

@@ -30,8 +30,12 @@ pairings with the caller's nonzero normals. Cells come from an exact
 angular sweep in dimension 2; in higher dimension they are localised at
 the rays, where the local walls form a partial orthant, and only the small
 local systems of rank-4 and larger arrangements reach the cell LP
-`lp_feasible`. There is one
-simplex, `_phase_one`, and it pivots fraction-free on integers. Both of its
+`lp_feasible`. There is one simplex, `_phase_one`, a revised simplex that
+pivots fraction-free on integers. It keeps det·B^-1 and the phase-one
+duals, O(m^2) integers for m rows, and prices a column of A (O(m) work)
+only when Bland's rule reaches it, so a pivot does not rewrite every
+column of a wide system; `classify_torus` poses up to hundreds of columns
+over a few rows. Both of its
 callers hand it a system with one row per ambient coordinate (plus one):
 `lp_feasible` poses the transposition dual of its system (Gordan, Motzkin)
 and reads its witness off the Farkas certificate that an infeasible phase
@@ -50,7 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import chain, repeat
 from math import gcd
+from operator import mul
 
 from .errors import ResourceGuardError
 
@@ -85,7 +91,10 @@ def primitive_vector(v):
 
 
 def _require_integers(rows, caller, what="entries"):
-    if any(not isinstance(x, int) for row in rows for x in row):
+    """Raise a ValueError naming `caller` unless every entry of every row is
+    an int (bool included); the check looks at each distinct entry type
+    once."""
+    if not all(map(issubclass, set(map(type, chain.from_iterable(rows))), repeat(int))):
         raise ValueError(f"{caller} needs integer {what}")
 
 
@@ -100,65 +109,76 @@ def _phase_one(rows, rhs):
     A negative entry of b would leave the artificial basis infeasible, so it
     is rejected.
 
-    With B the current basis the tableau is ``det(B) B^-1 [A | I | b]``
-    under a reduced-cost row ``det(B) (c - c_B B^-1 [A | I | b])``, c being
-    1 on the artificials. A pivot on p then updates every other entry as
+    The simplex is revised and fraction-free. With B the current basis and
+    det the last pivot (det(B) up to sign), the full tableau would be
+    ``det B^-1 [A | I | b]`` under the reduced-cost row
+    ``det c + mu [A | I | b]``, c being 1 on the artificials. Only what the
+    pivot rule reads is kept: ``inverse = det B^-1``, the tableau's
+    artificial block; ``values = det B^-1 b``; ``mu``, the cost row's
+    artificial block less det; and ``total = mu . b``, the cost row's
+    right-hand side. The tableau's column of A_j is then ``inverse A_j``
+    and its reduced cost ``mu . A_j``, so a column is priced only when the
+    pivot rule reaches it. A pivot on p updates every kept entry as
     ``(p a - f b) // d``, d the previous pivot, and the division is exact
-    (Bareiss); the ratio test cross-multiplies. Bland's rule on both the
-    entering and the leaving choice guarantees termination without any
-    degeneracy handling; only columns of A enter.
+    (Bareiss); the ratio test cross-multiplies. The update is linear in the
+    rows of ``[A | I | b]`` and every division is exact, so a priced entry
+    is the very integer the full tableau would hold there, and the pivots
+    are the full tableau's. Bland's rule on both the entering choice (the
+    first column of A with a negative reduced cost) and the leaving choice
+    guarantees termination without any degeneracy handling; only columns
+    of A enter.
 
-    When no column of A has a negative reduced cost the duals
-    ``pi = c_B B^-1`` pair non-positively with every column of A, and
-    ``pi . b`` is the artificials' total. If that is positive,
-    ``y = -det(B) pi`` is the certificate.
+    When no column of A has a negative reduced cost, ``mu . A_j >= 0`` for
+    every column, and ``total = mu . b`` is -det times the artificials'
+    total. If that is nonzero, mu is the certificate.
     """
     if any(b < 0 for b in rhs):
         raise ValueError("phase-one simplex needs a non-negative right-hand side")
     n = len(rows[0]) if rows else 0
     kept = [i for i, (row, b) in enumerate(zip(rows, rhs)) if b or any(row)]
     m = len(kept)
-    width = n + m
-    tableau = [
-        [*rows[i], *(1 if k == j else 0 for j in range(m)), rhs[i]] for k, i in enumerate(kept)
-    ]
-    cost = [-sum(row[j] for row in tableau) for j in range(width + 1)]
-    cost[n:width] = [0] * m
-    tableau.append(cost)
-    basis = list(range(n, width))
+    columns = list(zip(*(rows[i] for i in kept)))
+    inverse = [[1 if k == j else 0 for j in range(m)] for k in range(m)]
+    values = [rhs[i] for i in kept]
+    mu = [-1] * m
+    total = -sum(values)
+    basis = list(range(n, n + m))
     det = 1
     while True:
-        cost = tableau[m]
-        entering = next((j for j in range(n) if cost[j] < 0), None)
-        if entering is None:
+        for entering, column in enumerate(columns):
+            f = sum(map(mul, mu, column))
+            if f < 0:
+                break
+        else:
             break
+        entries = [sum(map(mul, row, column)) for row in inverse]
         leaving = None
-        for i in range(m):
-            a = tableau[i][entering]
+        for i, a in enumerate(entries):
             if a > 0:
                 if leaving is None:
                     leaving = i
                     continue
-                lhs = tableau[i][width] * tableau[leaving][entering]
-                best = tableau[leaving][width] * a
+                lhs = values[i] * entries[leaving]
+                best = values[leaving] * a
                 if lhs < best or (lhs == best and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:
             raise RuntimeError("phase-one simplex unbounded; this is a bug")
-        pivot_row = tableau[leaving]
-        p = pivot_row[entering]
-        for i in range(m + 1):
+        p = entries[leaving]
+        pivot_row, pivot_value = inverse[leaving], values[leaving]
+        for i, g in enumerate(entries):
             if i != leaving:
-                f = tableau[i][entering]
-                tableau[i] = [(p * a - f * b) // det for a, b in zip(tableau[i], pivot_row)]
+                inverse[i] = [(p * a - g * b) // det for a, b in zip(inverse[i], pivot_row)]
+                values[i] = (p * values[i] - g * pivot_value) // det
+        mu = [(p * a - f * b) // det for a, b in zip(mu, pivot_row)]
+        total = (p * total - f * pivot_value) // det
         det = p
         basis[leaving] = entering
-    cost = tableau[m]
-    if not cost[width]:
+    if not total:
         return None
     y = [0] * len(rows)
     for k, i in enumerate(kept):
-        y[i] = cost[n + k] - det
+        y[i] = mu[k]
     return tuple(y)
 
 

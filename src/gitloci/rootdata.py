@@ -130,7 +130,7 @@ class SimpleGroup:
     warnings: tuple[str, ...]
 
     def __eq__(self, other):
-        return isinstance(other, SimpleGroup) and self.dynkin == other.dynkin
+        return self is other or (isinstance(other, SimpleGroup) and self.dynkin == other.dynkin)
 
     def __hash__(self):
         return hash(self.dynkin)

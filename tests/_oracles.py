@@ -416,6 +416,79 @@ def _bland_phase_one(rows, rhs):
     return z
 
 
+def tableau_phase_one(rows, rhs):
+    """Decide whether A z = b (b >= 0) has a solution z >= 0 by a phase-one
+    simplex, on integer rows of A and integer b.
+
+    Returns None when there is one, and otherwise a Farkas certificate: an
+    integer tuple y with ``y . A_j >= 0`` for every column A_j and
+    ``y . b < 0``, read off the phase-one duals. Rows of ``[A | b]`` that
+    are all zero say nothing and are dropped; their certificate entry is 0.
+    A negative entry of b would leave the artificial basis infeasible, so it
+    is rejected.
+
+    With B the current basis the tableau is ``det(B) B^-1 [A | I | b]``
+    under a reduced-cost row ``det(B) (c - c_B B^-1 [A | I | b])``, c being
+    1 on the artificials. A pivot on p then updates every other entry as
+    ``(p a - f b) // d``, d the previous pivot, and the division is exact
+    (Bareiss); the ratio test cross-multiplies. Bland's rule on both the
+    entering and the leaving choice guarantees termination without any
+    degeneracy handling; only columns of A enter.
+
+    When no column of A has a negative reduced cost the duals
+    ``pi = c_B B^-1`` pair non-positively with every column of A, and
+    ``pi . b`` is the artificials' total. If that is positive,
+    ``y = -det(B) pi`` is the certificate.
+    """
+    if any(b < 0 for b in rhs):
+        raise ValueError("phase-one simplex needs a non-negative right-hand side")
+    n = len(rows[0]) if rows else 0
+    kept = [i for i, (row, b) in enumerate(zip(rows, rhs)) if b or any(row)]
+    m = len(kept)
+    width = n + m
+    tableau = [
+        [*rows[i], *(1 if k == j else 0 for j in range(m)), rhs[i]] for k, i in enumerate(kept)
+    ]
+    cost = [-sum(row[j] for row in tableau) for j in range(width + 1)]
+    cost[n:width] = [0] * m
+    tableau.append(cost)
+    basis = list(range(n, width))
+    det = 1
+    while True:
+        cost = tableau[m]
+        entering = next((j for j in range(n) if cost[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = tableau[i][width] * tableau[leaving][entering]
+                best = tableau[leaving][width] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving is None:
+            raise RuntimeError("phase-one simplex unbounded; this is a bug")
+        pivot_row = tableau[leaving]
+        p = pivot_row[entering]
+        for i in range(m + 1):
+            if i != leaving:
+                f = tableau[i][entering]
+                tableau[i] = [(p * a - f * b) // det for a, b in zip(tableau[i], pivot_row)]
+        det = p
+        basis[leaving] = entering
+    cost = tableau[m]
+    if not cost[width]:
+        return None
+    y = [0] * len(rows)
+    for k, i in enumerate(kept):
+        y[i] = cost[n + k] - det
+    return tuple(y)
+
+
 def primal_lp_reference(equalities, weak, strict, dim):
     """Some x with e.x = 0, w.x >= 0 and s.x > 0 for the given forms, or None.
 

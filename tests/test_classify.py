@@ -96,6 +96,23 @@ def test_classify_torus_does_not_enumerate_the_weyl_group():
             assert classify_torus(problem, [support[c] for c in coeffs]).verdict == verdict
 
 
+def test_b2_twentieth_power_classifies_over_a_wide_dual():
+    # 841 weights: the transposition dual of the full support has 841
+    # columns over 3 rows, wider than any other classify input here. The
+    # certificate is frozen from the full-tableau simplex.
+    group = make_group("B2")
+    problem = new_problem(group, parse_highest_weight(group, "20*w1"))
+    assert len(problem.support) == 841
+    whole = classify_torus(problem, list(problem.support))
+    assert (whole.verdict, whole.certificate) == ("T-stable", None)
+    lam = OneParameterSubgroup(group, (1, 2))
+    half = [w for w in problem.support if hm_mu(problem, [w], lam) > 0]
+    result = classify_torus(problem, half)
+    assert result.verdict == "T-unstable"
+    assert result.certificate == OneParameterSubgroup(group, (4, 9))
+    assert hm_mu(problem, half, result.certificate) > 0
+
+
 def test_e6_query_takes_about_a_second():
     group = make_group("E6")
     started = time.perf_counter()

@@ -37,6 +37,7 @@ from _oracles import (
     primal_lp_reference,
     sign_vector,
     subset_rref_rays,
+    tableau_phase_one,
     zero_in_relative_interior_oracle,
 )
 
@@ -230,6 +231,60 @@ def test_phase_one_certificates_of_infeasible_systems():
         assert check_phase_one(rows, rhs) is not None
     # An all-zero row says nothing and gets no weight in the certificate.
     assert check_phase_one([[1, 1], [0, 0], [1, 1]], [1, 0, 2])[1] == 0
+
+
+@st.composite
+def phase_one_systems(draw):
+    """Systems A z = b for `_phase_one`, narrow and wide: up to 9 rows over
+    0 to 150 columns, with all-zero rows (some with a positive
+    right-hand side), rows repeated with their right-hand side or scaled
+    by 2, which ties the ratio test, and zero right-hand sides, which
+    make pivots degenerate. The entries come from a hypothesis-seeded
+    Random, so wide systems cost one draw."""
+    rng = draw(st.randoms(use_true_random=False))
+    m = draw(st.integers(0, 9))
+    n = draw(st.one_of(st.integers(0, 6), st.integers(7, 150)))
+    spread = draw(st.sampled_from((1, 2, 5)))
+    rows, rhs = [], []
+    for _ in range(m):
+        kind = rng.choice(("fresh", "fresh", "fresh", "zero", "repeat"))
+        if kind == "zero":
+            rows.append([0] * n)
+            rhs.append(rng.choice((0, 0, 1)))
+        elif kind == "repeat" and rows:
+            k, scale = rng.randrange(len(rows)), rng.randint(1, 2)
+            rows.append([scale * x for x in rows[k]])
+            rhs.append(scale * rhs[k])
+        else:
+            rows.append([rng.randint(-spread, spread) for _ in range(n)])
+            rhs.append(rng.choice((0, 0, 1, 2, spread)))
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(phase_one_systems())
+def test_phase_one_equals_the_full_tableau_simplex(system):
+    # The revised simplex makes the full tableau's pivots on the same
+    # integers, so it returns the very same certificate, or None.
+    rows, rhs = system
+    assert _phase_one(rows, rhs) == tableau_phase_one(rows, rhs)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.5, 2.0, "1"])
+def test_integer_guard_accepts_bools_and_refuses_other_types(bad):
+    assert lp_feasible([], [(True, False)], 2) == lp_feasible([], [(1, 0)], 2) == (1, 0)
+    assert lp_feasible([(False, True)], [(True, True)], 2) == lp_feasible([(0, 1)], [(1, 1)], 2)
+    assert zero_in_relative_interior([(True, False), (-1, False)]) is True
+    assert kernel_basis([(True, False)], 2) == kernel_basis([(1, 0)], 2)
+    refused = {
+        "lp_feasible": [lambda: lp_feasible([], [(1, bad)], 2), lambda: lp_feasible([(bad, 0)], [(1, 0)], 2)],
+        "zero_in_relative_interior": [lambda: zero_in_relative_interior([(1, 0), (0, bad)])],
+        "kernel_basis": [lambda: kernel_basis([(1, 0), (0, bad)], 2)],
+    }
+    for caller, calls in refused.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{caller} needs integer entries$"):
+                call()
 
 
 def test_zero_in_relative_interior_known_cases():
