@@ -188,14 +188,16 @@ def lp_feasible(weak, strict, dim):
     Returns an exact integer witness tuple, or None when infeasible. The
     system is decided through its transposition dual (Gordan, Motzkin): such
     an x exists exactly when no v >= 0, y >= 0 with sum(y) = 1 solve
-    ``W^T v + S^T y = 0``. That dual has dim + 1 rows (one per coordinate,
-    one for sum(y) = 1) and right-hand side (0, ..., 0, 1), and
-    `_phase_one` decides it. A feasible dual means None. An infeasible one
-    comes with a Farkas certificate (x, t) that pairs non-negatively with
-    every dual column, so ``w.x >= 0`` and ``s.x + t >= 0``, and has
-    ``t < 0``. Its x is the witness, since then ``s.x >= -t > 0``; a
-    coordinate that no form touches gives an all-zero dual row, which
-    `_phase_one` drops, and is 0 in the witness.
+    ``W^T v + S^T y = 0``. That dual has dim + 1 rows, the transpose of
+    the forms (one row per coordinate) and one row for sum(y) = 1, and
+    right-hand side (0, ..., 0, 1), and `_phase_one` decides it. A feasible
+    dual means None. An infeasible one comes with a Farkas certificate
+    (x, t) that pairs non-negatively with every dual column, so
+    ``w.x >= 0`` and ``s.x + t >= 0``, and has ``t < 0``. Its x is the
+    witness, since then ``s.x >= -t > 0``; a coordinate that no form
+    touches gives an all-zero dual row, which `_phase_one` drops, and is 0
+    in the witness. The coordinate rows are the forms' columns, so one
+    `dot_rows` over them re-substitutes the witness into every form.
     """
     weak = [tuple(row) for row in weak]
     strict = [tuple(row) for row in strict]
@@ -205,12 +207,14 @@ def lp_feasible(weak, strict, dim):
             raise ValueError(f"constraint of length {len(row)} in dimension {dim}")
     if not strict:
         return (0,) * dim
-    columns = [*((*w, 0) for w in weak), *((*s, 1) for s in strict)]
-    certificate = _phase_one(list(zip(*columns)), (0,) * dim + (1,))
+    rows = [*zip(*weak, *strict), (0,) * len(weak) + (1,) * len(strict)]
+    certificate = _phase_one(rows, (0,) * dim + (1,))
     if certificate is None:
         return None
     x = certificate[:dim]
-    if any(dot(w, x) < 0 for w in weak) or any(dot(s, x) <= 0 for s in strict):
+    values = dot_rows(rows[:dim], x)
+    split = len(weak)
+    if any(v < 0 for v in values[:split]) or any(v <= 0 for v in values[split:]):
         raise RuntimeError("simplex witness fails re-substitution; this is a bug")
     return x
 

@@ -396,10 +396,16 @@ def classify_torus(problem, point_support):
 
     "T-unstable" when some lam pairs > 0 with all of S (0 is not in the hull
     of S), "T-non-stable-semistable" when only some lam != 0 pairs >= 0 with
-    all of S, and "T-stable" otherwise (0 is interior to the hull). One
-    `lp_feasible` call decides instability; a second one, with the sum of S
-    as the strict form, finds a lam != 0 that is >= 0 on a full-rank S, and
-    on a lower-rank S any kernel vector is one.
+    all of S, and "T-stable" otherwise (0 is interior to the hull). The
+    first `lp_feasible` call is the balanced system: lam >= 0 on S and
+    > 0 on the sum of S. A lam that is > 0 on all of S is >= 0 on S and
+    > 0 on its sum, so when the balanced system is infeasible the point is
+    not T-unstable and that one LP decides it: T-stable on a full-rank S,
+    and on a lower-rank S any kernel vector is a lam != 0 that is >= 0 on
+    S. Only when the balanced system has a solution is the strict system
+    (lam > 0 on S) posed, and its solution, if any, makes the point
+    T-unstable; otherwise the balanced solution is the
+    T-non-stable-semistable lam.
 
     The certificate comes from the cached loci, so that they stay under
     test: lam is reflected into the fundamental chamber by simple
@@ -415,17 +421,17 @@ def classify_torus(problem, point_support):
     group = problem.group
     rank = group.rank
     vectors = [problem._pairing_vectors[i] for i in indices]
-    lam = lp_feasible((), vectors, rank)
-    if lam is not None:
-        verdict, mode = "T-unstable", ">0"
+    verdict, mode = "T-non-stable-semistable", ">=0"
+    lam = lp_feasible(vectors, [tuple(map(sum, zip(*vectors)))], rank)
+    if lam is None:
+        kernel = kernel_basis(vectors, rank)
+        if not kernel:
+            return TorusClassification(verdict="T-stable", certificate=None)
+        lam = kernel[0]
     else:
-        verdict, mode = "T-non-stable-semistable", ">=0"
-        lam = lp_feasible(vectors, [tuple(map(sum, zip(*vectors)))], rank)
-        if lam is None:
-            kernel = kernel_basis(vectors, rank)
-            if not kernel:
-                return TorusClassification(verdict="T-stable", certificate=None)
-            lam = kernel[0]
+        strict = lp_feasible((), vectors, rank)
+        if strict is not None:
+            verdict, mode, lam = "T-unstable", ">0", strict
     cartan = group.cartan
     word = _chamber_word(cartan, lam, reflect_coweight_coeffs)[1]
     target = set(indices)

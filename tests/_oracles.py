@@ -374,6 +374,49 @@ def torus_verdict_oracle(cartan, weight_rows, box=3):
     return "T-non-stable-semistable"
 
 
+def instability_first_classify_torus(problem, point_support):
+    """`gitsolver.classify_torus` as it was before it posed the balanced
+    system first: the strict system decides instability, then the balanced
+    system (or the kernel) gives the semistable certificate. Unlike the rest
+    of this module it runs on the package's own LP and loci, because what it
+    pins is the order of the LPs, not their arithmetic: the classification
+    must not change with that order."""
+    from gitloci.exactgeom import kernel_basis, lp_feasible
+    from gitloci.gitsolver import TorusClassification, _sorted_maximal, _support_indices
+    from gitloci.rootdata import OneParameterSubgroup, _chamber_word, reflect_coweight_coeffs
+
+    indices = _support_indices(problem, point_support, "classify_torus")
+    group = problem.group
+    rank = group.rank
+    vectors = [problem._pairing_vectors[i] for i in indices]
+    lam = lp_feasible((), vectors, rank)
+    if lam is not None:
+        verdict, mode = "T-unstable", ">0"
+    else:
+        verdict, mode = "T-non-stable-semistable", ">=0"
+        lam = lp_feasible(vectors, [tuple(map(sum, zip(*vectors)))], rank)
+        if lam is None:
+            kernel = kernel_basis(vectors, rank)
+            if not kernel:
+                return TorusClassification(verdict="T-stable", certificate=None)
+            lam = kernel[0]
+    cartan = group.cartan
+    word = _chamber_word(cartan, lam, reflect_coweight_coeffs)[1]
+    target = set(indices)
+    for i in word:
+        target = set(map(problem.reflections[i].__getitem__, target))
+    for state, point in _sorted_maximal(problem, mode):
+        if target.issubset(state):
+            for i in reversed(word):
+                point = reflect_coweight_coeffs(cartan, point, i)
+            certificate = OneParameterSubgroup(group, point).primitive()
+            return TorusClassification(verdict=verdict, certificate=certificate)
+    raise RuntimeError(
+        f"no maximal {mode} chamber state contains the reflected support of a"
+        f" {verdict} point; the loci are incomplete, which is a bug"
+    )
+
+
 def _bland_phase_one(rows, rhs):
     """Some z >= 0 with rows * z = rhs (rhs >= 0), or None, by a textbook
     phase-one simplex over Fraction: one artificial column per row, Bland's

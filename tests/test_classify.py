@@ -4,21 +4,30 @@ The verdicts come from `_oracles.torus_verdict_oracle`, which decides the
 torus Hilbert-Mumford criterion from the convex hull of the pairing
 functionals with its own Fraction arithmetic. Certificates are checked with
 `_oracles.pairing_oracle`. The problems are those of the benchmark's
-classify workload.
+classify workload. `_oracles.instability_first_classify_torus` keeps the
+order of LPs that posed the strict system first, and the classifications
+must not depend on that order.
 """
 
 import random
 import time
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
+from gitloci import gitsolver
 from gitloci.errors import RankMismatchError
 from gitloci.gitsolver import classify_torus, hm_mu, new_problem
 from gitloci.repsupport import parse_highest_weight
 from gitloci.rootdata import OneParameterSubgroup, Weight, make_group
 
-from _oracles import pairing_functionals, pairing_oracle, torus_verdict_oracle
+from _oracles import (
+    instability_first_classify_torus,
+    pairing_functionals,
+    pairing_oracle,
+    torus_verdict_oracle,
+)
 
 CLASSIFY_PROBLEMS = [
     ("B2", "8*w1"), ("G2", "2,0"), ("A3", "2,0,0"),
@@ -80,6 +89,69 @@ def test_classify_torus_matches_the_hull_oracle(name, spec):
                 assert all(v >= 0 for v in values), (query, coeffs)
 
 
+# Lower-rank supports of sum 0, certified from the kernel: the zero weight
+# alone, a balanced pair {chi, -chi} and a rank-2 support in rank 3.
+KERNEL_QUERIES = [
+    ("A2", "3,0", [(0, 0)]),
+    ("A2", "3,0", [(1, 1), (-1, -1)]),
+    ("A3", "2,0,0", [(0, 1, 0), (0, -1, 0), (1, -1, 1), (-1, 1, -1)]),
+]
+
+
+@pytest.mark.parametrize("name,spec", CLASSIFY_PROBLEMS)
+def test_classify_torus_equals_the_instability_first_order(name, spec):
+    group = make_group(name)
+    highest = parse_highest_weight(group, spec)
+    support = sorted(w.coeffs for w in new_problem(group, highest).support)
+    queries = _queries(group.cartan, support, random.Random(f"classify:{name}:{spec}"))
+    for weyl_optimisation in (False, True):
+        problem = new_problem(group, highest, weyl_optimisation=weyl_optimisation)
+        for query in [*queries, support]:  # the last is the full support
+            points = [Weight(group, c) for c in query]
+            expected = instability_first_classify_torus(problem, points)
+            assert classify_torus(problem, points) == expected, query
+
+
+@pytest.mark.parametrize("name,spec,query", KERNEL_QUERIES)
+def test_classify_torus_equals_the_instability_first_order_on_kernel_supports(
+    name, spec, query
+):
+    group = make_group(name)
+    assert not any(map(sum, zip(*pairing_functionals(group.cartan, query))))
+    points = [Weight(group, c) for c in query]
+    for weyl_optimisation in (False, True):
+        problem = new_problem(
+            group, parse_highest_weight(group, spec), weyl_optimisation=weyl_optimisation
+        )
+        expected = instability_first_classify_torus(problem, points)
+        assert expected.verdict == "T-non-stable-semistable"
+        assert classify_torus(problem, points) == expected
+
+
+def test_a_t_stable_or_balanced_query_poses_one_lp_and_any_other_two(monkeypatch):
+    group = make_group("A2")
+    problem = new_problem(group, parse_highest_weight(group, "3,0"))
+    support = {w.coeffs: w for w in problem.support}
+    lam = OneParameterSubgroup(group, (1, 0))
+    calls = []
+    lp_feasible = gitsolver.lp_feasible
+
+    def counted(*args):
+        calls.append(args)
+        return lp_feasible(*args)
+
+    monkeypatch.setattr(gitsolver, "lp_feasible", counted)
+    for points, verdict, lps in (
+        (list(problem.support), "T-stable", 1),
+        ([support[(1, 1)], support[(-1, -1)]], "T-non-stable-semistable", 1),
+        ([w for w in problem.support if hm_mu(problem, [w], lam) > 0], "T-unstable", 2),
+        ([w for w in problem.support if hm_mu(problem, [w], lam) >= 0], "T-non-stable-semistable", 2),
+    ):
+        calls.clear()
+        assert classify_torus(problem, points).verdict == verdict
+        assert len(calls) == lps, verdict
+
+
 def test_classify_torus_does_not_enumerate_the_weyl_group():
     group = make_group("A2")
     for weyl_optimisation in (False, True):
@@ -135,3 +207,29 @@ def test_weights_of_another_group_are_refused():
         classify_torus(problem, foreign)
     with pytest.raises(RankMismatchError):
         hm_mu(problem, foreign, OneParameterSubgroup(g2, (1, 0)))
+
+
+@pytest.mark.parametrize("caller", ["classify_torus", "hm_mu"])
+def test_query_supports_are_refused_in_order(caller):
+    b2 = make_group("B2")
+    problem = new_problem(b2, parse_highest_weight(b2, "1,0"))
+    lam = OneParameterSubgroup(b2, (1, 2))
+    ask = {
+        "classify_torus": lambda points: classify_torus(problem, points),
+        "hm_mu": lambda points: hm_mu(problem, points, lam),
+    }[caller]
+    inside = list(problem.support)
+    missing = Weight(b2, (5, 5))
+    foreign = Weight(make_group("A2"), (1, 0))
+    with pytest.raises(ValueError, match=r"^weight \(5, 5\) is not in the problem's support$"):
+        ask([*inside, missing])
+    with pytest.raises(ValueError, match=rf"^{caller} needs a non-empty support$"):
+        ask([])
+    with pytest.raises(RankMismatchError, match=r"^weight \(1, 0\) belongs to A2, not B2$"):
+        ask([inside[0], foreign, missing])
+    with pytest.raises(ValueError, match=r"^weight \(5, 5\) is not in the problem's support$"):
+        ask([missing, foreign])
+    twin = replace(b2)
+    assert twin == b2 and twin is not b2
+    for points in (inside, [w for w in inside if hm_mu(problem, [w], lam) > 0]):
+        assert ask([Weight(twin, w.coeffs) for w in points]) == ask(points)
