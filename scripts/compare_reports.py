@@ -24,8 +24,14 @@ when that is not empty, and the full support. Each tree answers them on
 its own problem (an exception is recorded with its type and message), and
 every query whose answer differs is listed.
 
-It exits 1 on any difference, 0 when every report is byte-identical and
-every classification equal. Standard library only.
+Last it compares the geometry: on every input of the reports, the ray and
+the cell points of ``problem.rays()`` and ``problem.cells()`` (read through
+``.point`` where a tree returns face records), and lists every input whose
+rays or cells differ in any point or in their order.
+
+It exits 1 on any difference, 0 when every report is byte-identical, every
+classification equal and every ray and cell point the same. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -151,6 +157,34 @@ def classify_answers(tree, queries):
     return answers
 
 
+def geometry(tree, inputs):
+    """The ray and the cell points of each input from the gitloci in
+    `tree`/src, keyed by (input, "rays" or "cells"). A face record of an
+    older tree is read through its `.point`; an exception is recorded with
+    its type and message."""
+    faces = {}
+    with gitloci_from(tree) as gitloci:
+        for key in inputs:
+            solver = problem(gitloci, *key, False)
+            for kind in ("rays", "cells"):
+                try:
+                    faces[(key, kind)] = [getattr(f, "point", f) for f in getattr(solver, kind)()]
+                except Exception as error:
+                    faces[(key, kind)] = f"{type(error).__name__}: {error}"
+    return faces
+
+
+def describe(base, work, rev):
+    """How the points `work` of the working tree differ from `base`."""
+    if isinstance(base, str) or isinstance(work, str):
+        return f"{base} -> {work}"
+    only_base = [p for p in base if p not in work]
+    only_work = [p for p in work if p not in base]
+    if not (only_base or only_work):
+        return f"the same {len(work)} points in another order"
+    return f"{len(base)} -> {len(work)} points, only at {rev}: {only_base}, only in the working tree: {only_work}"
+
+
 def main(argv=None):
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1 or args[0].startswith("-"):
@@ -167,6 +201,8 @@ def main(argv=None):
         write_reports(ROOT, workdir / "work", inputs)
         base_answers = classify_answers(workdir / "tree", queries)
         work_answers = classify_answers(ROOT, queries)
+        base_faces = geometry(workdir / "tree", inputs)
+        work_faces = geometry(ROOT, inputs)
         names = sorted({p.name for p in (workdir / "base").iterdir()} | {p.name for p in (workdir / "work").iterdir()})
         differing = []
         for name in names:
@@ -185,7 +221,12 @@ def main(argv=None):
             f" {base_answers[key]} -> {work_answers[key]}"
         )
     print(f"{len(work_answers)} classifications compared against {rev}, {len(changed)} differ")
-    return 1 if differing or changed else 0
+    moved = [key for key in work_faces if base_faces[key] != work_faces[key]]
+    for key in moved:
+        (group, weight), kind = key
+        print(f"{kind} differ: {group} {weight}: {describe(base_faces[key], work_faces[key], rev)}")
+    print(f"rays and cells of {len(inputs)} inputs compared against {rev}, {len(moved)} differ")
+    return 1 if differing or changed or moved else 0
 
 
 if __name__ == "__main__":

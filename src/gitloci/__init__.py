@@ -15,7 +15,6 @@ from .errors import (
     ResourceGuardError,
 )
 from .exactgeom import (
-    ArrangementFaceWitness,
     arrangement_cells,
     arrangement_rays,
     lp_feasible,
@@ -63,7 +62,6 @@ from .rootdata import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrangementFaceWitness",
     "ConversionError",
     "DynkinType",
     "GITProblem",

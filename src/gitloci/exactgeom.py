@@ -1,14 +1,14 @@
 """Exact linear algebra and central hyperplane-arrangement enumeration.
 
 There is no floating point anywhere in this module. The two arrangement
-operations enumerate witnesses for the rays (1-dimensional faces) and the
-full-dimensional open cells of a central arrangement of hyperplanes
+operations enumerate the rays (1-dimensional faces) and one witness per
+full-dimensional open cell of a central arrangement of hyperplanes
 ``{x : n . x = 0}`` restricted to the non-negative orthant
 ``{x : x_i >= 0 for every i}``, which is the fundamental chamber in
 fundamental-coweight coordinates; its coordinate walls are built here.
 Both take integer normals only (a `ValueError` says so otherwise): every
-line is canonicalised with `gcd` alone, and every ray and cell witness is
-an integer point.
+line is canonicalised with `gcd` alone, and both return sorted lists of
+primitive integer points.
 
 A normal whose nonzero entries all sit on wall coordinates and share one
 sign (`_wall_sign`) does not cut the open (partial) orthant: on the closed
@@ -20,23 +20,21 @@ weight. The ray walk and the planar sweep leave such normals out, and the
 cell splitting gives each region their sign without a feasibility probe,
 so rays, cells and their witnesses are the same as with them.
 
-All elimination is fraction-free on integers: one step, `_annihilate`,
+All elimination is fraction-free on integers: one step, `_eliminate`,
 cuts a kernel basis down by one line, and `kernel_basis` and `matrix_rank`
 are that step applied row by row. Rays come from a walk over flats with
 the same step; the walk carries each open line's pairings with the current
 kernel basis and updates them by the step's own integer combination, so it
-evaluates no dot product, and each ray's zero set is then read from its
-pairings with the caller's nonzero normals. Cells come from an exact
-angular sweep in dimension 2; in higher dimension they are localised at
-the rays, where the local walls form a partial orthant, and only the small
-local systems of rank-4 and larger arrangements reach the cell LP
-`lp_feasible`. There is one simplex, `_phase_one`, a revised simplex that
-pivots fraction-free on integers. It keeps det·B^-1 and the phase-one
-duals, O(m^2) integers for m rows, and prices a column of A (O(m) work)
-only when Bland's rule reaches it, so a pivot does not rewrite every
-column of a wide system; `classify_torus` poses up to hundreds of columns
-over a few rows. Both of its
-callers hand it a system with one row per ambient coordinate (plus one):
+evaluates no dot product. Cells come from an exact angular sweep in
+dimension 2; in higher dimension they are localised at the rays, where the
+local walls form a partial orthant, and only the small local systems of
+rank-4 and larger arrangements reach the cell LP `lp_feasible`. There is
+one simplex, `_phase_one`, a revised simplex that pivots fraction-free on
+integers. It keeps det·B^-1 and the phase-one duals, O(m^2) integers for
+m rows, and prices a column of A (O(m) work) only when Bland's rule
+reaches it, so a pivot does not rewrite every column of a wide system;
+`classify_torus` poses up to hundreds of columns over a few rows. Both of
+its callers hand it a system with one row per ambient coordinate (plus one):
 `lp_feasible` poses the transposition dual of its system (Gordan, Motzkin)
 and reads its witness off the Farkas certificate that an infeasible phase
 one returns, and the relative-interior test, after lam = 1 + mu, has one
@@ -52,7 +50,6 @@ dual's normalisation sum(y) = 1 plays the part of rescaling ``f > 0`` to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import chain, repeat
 from math import gcd
@@ -243,19 +240,6 @@ def zero_in_relative_interior(points):
     return _phase_one(rows, rhs) is None
 
 
-@dataclass(frozen=True, slots=True)
-class ArrangementFaceWitness:
-    """A face of the arrangement, represented by one interior point.
-
-    `zero_set` holds the indices (into the caller's normal list) of the
-    hyperplanes that contain the face; it is empty for full-dimensional cells.
-    """
-
-    point: tuple[int, ...]
-    kind: str
-    zero_set: frozenset[int]
-
-
 def _integer_direction(v):
     """The primitive integer vector spanning the same line as the nonzero
     integer vector v, with its first nonzero entry positive."""
@@ -272,13 +256,18 @@ def _dedupe_lines(vectors):
 
 
 def _eliminate(basis, values):
-    """The fraction-free step of `_annihilate`, given the pairings `values`
-    of the line with the basis vectors (one of them nonzero).
+    """Integer basis of {z in span(basis) : line . z = 0}, given the
+    pairings `values` of the line with the basis vectors (one of them
+    nonzero).
 
-    Returns the new basis and the step itself as (pivot, p, kept): p is
-    the pivot's pairing and kept lists (k, v, g) for each surviving basis
-    vector z_k, which became ``(p z_k - v z_pivot) // g`` when v != 0 and
-    stayed as it was when v == 0."""
+    One fraction-free elimination step: the first basis vector that pairs
+    nonzero with the line is the pivot, every other vector z becomes
+    ``(line . pivot) z - (line . z) pivot``, reduced by its gcd, and the
+    pivot is dropped. Returns the new basis and the step itself as
+    (pivot, p, kept): p is the pivot's pairing and kept lists (k, v, g) for
+    each surviving basis vector z_k, which became
+    ``(p z_k - v z_pivot) // g`` when v != 0 and stayed as it was when
+    v == 0."""
     pivot = next(k for k, v in enumerate(values) if v != 0)
     p, zp = values[pivot], basis[pivot]
     out, kept = [], []
@@ -295,20 +284,6 @@ def _eliminate(basis, values):
     return out, (pivot, p, kept)
 
 
-def _annihilate(basis, line):
-    """Integer basis of {z in span(basis) : line . z = 0}.
-
-    One fraction-free elimination step: the first basis vector that pairs
-    nonzero with `line` is the pivot, every other vector z becomes
-    ``(line . pivot) z - (line . z) pivot``, reduced by its gcd, and the
-    pivot is dropped. When no vector pairs nonzero with `line` the basis
-    is returned as it is."""
-    values = [dot(line, z) for z in basis]
-    if not any(values):
-        return basis
-    return _eliminate(basis, values)[0]
-
-
 def _unit_vectors(dim):
     """The walls of the non-negative orthant, in coordinate order."""
     return [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
@@ -317,9 +292,9 @@ def _unit_vectors(dim):
 def kernel_basis(rows, dim):
     """Integer basis of the right kernel {x in Q^dim : row . x = 0 for all rows}.
 
-    `_annihilate` is applied row by row to the unit basis; a row in the
-    span of the earlier ones leaves the basis as it is. The rows must be
-    integer vectors."""
+    `_eliminate` is applied row by row to the unit basis; a row in the
+    span of the earlier ones pairs to zero with the whole basis and leaves
+    it as it is. The rows must be integer vectors."""
     rows = list(rows)
     _require_integers(rows, "kernel_basis")
     if any(len(row) != dim for row in rows):
@@ -328,7 +303,9 @@ def kernel_basis(rows, dim):
     for row in rows:
         if not basis:
             break
-        basis = _annihilate(basis, row)
+        values = [dot(row, z) for z in basis]
+        if any(values):
+            basis = _eliminate(basis, values)[0]
     return basis
 
 
@@ -363,7 +340,8 @@ def _wall_sign(line, walled):
 
 def arrangement_rays(normals, dim):
     """Rays (1-dimensional intersection faces) of the arrangement in the
-    non-negative orthant. The normals must be integer vectors.
+    non-negative orthant, as the sorted list of their primitive integer
+    points. The normals must be integer vectors.
 
     A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
     drawn from the normals and the coordinate walls together, oriented into
@@ -379,7 +357,7 @@ def arrangement_rays(normals, dim):
 
     The flats are walked depth first over index-increasing subsets of the
     distinct constraint lines, keeping a gcd-reduced integer basis of the
-    prefix's kernel (`_annihilate`); at depth dim-1 that basis is the ray.
+    prefix's kernel (`_eliminate`); at depth dim-1 that basis is the ray.
     Two cuts keep the walk to one visit per flat:
 
     * a line in the span of the prefix (it pairs to zero with the whole
@@ -403,10 +381,8 @@ def arrangement_rays(normals, dim):
     sign of its first nonzero entry) to group the flats. A prefix whose
     kernel basis has two vectors z0, z1 builds the rays of its flats itself,
     with no child table: a line with canonical row (u0, u1) cuts out the
-    line through ``u0 z1 - u1 z0``.
-    Each ray's zero set comes from its pairings with every nonzero normal
-    of the caller, one `dot_rows` per ray; a ray spans the kernel of its
-    flat, so these are the normals whose lines the flat closes.
+    line through ``u0 z1 - u1 z0``. A caller that needs the normals
+    vanishing at a ray pairs them with its point.
     """
     if dim <= 0:
         return []
@@ -478,16 +454,7 @@ def arrangement_rays(normals, dim):
         found.append((1,))
     else:
         (leaves if dim == 2 else walk)(identity, list(enumerate(lines)), -1)
-    indexed = [(i, n) for i, n in enumerate(normals) if any(n)]
-    columns = tuple(zip(*(n for _, n in indexed)))
-    return [
-        ArrangementFaceWitness(
-            point=point,
-            kind="ray",
-            zero_set=frozenset(i for (i, _), v in zip(indexed, dot_rows(columns, point)) if v == 0),
-        )
-        for point in sorted(found)
-    ]
+    return sorted(found)
 
 
 def _rot90(v):
@@ -619,17 +586,20 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
     at coordinate j) lifts to ``K r + y``: a form f with f . r != 0 keeps
     the sign of f . r there once K |f . r| > |f . y|, which
     ``K = 1 + max(|f . y| // |f . r|)`` guarantees, and a form vanishing at
-    r takes the sign f . y it has in the local cell. Lifts are deduplicated
-    by their sign vector against the normals.
+    r takes the sign f . y it has in the local cell. Each ray is paired with
+    the normals once (a wall x_i pairs to r_i), and the local system and the
+    lift read those pairings. Lifts are deduplicated by their sign vector
+    against the normals.
     """
     walls = _unit_vectors(dim)
     constraints = [*normals, *walls]
+    columns = tuple(zip(*normals))
     by_signs = {}
-    for index, ray in enumerate(rays, 1):
+    for index, r in enumerate(rays, 1):
         stage = f"at ray {index} of {len(rays)}"
-        r = ray.point
         j = next(i for i, x in enumerate(r) if x != 0)
-        local_normals = [n[:j] + n[j + 1:] for n in normals if dot(n, r) == 0]
+        pairings = [*dot_rows(columns, r), *r]
+        local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, pairings) if v == 0]
         local_walls = [w[:j] + w[j + 1:] for w, x in zip(walls, r) if x == 0]
         if dim == 3:
             local = _planar_cell_witnesses(local_normals, local_walls)
@@ -638,7 +608,7 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
                 local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard)
             except ResourceGuardError as exc:
                 raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
-        far = [(f, abs(dot(f, r))) for f in constraints if dot(f, r) != 0]
+        far = [(f, abs(v)) for f, v in zip(constraints, pairings) if v != 0]
         for y in local:
             y = (*y[:j], 0, *y[j:])
             k = 1 + max((abs(dot(f, y)) // fr for f, fr in far), default=0)
@@ -654,9 +624,10 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
 
 def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     """One interior witness per full-dimensional cell of the arrangement
-    restricted to the open non-negative orthant; every witness pairs
-    strictly nonzero with every nonzero normal and has every coordinate
-    positive. The normals must be integer vectors.
+    restricted to the open non-negative orthant, as a sorted list of
+    primitive integer points; every witness pairs strictly nonzero with
+    every nonzero normal and has every coordinate positive. The normals
+    must be integer vectors.
 
     Dimension 1 is the single cell (1,), and dimension 2 uses the exact
     angular sweep; neither reads `rays`. In dimension >= 3 the closure of
@@ -676,8 +647,8 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     elif dim == 2:
         witnesses = _planar_cell_witnesses(nonzero, _unit_vectors(2))
     else:
-        points = {ray.point for ray in rays}
-        if any(min(point) < 0 for point in points):
+        points = set(rays)
+        if any(len(point) != dim or min(point) < 0 for point in points):
             raise ValueError("cells got a ray outside the non-negative orthant")
         if not points.issuperset(_unit_vectors(dim)):
             raise ValueError(
@@ -688,10 +659,10 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
         raise ResourceGuardError(
             f"cell enumeration exceeded the guard of {guard} cells with {len(witnesses)} found"
         )
-    out = []
+    witnesses = sorted(witnesses)
     seen_sign_vectors = set()
     columns = tuple(zip(*nonzero))
-    for point in sorted(witnesses):
+    for point in witnesses:
         values = dot_rows(columns, point)
         if 0 in values or min(point) <= 0:
             raise RuntimeError("cell witness landed on a boundary; this is a bug")
@@ -699,5 +670,4 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
         if signature in seen_sign_vectors:
             raise RuntimeError("two witnesses describe the same cell; this is a bug")
         seen_sign_vectors.add(signature)
-        out.append(ArrangementFaceWitness(point=point, kind="cell", zero_set=frozenset()))
-    return out
+    return witnesses

@@ -139,13 +139,13 @@ class GITProblem:
     which in coweight coordinates is the non-negative orthant, then cached;
     cells are localised at the cached rays. The arrangement's normals are
     the support's distinct lines: the pairing vectors of the nonzero
-    weights, each line once, in first-seen order. A ray's `zero_set`
-    therefore indexes those lines, not the support; no locus reads it. The
-    pairing row of each ray and cell witness with the support is computed
-    once and read by every locus; other one-parameter subgroups, such as
-    those passed to `state_of`, are paired afresh and not cached. The
-    sorted maximal states of each mode, before Weyl deduplication, are
-    cached for the loci and `classify_torus`.
+    weights, each line once, in first-seen order. `rays()` and `cells()`
+    are tuples of integer points. The pairing row of each ray and cell
+    witness with the support is computed once and read by every locus;
+    other one-parameter subgroups, such as those passed to `state_of`, are
+    paired afresh and not cached. The sorted maximal states of each mode,
+    before Weyl deduplication, are cached for the loci and
+    `classify_torus`.
     `weyl_guard` bounds the Weyl set closure of the deduplication.
     """
 
@@ -266,10 +266,10 @@ def _distinct(problem, witnesses, mode):
     (indices into the support, point) with the first witness point that
     realises it, in the order first seen."""
     out = {}
-    for witness in witnesses:
-        selected = problem._select(problem._witness_row(witness.point), mode)
+    for point in witnesses:
+        selected = problem._select(problem._witness_row(point), mode)
         if selected:
-            out.setdefault(selected, witness.point)
+            out.setdefault(selected, point)
     return list(out.items())
 
 

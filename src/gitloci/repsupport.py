@@ -39,10 +39,7 @@ class RepresentationSupport:
         return iter(self.weights)
 
     def __contains__(self, w):
-        return w in self._weight_set()
-
-    def _weight_set(self):
-        return frozenset(self.weights)
+        return w in self.weights
 
     def coeff_set(self):
         return frozenset(w.coeffs for w in self.weights)

@@ -624,6 +624,16 @@ def sign_vector(point, functionals):
     return tuple(signs)
 
 
+def zero_set(normals, point):
+    """The indices of the nonzero normals that vanish at the point: the
+    hyperplanes of the arrangement that contain it."""
+    return frozenset(
+        i
+        for i, n in enumerate(normals)
+        if any(v != 0 for v in n) and sum(a * b for a, b in zip(n, point)) == 0
+    )
+
+
 def primitive_direction(vector):
     """gcd-reduced integer direction of a rational vector, for comparing
     witnesses up to positive scale."""

@@ -324,12 +324,12 @@ def test_display_forms_equal_the_library_conversions(name, text):
         assert form == convert_coordinates(group, w.coeffs, "fundamental-weight", "L", trace=trace)
         if w.is_dominant:
             assert parse_highest_weight(group, ",".join(map(str, form))) == weight(group, form, "L")
-    for face in (*problem.rays(), *problem.cells()):
-        h_form = convert_coordinates(group, face.point, "fundamental-coweight", "H")
+    for point in (*problem.rays(), *problem.cells()):
+        h_form = convert_coordinates(group, point, "fundamental-coweight", "H")
         scaled = [(group.rank + 1) * x for x in h_form]
         assert all(x.denominator == 1 for x in scaled)
         expected = primitive_vector([int(x) for x in scaled])
-        assert display.witness(OneParameterSubgroup(group, face.point)) == expected
+        assert display.witness(OneParameterSubgroup(group, point)) == expected
 
 
 def test_out_writes_the_report_to_a_file(capsys, tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from gitloci import exactgeom
 from gitloci.errors import ResourceGuardError
 from gitloci.exactgeom import (
-    ArrangementFaceWitness,
     arrangement_cells,
     arrangement_rays,
     dot,
@@ -39,6 +38,7 @@ from _oracles import (
     subset_rref_rays,
     tableau_phase_one,
     zero_in_relative_interior_oracle,
+    zero_set,
 )
 
 QUADRANT = ((1, 0), (0, 1))
@@ -359,32 +359,52 @@ def test_zero_in_relative_interior_matches_lp_on_large_sets(points):
 
 def test_arrangement_rays_single_diagonal_line_in_quadrant():
     rays = arrangement_rays(((1, 1),), 2)
-    assert [r.point for r in rays] == [(0, 1), (1, 0)]
+    assert rays == [(0, 1), (1, 0)]
 
 
 def test_arrangement_rays_interior_line_contributes_its_ray():
     rays = arrangement_rays(((1, -1),), 2)
-    assert [r.point for r in rays] == [(0, 1), (1, 0), (1, 1)]
-    by_point = {r.point: r.zero_set for r in rays}
+    assert rays == [(0, 1), (1, 0), (1, 1)]
+    by_point = {r: zero_set(((1, -1),), r) for r in rays}
     assert by_point[(1, 1)] == frozenset({0})
     assert by_point[(1, 0)] == frozenset()
+
+
+@pytest.mark.parametrize(
+    "normals",
+    [
+        ((1, -1), (1, -2), (3, -1)),
+        ((1, -1, 0), (0, 1, -1), (1, 0, -1), (2, 1, -2)),
+        ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (1, 0, 0, -1)),
+    ],
+)
+def test_rays_and_cells_are_sorted_primitive_integer_points(normals):
+    dim = len(normals[0])
+    rays = arrangement_rays(normals, dim)
+    cells = arrangement_cells(normals, rays, dim)
+    for points in (rays, cells):
+        assert points == sorted(set(points))
+        for point in points:
+            assert type(point) is tuple and len(point) == dim
+            assert all(type(x) is int for x in point)
+            assert primitive_vector(point) == point
 
 
 def test_arrangement_rays_zero_sets_are_recomputable():
     normals = ((1, -1), (2, -1), (1, 1))
     for ray in arrangement_rays(normals, 2):
-        expected = frozenset(i for i, n in enumerate(normals) if dot(n, ray.point) == 0)
-        assert ray.zero_set == expected
+        expected = frozenset(i for i, n in enumerate(normals) if dot(n, ray) == 0)
+        assert zero_set(normals, ray) == expected
 
 
 def test_arrangement_cells_empty_arrangement_is_single_chamber_cell():
     cells = orthant_cells((), 2)
-    assert [c.point for c in cells] == [(1, 1)]
+    assert cells == [(1, 1)]
 
 
 def test_arrangement_cells_one_interior_line_gives_two_cells():
     cells = orthant_cells(((1, -1),), 2)
-    assert [c.point for c in cells] == [(1, 2), (2, 1)]
+    assert cells == [(1, 2), (2, 1)]
 
 
 def test_arrangement_cells_line_outside_chamber_cuts_nothing():
@@ -393,8 +413,8 @@ def test_arrangement_cells_line_outside_chamber_cuts_nothing():
 
 
 def test_arrangement_dimension_one():
-    assert [r.point for r in arrangement_rays((), 1)] == [(1,)]
-    assert [c.point for c in orthant_cells((), 1)] == [(1,)]
+    assert arrangement_rays((), 1) == [(1,)]
+    assert orthant_cells((), 1) == [(1,)]
 
 
 def test_arrangement_cells_guard_trips():
@@ -450,14 +470,14 @@ def test_planar_sweep_agrees_with_lp_enumeration(normals):
 def test_cell_witnesses_avoid_every_boundary():
     normals = ((1, -1), (3, -1), (1, -3))
     for cell in orthant_cells(normals, 2):
-        assert all(dot(n, cell.point) != 0 for n in normals)
-        assert all(dot(wall, cell.point) > 0 for wall in QUADRANT)
+        assert all(dot(n, cell) != 0 for n in normals)
+        assert all(dot(wall, cell) > 0 for wall in QUADRANT)
 
 
 def test_three_dimensional_cells_have_unique_sign_vectors():
     normals = ((1, -1, 0), (0, 1, -1), (1, 0, -1))
     cells = orthant_cells(normals, 3)
-    signatures = {sign_vector(c.point, normals) for c in cells}
+    signatures = {sign_vector(c, normals) for c in cells}
     assert len(signatures) == len(cells)
     # The three planes x=y, y=z, x=z slice the open octant into the 3! = 6
     # orderings of the coordinates.
@@ -468,13 +488,12 @@ def test_three_dimensional_rays_lie_on_plane_intersections():
     normals = ((1, -1, 0), (0, 1, -1))
     chamber = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     rays = arrangement_rays(normals, 3)
-    points = {r.point for r in rays}
-    assert (1, 1, 1) in points
+    assert (1, 1, 1) in rays
     for ray in rays:
-        assert all(dot(wall, ray.point) >= 0 for wall in chamber)
-        assert any(x != 0 for x in ray.point)
-        expected = frozenset(i for i, n in enumerate(normals) if dot(n, ray.point) == 0)
-        assert ray.zero_set == expected
+        assert all(dot(wall, ray) >= 0 for wall in chamber)
+        assert any(x != 0 for x in ray)
+        expected = frozenset(i for i, n in enumerate(normals) if dot(n, ray) == 0)
+        assert zero_set(normals, ray) == expected
 
 
 def orthant(dim):
@@ -503,7 +522,7 @@ def orthant_arrangements(draw, dims):
 def test_rays_match_subset_rref_enumeration(arrangement):
     dim, normals = arrangement
     rays = arrangement_rays(normals, dim)
-    assert [(r.point, r.zero_set) for r in rays] == subset_rref_rays(normals, orthant(dim), dim)
+    assert [(r, zero_set(normals, r)) for r in rays] == subset_rref_rays(normals, orthant(dim), dim)
 
 
 @st.composite
@@ -539,7 +558,7 @@ def half_definite_arrangements(draw):
 def test_rays_without_sign_definite_normals_match_subset_rref_enumeration(arrangement):
     dim, normals = arrangement
     rays = arrangement_rays(normals, dim)
-    assert [(r.point, r.zero_set) for r in rays] == subset_rref_rays(normals, orthant(dim), dim)
+    assert [(r, zero_set(normals, r)) for r in rays] == subset_rref_rays(normals, orthant(dim), dim)
 
 
 def test_wall_sign_on_full_and_partial_orthants():
@@ -558,9 +577,9 @@ def test_adjoint_rays_are_the_unit_axes(name, spec):
     normals = [pairing_vector(group, w.coeffs) for w in problem.support]
     normals = [n for n in normals if any(n)]
     rays = arrangement_rays(normals, group.rank)
-    assert [r.point for r in rays] == sorted(orthant(group.rank))
+    assert rays == sorted(orthant(group.rank))
     for ray in rays:
-        assert ray.zero_set == {i for i, n in enumerate(normals) if dot(n, ray.point) == 0}
+        assert zero_set(normals, ray) == {i for i, n in enumerate(normals) if dot(n, ray) == 0}
 
 
 def cell_lp_calls(monkeypatch, name, spec):
@@ -588,7 +607,7 @@ def test_sign_definite_arrangements_make_no_cell_lp(monkeypatch, name, spec):
 def test_rays_of_repeated_and_wall_equal_normals():
     normals = ((1, -1, 0), (2, -2, 0), (-1, 1, 0), (0, 0, 3), (0, 0, 0))
     rays = arrangement_rays(normals, 3)
-    assert [(r.point, r.zero_set) for r in rays] == [
+    assert [(r, zero_set(normals, r)) for r in rays] == [
         ((0, 0, 1), frozenset({0, 1, 2})),
         ((0, 1, 0), frozenset({3})),
         ((1, 0, 0), frozenset({3})),
@@ -606,7 +625,7 @@ def cell_signatures(points, normals):
 def test_localised_cells_match_global_lp(arrangement):
     dim, normals = arrangement
     nonzero = [n for n in normals if any(n)]
-    cells = [c.point for c in orthant_cells(normals, dim)]
+    cells = orthant_cells(normals, dim)
     by_lp = _cell_witnesses_by_lp(nonzero, orthant(dim), dim, 10**6)
     assert cell_signatures(cells, normals) == cell_signatures(by_lp, normals)
     assert len(cells) == len(by_lp)
@@ -680,7 +699,7 @@ def test_localised_cells_match_frozen_lp_cells(name, highest):
     normals = [n for n in normals if any(n)]
     cells = orthant_cells(normals, group.rank)
     signatures = {
-        "".join("+" if s > 0 else "-" for s in sign_vector(c.point, normals)) for c in cells
+        "".join("+" if s > 0 else "-" for s in sign_vector(c, normals)) for c in cells
     }
     assert signatures == set(LP_CELLS[(name, highest)])
     assert len(cells) == len(LP_CELLS[(name, highest)])
@@ -690,8 +709,8 @@ def test_cells_need_rays_from_dimension_three():
     with pytest.raises(ValueError):
         arrangement_cells(((1, -1, 0),), (), 3)
     # Dimensions 1 and 2 do not read the rays.
-    assert [c.point for c in arrangement_cells((), (), 1)] == [(1,)]
-    assert [c.point for c in arrangement_cells(((1, -1),), (), 2)] == [(1, 2), (2, 1)]
+    assert arrangement_cells((), (), 1) == [(1,)]
+    assert arrangement_cells(((1, -1),), (), 2) == [(1, 2), (2, 1)]
 
 
 def test_cells_reject_rays_missing_an_axis_or_outside_the_orthant():
@@ -699,12 +718,14 @@ def test_cells_reject_rays_missing_an_axis_or_outside_the_orthant():
     assert len(orthant_cells(normals, 3)) == 6
     # Only the axis (0, 0, 1): two axes are missing, which used to give 2
     # of the 6 cells without an error.
-    only_axis = [r for r in arrangement_rays(normals, 3) if r.point == (0, 0, 1)]
+    only_axis = [r for r in arrangement_rays(normals, 3) if r == (0, 0, 1)]
     with pytest.raises(ValueError, match="axis"):
         arrangement_cells(normals, only_axis, 3)
-    outside = ArrangementFaceWitness(point=(1, -1, 0), kind="ray", zero_set=frozenset({0}))
+    outside = (1, -1, 0)
     with pytest.raises(ValueError, match="orthant"):
         arrangement_cells(normals, [*arrangement_rays(normals, 3), outside], 3)
+    with pytest.raises(ValueError, match="orthant"):
+        arrangement_cells(normals, [*arrangement_rays(normals, 3), (1, 1)], 3)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -788,6 +809,6 @@ def test_e6_rays_match_frozen_table():
     normals = [pairing_vector(group, w.coeffs) for w in problem.support]
     normals = [n for n in normals if any(n)]
     rays = arrangement_rays(normals, group.rank)
-    assert [(r.point, sorted(r.zero_set)) for r in rays] == E6_RAYS
+    assert [(r, sorted(zero_set(normals, r))) for r in rays] == E6_RAYS
     for ray in rays:
-        assert ray.zero_set == {i for i, n in enumerate(normals) if dot(n, ray.point) == 0}
+        assert zero_set(normals, ray) == {i for i, n in enumerate(normals) if dot(n, ray) == 0}

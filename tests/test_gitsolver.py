@@ -75,8 +75,8 @@ def test_pairing_vector_computes_det_scaled_pairing(name, coeffs, m):
 
 def test_a2_cubic_rays_and_cells():
     problem = a2_cubic_problem()
-    assert [r.point for r in problem.rays()] == [(0, 1), (1, 0), (1, 1)]
-    assert [c.point for c in problem.cells()] == [(1, 2), (2, 1)]
+    assert list(problem.rays()) == [(0, 1), (1, 0), (1, 1)]
+    assert list(problem.cells()) == [(1, 2), (2, 1)]
 
 
 def test_a2_cubic_maximal_nonstable_states():
@@ -373,7 +373,7 @@ def test_classification_certificates_are_primitive():
 def test_witness_pairing_rows_are_cached_once_and_state_of_adds_none():
     problem = new_problem(B2, parse_highest_weight(B2, "5*w1"))
     solve_all(problem)
-    witnesses = {w.point for w in (*problem.rays(), *problem.cells())}
+    witnesses = {*problem.rays(), *problem.cells()}
     rows = problem._witness_pairings
     assert set(rows) == witnesses
     for point, row in rows.items():

@@ -92,6 +92,16 @@ def test_support_container_protocol():
     assert len(list(iter(support))) == 10
 
 
+def test_support_membership_is_by_weight_and_group():
+    support = weight_support(B2, weight(B2, (2, 0)))
+    assert all(w in support for w in support.weights)
+    assert weight(B2, (0, 2)) in support
+    assert weight(B2, (2, 2)) not in support
+    # The same coefficients in another group are another weight.
+    assert weight(A2, (0, 2)) not in support
+    assert (0, 2) not in support
+
+
 def test_support_is_sorted_and_duplicate_free():
     support = weight_support(B2, weight(B2, (2, 0)))
     rows = [w.coeffs for w in support]
