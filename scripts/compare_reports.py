@@ -12,9 +12,11 @@ the ``--format json-like`` and ``--format text`` reports of every locus of:
   the working tree);
 * the heavier inputs in `HEAVY`;
 
-each with and without ``--weyl-opt``. It lists every report that differs,
-or that one tree wrote and the other did not (a nonzero exit is recorded
-with its code and standard error in place of the report).
+each with and without ``--weyl-opt``, and the ``--loci polystable
+--format json-like`` report of each, where the polystable locus builds the
+rays and cells itself. It lists every report that differs, or that one
+tree wrote and the other did not (a nonzero exit is recorded with its code
+and standard error in place of the report).
 
 It then compares ``classify_torus`` verdicts and certificates on every
 input of the benchmark's classify workload (``CLASSIFY_PROBLEMS``), with
@@ -96,21 +98,30 @@ def gitloci_from(tree):
         drop_gitloci()
 
 
+def report_runs(inputs):
+    """Each report of `inputs` as (file name, `gitloci` arguments but --out)."""
+    runs = []
+    for group, weight in inputs:
+        stem = f"{group}_{weight.replace('*', 'x').replace(',', '-')}"
+        solve = ["solve", group, "--weight", weight]
+        for fmt, suffix in FORMATS.items():
+            for extra in ([], ["--weyl-opt"]):
+                runs.append((f"{stem}{'_weyl' if extra else ''}.{suffix}", [*solve, "--format", fmt, *extra]))
+        runs.append((f"{stem}_polystable.json", [*solve, "--loci", "polystable", "--format", "json-like"]))
+    return runs
+
+
 def write_reports(tree, out_dir, inputs):
     """Write each report of `inputs` from the gitloci in `tree`/src."""
     out_dir.mkdir()
     with gitloci_from(tree):
         cli = importlib.import_module("gitloci.cli")
-        for group, weight in inputs:
-            for fmt, suffix in FORMATS.items():
-                for extra in ([], ["--weyl-opt"]):
-                    stem = f"{group}_{weight.replace('*', 'x').replace(',', '-')}{'_weyl' if extra else ''}"
-                    path = out_dir / f"{stem}.{suffix}"
-                    argv = ["solve", group, "--weight", weight, "--format", fmt, *extra, "--out", str(path)]
-                    with contextlib.redirect_stderr(io.StringIO()) as err:
-                        code = cli.main(argv)
-                    if code != 0:
-                        path.write_text(f"exit {code}\n{err.getvalue()}", encoding="utf-8")
+        for name, argv in report_runs(inputs):
+            path = out_dir / name
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = cli.main([*argv, "--out", str(path)])
+            if code != 0:
+                path.write_text(f"exit {code}\n{err.getvalue()}", encoding="utf-8")
 
 
 def problem(gitloci, group_name, weight, weyl_optimisation):

@@ -6,9 +6,9 @@ full-dimensional open cell of a central arrangement of hyperplanes
 ``{x : n . x = 0}`` restricted to the non-negative orthant
 ``{x : x_i >= 0 for every i}``, which is the fundamental chamber in
 fundamental-coweight coordinates; its coordinate walls are built here.
-Both take integer normals only (a `ValueError` says so otherwise): every
-line is canonicalised with `gcd` alone, and both return sorted lists of
-primitive integer points.
+Both take integer normals of length dim only (a `ValueError` says so
+otherwise): every line is canonicalised with `gcd` alone, and both return
+sorted lists of primitive integer points.
 
 A normal whose nonzero entries all sit on wall coordinates and share one
 sign (`_wall_sign`) does not cut the open (partial) orthant: on the closed
@@ -87,12 +87,14 @@ def primitive_vector(v):
     return tuple(x // g for x in v)
 
 
-def _require_integers(rows, caller, what="entries"):
+def _require_integers(rows, caller, what="entries", dim=None):
     """Raise a ValueError naming `caller` unless every entry of every row is
-    an int (bool included); the check looks at each distinct entry type
-    once."""
+    an int (bool included), and, when `dim` is given, every row has length
+    dim; the type check looks at each distinct entry type once."""
     if not all(map(issubclass, set(map(type, chain.from_iterable(rows))), repeat(int))):
         raise ValueError(f"{caller} needs integer {what}")
+    if dim is not None and any(len(row) != dim for row in rows):
+        raise ValueError(f"{caller} needs vectors of length {dim}")
 
 
 def _phase_one(rows, rhs):
@@ -198,10 +200,7 @@ def lp_feasible(weak, strict, dim):
     """
     weak = [tuple(row) for row in weak]
     strict = [tuple(row) for row in strict]
-    _require_integers((*weak, *strict), "lp_feasible")
-    for row in (*weak, *strict):
-        if len(row) != dim:
-            raise ValueError(f"constraint of length {len(row)} in dimension {dim}")
+    _require_integers((*weak, *strict), "lp_feasible", dim=dim)
     if not strict:
         return (0,) * dim
     rows = [*zip(*weak, *strict), (0,) * len(weak) + (1,) * len(strict)]
@@ -296,9 +295,7 @@ def kernel_basis(rows, dim):
     span of the earlier ones pairs to zero with the whole basis and leaves
     it as it is. The rows must be integer vectors."""
     rows = list(rows)
-    _require_integers(rows, "kernel_basis")
-    if any(len(row) != dim for row in rows):
-        raise ValueError("kernel_basis rows must have length dim")
+    _require_integers(rows, "kernel_basis", dim=dim)
     basis = _unit_vectors(dim)
     for row in rows:
         if not basis:
@@ -341,7 +338,7 @@ def _wall_sign(line, walled):
 def arrangement_rays(normals, dim):
     """Rays (1-dimensional intersection faces) of the arrangement in the
     non-negative orthant, as the sorted list of their primitive integer
-    points. The normals must be integer vectors.
+    points. The normals must be integer vectors of length dim.
 
     A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
     drawn from the normals and the coordinate walls together, oriented into
@@ -387,7 +384,7 @@ def arrangement_rays(normals, dim):
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]
-    _require_integers(normals, "arrangement_rays", "normals")
+    _require_integers(normals, "arrangement_rays", "normals", dim)
     identity = _unit_vectors(dim)
     walled = range(dim)
     lines = _dedupe_lines([*(n for n in normals if any(n) and not _wall_sign(n, walled)), *identity])
@@ -488,8 +485,9 @@ def _planar_cell_witnesses(normals, walls):
     constraint lines (normals and walls alike) are sorted by angle; each
     line is primitive, so both directions along it are too. Each
     consecutive open arc yields one interior witness, and the sector
-    survives iff it is strictly inside the walls. This avoids any LP work
-    in the dimension that dominates the supported workloads.
+    survives iff it is strictly inside the walls: both callers' walls are
+    unit vectors, so iff its walled coordinates are positive. It needs no
+    LP in the dimension that dominates the supported workloads.
 
     The system must be essential (rank 2), as both callers' are: the
     quadrant's two walls, or a rank-3 local system of full rank 2. A
@@ -513,7 +511,7 @@ def _planar_cell_witnesses(normals, walls):
         if a[0] * b[1] - a[1] * b[0] <= 0:
             raise RuntimeError("angular sort produced an arc of at least pi; this is a bug")
         candidates.append(primitive_vector((a[0] + b[0], a[1] + b[1])))
-    return [w for w in candidates if all(dot(c, w) > 0 for c in walls)]
+    return [w for w in candidates if all(w[i] > 0 for i in walled)]
 
 
 def _cell_witnesses_by_lp(normals, walls, dim, guard):
@@ -521,54 +519,45 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard):
     with feasibility probes.
 
     Regions of the arrangement of the first k lines are refined one line at a
-    time; the side of the new line already containing a region's witness is
-    kept for free, and only the far side costs one feasibility check. A
-    line that does not cut the open partial orthant (`_wall_sign` nonzero)
-    has that sign on every region, so each region takes it with no probe.
-    The line still joins the systems of later probes, so they are the
+    time. A region carries its witness and its signed forms, each line so
+    far times its sign there; the side of the new line already containing
+    the witness is kept for free, and only the far side costs one
+    feasibility check, of the region's forms, that side of the line and the
+    walls. A line that does not cut the open partial orthant (`_wall_sign`
+    nonzero) has that sign on every region, so each region takes it with no
+    probe. The line still joins the forms of later probes, so they are the
     systems, and give the witnesses, that a failed probe of it would have
-    left. The walls
-    must be distinct unit vectors, so the seed region, the whole partial
-    orthant, is witnessed by their sum (the indicator of the wall
-    coordinates; the zero vector when there are none) with no LP.
+    left. The walls must be distinct unit vectors, so the seed region, the
+    whole partial orthant, is witnessed by their sum (the indicator of the
+    wall coordinates; the zero vector when there are none) with no LP.
     """
     lines = _dedupe_lines(normals)
     walled = {i for wall in walls for i, x in enumerate(wall) if x}
     regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim)]
-    processed = []
     for index, line in enumerate(lines, 1):
+        sides = {1: line, -1: tuple(-c for c in line)}
         known = _wall_sign(line, walled)
         if known:
-            regions = [(signs + (known,), witness) for signs, witness in regions]
-            processed.append(line)
+            regions = [((*forms, sides[known]), witness) for forms, witness in regions]
             continue
         refined = []
-        for signs, witness in regions:
+        for forms, witness in regions:
             value = dot(line, witness)
-            if value > 0:
-                refined.append((signs + (1,), witness))
-                probes = (-1,)
-            elif value < 0:
-                refined.append((signs + (-1,), witness))
-                probes = (1,)
-            else:
-                probes = (1, -1)
+            probes = (1, -1)
+            if value:
+                kept = 1 if value > 0 else -1
+                refined.append(((*forms, sides[kept]), witness))
+                probes = (-kept,)
             for sign in probes:
-                stricts = [
-                    tuple(s * c for c in prev) for s, prev in zip(signs, processed)
-                ]
-                stricts.append(tuple(sign * c for c in line))
-                stricts.extend(walls)
-                point = lp_feasible((), stricts, dim)
+                point = lp_feasible((), (*forms, sides[sign], *walls), dim)
                 if point is not None:
-                    refined.append((signs + (sign,), point))
+                    refined.append(((*forms, sides[sign]), point))
             if len(refined) > guard:
                 raise ResourceGuardError(
                     f"cell enumeration by sign splitting exceeded the guard of {guard}"
                     f" regions at line {index} of {len(lines)}"
                 )
         regions = refined
-        processed.append(line)
     return [primitive_vector(witness) for _, witness in regions]
 
 
@@ -586,21 +575,20 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
     at coordinate j) lifts to ``K r + y``: a form f with f . r != 0 keeps
     the sign of f . r there once K |f . r| > |f . y|, which
     ``K = 1 + max(|f . y| // |f . r|)`` guarantees, and a form vanishing at
-    r takes the sign f . y it has in the local cell. Each ray is paired with
-    the normals once (a wall x_i pairs to r_i), and the local system and the
-    lift read those pairings. Lifts are deduplicated by their sign vector
-    against the normals.
+    r takes the sign f . y it has in the local cell. A wall x_i pairs to
+    r_i and y_i, and r and y are each paired with the normals once, by one
+    `dot_rows`; K and the lift's signs ``K n . r + n . y > 0`` are read off
+    those two rows. Lifts are deduplicated by that sign vector, and only a
+    new one is made primitive, which keeps its signs.
     """
-    walls = _unit_vectors(dim)
-    constraints = [*normals, *walls]
     columns = tuple(zip(*normals))
     by_signs = {}
     for index, r in enumerate(rays, 1):
         stage = f"at ray {index} of {len(rays)}"
         j = next(i for i, x in enumerate(r) if x != 0)
-        pairings = [*dot_rows(columns, r), *r]
-        local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, pairings) if v == 0]
-        local_walls = [w[:j] + w[j + 1:] for w, x in zip(walls, r) if x == 0]
+        at_r = dot_rows(columns, r)
+        local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, at_r) if v == 0]
+        local_walls = [w for w, x in zip(_unit_vectors(dim - 1), r[:j] + r[j + 1:]) if x == 0]
         if dim == 3:
             local = _planar_cell_witnesses(local_normals, local_walls)
         else:
@@ -608,17 +596,17 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
                 local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard)
             except ResourceGuardError as exc:
                 raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
-        far = [(f, abs(v)) for f, v in zip(constraints, pairings) if v != 0]
         for y in local:
             y = (*y[:j], 0, *y[j:])
-            k = 1 + max((abs(dot(f, y)) // fr for f, fr in far), default=0)
-            point = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
-            signs = tuple(dot(n, point) > 0 for n in normals)
-            by_signs.setdefault(signs, point)
-            if len(by_signs) > guard:
-                raise ResourceGuardError(
-                    f"cell enumeration localised at rays exceeded the guard of {guard} cells {stage}"
-                )
+            at_y = dot_rows(columns, y)
+            k = 1 + max(abs(u) // abs(v) for u, v in zip((*at_y, *y), (*at_r, *r)) if v)
+            signs = tuple(k * v + u > 0 for v, u in zip(at_r, at_y))
+            if signs not in by_signs:
+                by_signs[signs] = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
+                if len(by_signs) > guard:
+                    raise ResourceGuardError(
+                        f"cell enumeration localised at rays exceeded the guard of {guard} cells {stage}"
+                    )
     return list(by_signs.values())
 
 
@@ -627,7 +615,7 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     restricted to the open non-negative orthant, as a sorted list of
     primitive integer points; every witness pairs strictly nonzero with
     every nonzero normal and has every coordinate positive. The normals
-    must be integer vectors.
+    must be integer vectors of length dim.
 
     Dimension 1 is the single cell (1,), and dimension 2 uses the exact
     angular sweep; neither reads `rays`. In dimension >= 3 the closure of
@@ -640,7 +628,7 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]
-    _require_integers(normals, "arrangement_cells", "normals")
+    _require_integers(normals, "arrangement_cells", "normals", dim)
     nonzero = [n for n in normals if any(n)]
     if dim == 1:
         witnesses = [(1,)]

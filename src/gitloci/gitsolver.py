@@ -26,10 +26,10 @@ constant on each relatively open face.
   adjacent full-dimensional cell F with the same strict sign, and signs are
   constant on F. So the > 0 state of any lam is contained in the > 0 state
   of an adjacent open cell, and the maximal ones are attained on cells.
-* The = 0 states are read off the rays and the cell witnesses. In rank 2
-  every nonzero point of the chamber lies on a ray or in an open cell, and
-  the = 0 state is constant on faces, so these candidates cover every zero
-  set attainable in the chamber, up to the solver's Weyl deduplication.
+* The = 0 states are read off the rays and the first cell witness, as no
+  weight but 0 vanishes on an open cell. In rank 2 every nonzero point of
+  the chamber lies on a ray or in an open cell, and the = 0 state is
+  constant on faces, so these cover every zero set attained in the chamber.
   In rank >= 3 that is not proven and not true: zero sets realised only on
   faces of dimension 2 and more are missed (for instance A3 ``3,0,0`` at
   lam = (1, 1, 3)). The fix is item 1 of ROADMAP.md.
@@ -301,12 +301,10 @@ def _drop_weyl_duplicates(problem, entries):
 
 def _as_states(problem, mode, entries):
     kind = _MODES[mode][0]
-    states = []
-    for indices, point in entries:
-        weights = _weights(problem, indices)
-        witness = OneParameterSubgroup(problem.group, point) if weights else None
-        states.append(State(kind=kind, weights=weights, witness=witness))
-    return states
+    return [
+        State(kind=kind, weights=_weights(problem, indices), witness=OneParameterSubgroup(problem.group, point))
+        for indices, point in entries
+    ]
 
 
 def _sorted_maximal(problem, mode):
@@ -344,14 +342,16 @@ def solve_unstable(problem):
 
 
 def solve_strictly_polystable(problem):
-    """Strictly polystable states: = 0 states over rays and cell witnesses
-    whose hull has the origin in its relative interior, deduplicated up to
-    Weyl equivalence of the weight sets. Nested states are kept on purpose.
-    The relative-interior test runs once per distinct weight set."""
+    """Strictly polystable states: = 0 states over the rays and the first
+    cell witness whose hull has the origin in its relative interior,
+    deduplicated up to Weyl equivalence of the weight sets. Nested states
+    are kept on purpose. No weight but 0 vanishes at a cell witness, so
+    `cells()[0]` gives {0} its witness when no ray does. The
+    relative-interior test runs once per distinct weight set."""
     vectors = problem._pairing_vectors
     entries = [
         (indices, point)
-        for indices, point in _distinct(problem, (*problem.rays(), *problem.cells()), "=0")
+        for indices, point in _distinct(problem, (*problem.rays(), *problem.cells()[:1]), "=0")
         if zero_in_relative_interior([vectors[i] for i in indices])
     ]
     entries.sort(key=lambda e: (len(e[0]), e[0]))

@@ -752,6 +752,24 @@ def test_arrangements_need_integer_normals(dim):
         matrix_rank([normal])
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_arrangements_need_normals_of_length_dim(dim):
+    good = (1, -1, *(0,) * (dim - 2))
+    rays = arrangement_rays([good], dim)
+    for normal in [(1, -1, 2, 5)[: dim - 1], (1, -1, 2, 5)[: dim + 1]]:
+        with pytest.raises(ValueError, match=f"arrangement_rays needs vectors of length {dim}"):
+            arrangement_rays([good, normal], dim)
+        with pytest.raises(ValueError, match=f"arrangement_cells needs vectors of length {dim}"):
+            arrangement_cells([good, normal], rays, dim)
+        with pytest.raises(ValueError, match=f"arrangement_cells needs vectors of length {dim}"):
+            arrangement_cells([normal], [], dim)
+        # The kernels under the arrangement check lengths the same way.
+        with pytest.raises(ValueError, match=f"lp_feasible needs vectors of length {dim}"):
+            lp_feasible([good], [normal], dim)
+        with pytest.raises(ValueError, match=f"kernel_basis needs vectors of length {dim}"):
+            kernel_basis([good, normal], dim)
+
+
 @relaxed
 @given(orthant_arrangements(dims=(2, 3, 4, 5)))
 def test_eliminated_pairings_equal_the_pairings_with_the_new_basis(arrangement):

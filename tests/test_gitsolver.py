@@ -383,3 +383,29 @@ def test_witness_pairing_rows_are_cached_once_and_state_of_adds_none():
         state_of(problem, OneParameterSubgroup(B2, coeffs), ">=0")
     assert problem._witness_pairings == before
     assert all(rows[p] is before[p] for p in before)
+
+
+# The benchmark's `planar`, `midrank` and `minuscule` inputs.
+BENCHMARK_SOLVES = [
+    *[("A2", f"{d},0") for d in range(3, 13)],
+    *[("B2", f"{d}*w1") for d in range(3, 13)],
+    *[("G2", f"{d},0") for d in range(1, 5)],
+    *[("G2", f"0,{d}") for d in range(1, 4)],
+    ("A3", "1,0,0"), ("A3", "2,0,0"), ("B3", "2,0,0"), ("B3", "0,1,0"), ("C3", "0,0,1"),
+    ("A4", "1,0,0,0"), ("A4", "0,1,0,0"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"), ("D4", "1,0,0,0"),
+    ("A5", "0,0,1,0,0"), ("A6", "1,0,0,0,0,0"), ("B6", "1,0,0,0,0,0"),
+    ("C6", "1,0,0,0,0,0"), ("D6", "1,0,0,0,0,0"), ("C7", "1,0,0,0,0,0,0"),
+]
+
+
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
+def test_only_the_zero_weight_vanishes_on_a_cell_witness(name, spec):
+    # The polystable locus reads one cell witness because every cell's = 0
+    # state is this one: the zero weight's, or empty without it.
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    coeffs = [w.coeffs for w in problem.support]
+    expected = tuple(i for i, c in enumerate(coeffs) if not any(c))
+    for point in problem.cells():
+        vanishing = tuple(i for i, c in enumerate(coeffs) if dot(pairing_vector(group, c), point) == 0)
+        assert vanishing == expected
