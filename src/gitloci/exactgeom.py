@@ -28,7 +28,9 @@ kernel basis and updates them by the step's own integer combination, so it
 evaluates no dot product. Cells come from an exact angular sweep in
 dimension 2; in higher dimension they are localised at the rays, where the
 local walls form a partial orthant, and only the small local systems of
-rank-4 and larger arrangements reach the cell LP `lp_feasible`. There is
+rank-4 and larger arrangements reach the cell LP `lp_feasible`. There the
+splitter drops, unprobed, each local region whose cells all hold one
+earlier ray in their closure, since they were found at that ray. There is
 one simplex, `_phase_one`, a revised simplex that pivots fraction-free on
 integers. It keeps det·B^-1 and the phase-one duals, O(m^2) integers for
 m rows, and prices a column of A (O(m) work) only when Bland's rule
@@ -514,9 +516,10 @@ def _planar_cell_witnesses(normals, walls):
     return [w for w in candidates if all(w[i] > 0 for i in walled)]
 
 
-def _cell_witnesses_by_lp(normals, walls, dim, guard):
+def _cell_witnesses_by_lp(normals, walls, dim, guard, covered=()):
     """Cell witnesses strictly inside `walls` by incremental sign splitting
-    with feasibility probes.
+    with feasibility probes, leaving out the cells whose closure holds a
+    `covered` point.
 
     Regions of the arrangement of the first k lines are refined one line at a
     time. A region carries its witness and its signed forms, each line so
@@ -530,35 +533,79 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard):
     left. The walls must be distinct unit vectors, so the seed region, the
     whole partial orthant, is witnessed by their sum (the indicator of the
     wall coordinates; the zero vector when there are none) with no LP.
+
+    The covered points must be non-negative on the wall coordinates, so
+    each pairs with a line that does not cut with that line's sign or 0. A
+    region also carries the bitmask of the covered points on its side of
+    each line so far or on the line, the points its closure holds as far
+    as those lines tell. A point that further lies on every later line that
+    cuts is in the closure of every cell inside the region. A region that
+    holds one is dropped before its probe, and so is a kept side or a
+    region taking a line that does not cut, so every later probe inside it
+    goes too; when the seed region holds one, no region is left. The
+    regions that stay pose the systems they posed without `covered`, so
+    every cell whose closure holds no covered point is found with the same
+    witness, in the same order.
     """
     lines = _dedupe_lines(normals)
     walled = {i for wall in walls for i, x in enumerate(wall) if x}
-    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim)]
-    for index, line in enumerate(lines, 1):
+    signs = [_wall_sign(line, walled) for line in lines]
+    # agree[k][s]: the covered points on side s of line k or on it (all of
+    # them, for a line that does not cut: they agree with the sign every
+    # region takes); settled[k]: those in both sides of lines k and on.
+    full = (1 << len(covered)) - 1
+    point_columns = tuple(zip(*covered))
+    agree, settled = [], [full]
+    for line, known in zip(lines, signs):
+        positive = negative = full
+        if not known:
+            positive = negative = 0
+            for bit, value in enumerate(dot_rows(point_columns, line)):
+                if value >= 0:
+                    positive |= 1 << bit
+                if value <= 0:
+                    negative |= 1 << bit
+        agree.append({1: positive, -1: negative})
+    for sides in reversed(agree):
+        settled.append(settled[-1] & sides[1] & sides[-1])
+    settled.reverse()
+    if settled[0]:
+        return []
+    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim, full)]
+    for index, (line, known) in enumerate(zip(lines, signs), 1):
         sides = {1: line, -1: tuple(-c for c in line)}
-        known = _wall_sign(line, walled)
+        on_side, rest = agree[index - 1], settled[index]
         if known:
-            regions = [((*forms, sides[known]), witness) for forms, witness in regions]
+            regions = [
+                ((*forms, sides[known]), witness, mask)
+                for forms, witness, mask in regions
+                if not mask & rest
+            ]
             continue
         refined = []
-        for forms, witness in regions:
+        for forms, witness, mask in regions:
             value = dot(line, witness)
             probes = (1, -1)
             if value:
                 kept = 1 if value > 0 else -1
-                refined.append(((*forms, sides[kept]), witness))
                 probes = (-kept,)
+                child = mask & on_side[kept]
+                if not child & rest:
+                    refined.append(((*forms, sides[kept]), witness, child))
             for sign in probes:
+                child = mask & on_side[sign]
+                if child & rest:
+                    continue
                 point = lp_feasible((), (*forms, sides[sign], *walls), dim)
                 if point is not None:
-                    refined.append(((*forms, sides[sign]), point))
+                    refined.append(((*forms, sides[sign]), point, child))
             if len(refined) > guard:
                 raise ResourceGuardError(
                     f"cell enumeration by sign splitting exceeded the guard of {guard}"
                     f" regions at line {index} of {len(lines)}"
                 )
         regions = refined
-    return [primitive_vector(witness) for _, witness in regions]
+    return [primitive_vector(witness) for _, witness, _ in regions]
 
 
 def _cells_localised_at_rays(normals, dim, guard, rays):
@@ -580,9 +627,25 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
     `dot_rows`; K and the lift's signs ``K n . r + n . y > 0`` are read off
     those two rows. Lifts are deduplicated by that sign vector, and only a
     new one is made primitive, which keeps its signs.
+
+    The local cells at r lift to the cells whose closure holds r, so a cell
+    is found again at every ray of its closure. The LP splitter skips those
+    seen before: each earlier ray q in `rays` order that agrees in sign with
+    r off r's zero set, ``(n . q)(n . r) >= 0`` for every normal n (kept
+    with its pairing row), is passed to it as the covered point
+    ``r_j q - q_j r`` with coordinate j dropped. That point pairs with each
+    local normal n as ``r_j (n . q)`` does, r_j > 0, and its wall
+    coordinates ``r_j q_i`` are non-negative, so a local cell whose closure
+    holds it lifts to a cell whose closure holds q, and that cell was found
+    at q. Nothing else changes: a cell takes its witness from the first ray
+    r1 of its closure, and a region at r1 holding its local cell could only
+    be dropped for an earlier ray in that closure. The regions left pose
+    the same systems, so `by_signs` gets the same entries, witnesses and
+    order. The planar sweep of dimension 3 makes no LP and takes no points.
     """
     columns = tuple(zip(*normals))
     by_signs = {}
+    earlier = []
     for index, r in enumerate(rays, 1):
         stage = f"at ray {index} of {len(rays)}"
         j = next(i for i, x in enumerate(r) if x != 0)
@@ -592,8 +655,14 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
         if dim == 3:
             local = _planar_cell_witnesses(local_normals, local_walls)
         else:
+            covered = []
+            for q, at_q in earlier:
+                if all(u * v >= 0 for u, v in zip(at_q, at_r)):
+                    p = [r[j] * a - q[j] * b for a, b in zip(q, r)]
+                    covered.append((*p[:j], *p[j + 1:]))
+            earlier.append((r, at_r))
             try:
-                local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard)
+                local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard, covered)
             except ResourceGuardError as exc:
                 raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
         for y in local:

@@ -346,12 +346,16 @@ def solve_strictly_polystable(problem):
     cell witness whose hull has the origin in its relative interior,
     deduplicated up to Weyl equivalence of the weight sets. Nested states
     are kept on purpose. No weight but 0 vanishes at a cell witness, so
-    `cells()[0]` gives {0} its witness when no ray does. The
+    `cells()[0]` gives {0} its witness when no ray does, and a support
+    without the zero weight reads the rays alone and builds no cell. The
     relative-interior test runs once per distinct weight set."""
     vectors = problem._pairing_vectors
+    witnesses = problem.rays()
+    if (0,) * problem.group.rank in problem.index:
+        witnesses = (*witnesses, *problem.cells()[:1])
     entries = [
         (indices, point)
-        for indices, point in _distinct(problem, (*problem.rays(), *problem.cells()[:1]), "=0")
+        for indices, point in _distinct(problem, witnesses, "=0")
         if zero_in_relative_interior([vectors[i] for i in indices])
     ]
     entries.sort(key=lambda e: (len(e[0]), e[0]))

@@ -765,3 +765,116 @@ def structured_report_reference(solution, loci, display):
         "warnings": list(group.warnings),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def unpruned_cell_witnesses_by_lp(normals, walls, dim, guard):
+    """`exactgeom._cell_witnesses_by_lp` as it was before it dropped the
+    regions that a covered point already accounts for: every region is
+    split and probed. Like `instability_first_classify_torus` it runs on the
+    package's own LP, looked up when called, so a test that wraps
+    `exactgeom.lp_feasible` counts its probes too.
+
+    Cell witnesses strictly inside `walls` by incremental sign splitting
+    with feasibility probes.
+
+    Regions of the arrangement of the first k lines are refined one line at a
+    time. A region carries its witness and its signed forms, each line so
+    far times its sign there; the side of the new line already containing
+    the witness is kept for free, and only the far side costs one
+    feasibility check, of the region's forms, that side of the line and the
+    walls. A line that does not cut the open partial orthant (`_wall_sign`
+    nonzero) has that sign on every region, so each region takes it with no
+    probe. The line still joins the forms of later probes, so they are the
+    systems, and give the witnesses, that a failed probe of it would have
+    left. The walls must be distinct unit vectors, so the seed region, the
+    whole partial orthant, is witnessed by their sum (the indicator of the
+    wall coordinates; the zero vector when there are none) with no LP.
+    """
+    from gitloci.errors import ResourceGuardError
+    from gitloci.exactgeom import _dedupe_lines, _wall_sign, dot, lp_feasible, primitive_vector
+
+    lines = _dedupe_lines(normals)
+    walled = {i for wall in walls for i, x in enumerate(wall) if x}
+    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim)]
+    for index, line in enumerate(lines, 1):
+        sides = {1: line, -1: tuple(-c for c in line)}
+        known = _wall_sign(line, walled)
+        if known:
+            regions = [((*forms, sides[known]), witness) for forms, witness in regions]
+            continue
+        refined = []
+        for forms, witness in regions:
+            value = dot(line, witness)
+            probes = (1, -1)
+            if value:
+                kept = 1 if value > 0 else -1
+                refined.append(((*forms, sides[kept]), witness))
+                probes = (-kept,)
+            for sign in probes:
+                point = lp_feasible((), (*forms, sides[sign], *walls), dim)
+                if point is not None:
+                    refined.append(((*forms, sides[sign]), point))
+            if len(refined) > guard:
+                raise ResourceGuardError(
+                    f"cell enumeration by sign splitting exceeded the guard of {guard}"
+                    f" regions at line {index} of {len(lines)}"
+                )
+        regions = refined
+    return [primitive_vector(witness) for _, witness in regions]
+
+
+def unpruned_cells_localised_at_rays(normals, dim, guard, rays):
+    """`exactgeom._cells_localised_at_rays` as it was before it passed the
+    earlier rays to the LP splitter: each cell is found again at every ray
+    in its closure and every sighting but the first is dropped as a
+    duplicate sign vector. It splits with `unpruned_cell_witnesses_by_lp`.
+
+    Cell witnesses in dimension >= 3, one local problem per ray.
+
+    At a ray r keep the normals that vanish at r, and the coordinate walls
+    x_i >= 0 with r_i = 0. They are forms on the quotient by r, which is the
+    coordinate hyperplane ``x_j = 0`` for any j with r_j != 0, so dropping
+    coordinate j gives the local system in dimension dim-1, a partial
+    orthant. Being a ray, r is cut out by dim-1 independent constraints, so
+    the local system has full rank dim-1 and is already essential. Its cells
+    come from the planar sweep in local dimension 2 and from
+    `_cell_witnesses_by_lp` above that. A local witness y (with 0 put back
+    at coordinate j) lifts to ``K r + y``: a form f with f . r != 0 keeps
+    the sign of f . r there once K |f . r| > |f . y|, which
+    ``K = 1 + max(|f . y| // |f . r|)`` guarantees, and a form vanishing at
+    r takes the sign f . y it has in the local cell. A wall x_i pairs to
+    r_i and y_i, and r and y are each paired with the normals once, by one
+    `dot_rows`; K and the lift's signs ``K n . r + n . y > 0`` are read off
+    those two rows. Lifts are deduplicated by that sign vector, and only a
+    new one is made primitive, which keeps its signs.
+    """
+    from gitloci.errors import ResourceGuardError
+    from gitloci.exactgeom import _planar_cell_witnesses, _unit_vectors, dot_rows, primitive_vector
+
+    columns = tuple(zip(*normals))
+    by_signs = {}
+    for index, r in enumerate(rays, 1):
+        stage = f"at ray {index} of {len(rays)}"
+        j = next(i for i, x in enumerate(r) if x != 0)
+        at_r = dot_rows(columns, r)
+        local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, at_r) if v == 0]
+        local_walls = [w for w, x in zip(_unit_vectors(dim - 1), r[:j] + r[j + 1:]) if x == 0]
+        if dim == 3:
+            local = _planar_cell_witnesses(local_normals, local_walls)
+        else:
+            try:
+                local = unpruned_cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard)
+            except ResourceGuardError as exc:
+                raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
+        for y in local:
+            y = (*y[:j], 0, *y[j:])
+            at_y = dot_rows(columns, y)
+            k = 1 + max(abs(u) // abs(v) for u, v in zip((*at_y, *y), (*at_r, *r)) if v)
+            signs = tuple(k * v + u > 0 for v, u in zip(at_r, at_y))
+            if signs not in by_signs:
+                by_signs[signs] = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
+                if len(by_signs) > guard:
+                    raise ResourceGuardError(
+                        f"cell enumeration localised at rays exceeded the guard of {guard} cells {stage}"
+                    )
+    return list(by_signs.values())

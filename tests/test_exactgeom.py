@@ -19,6 +19,7 @@ from gitloci.exactgeom import (
     primitive_vector,
     zero_in_relative_interior,
     _cell_witnesses_by_lp,
+    _cells_localised_at_rays,
     _eliminate,
     _phase_one,
     _planar_cell_witnesses,
@@ -37,6 +38,7 @@ from _oracles import (
     sign_vector,
     subset_rref_rays,
     tableau_phase_one,
+    unpruned_cells_localised_at_rays,
     zero_in_relative_interior_oracle,
     zero_set,
 )
@@ -582,20 +584,26 @@ def test_adjoint_rays_are_the_unit_axes(name, spec):
         assert zero_set(normals, ray) == {i for i, n in enumerate(normals) if dot(n, ray) == 0}
 
 
-def cell_lp_calls(monkeypatch, name, spec):
-    """The number of `lp_feasible` calls the cells of one problem make."""
+def with_lp_calls(monkeypatch, function, *args):
+    """`function(*args)` and the number of `lp_feasible` calls it made."""
     calls = []
     real = exactgeom.lp_feasible
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(*lp_args):
+        calls.append(lp_args)
+        return real(*lp_args)
 
     monkeypatch.setattr(exactgeom, "lp_feasible", counted)
+    try:
+        return function(*args), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+def cell_lp_calls(monkeypatch, name, spec):
+    """The number of `lp_feasible` calls the cells of one problem make."""
     group = make_group(name)
-    new_problem(group, parse_highest_weight(group, spec)).cells()
-    monkeypatch.undo()
-    return len(calls)
+    return with_lp_calls(monkeypatch, new_problem(group, parse_highest_weight(group, spec)).cells)[1]
 
 
 @pytest.mark.parametrize("name, spec", [("C7", "1,0,0,0,0,0,0"), ("F4", "0,0,0,1")])
@@ -629,6 +637,60 @@ def test_localised_cells_match_global_lp(arrangement):
     by_lp = _cell_witnesses_by_lp(nonzero, orthant(dim), dim, 10**6)
     assert cell_signatures(cells, normals) == cell_signatures(by_lp, normals)
     assert len(cells) == len(by_lp)
+
+
+# Every `midrank` and `minuscule` input of the benchmark, the rank >= 4
+# `HEAVY` inputs of scripts/compare_reports.py, and C5 0,0,0,0,1 (99 cells).
+PRUNING_INPUTS = [
+    ("A3", "1,0,0"), ("A3", "2,0,0"), ("B3", "2,0,0"), ("B3", "0,1,0"), ("C3", "0,0,1"),
+    ("A4", "1,0,0,0"), ("A4", "0,1,0,0"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"), ("D4", "1,0,0,0"),
+    ("A5", "0,0,1,0,0"), ("A6", "1,0,0,0,0,0"), ("B6", "1,0,0,0,0,0"),
+    ("C6", "1,0,0,0,0,0"), ("D6", "1,0,0,0,0,0"), ("C7", "1,0,0,0,0,0,0"),
+    ("A4", "2,0,0,0"), ("C4", "0,0,0,1"), ("D5", "0,0,0,0,1"), ("E6", "1,0,0,0,0,0"),
+    ("A7", "1,0,0,0,0,0,0"), ("A5", "1,1,0,0,0"), ("A5", "2,0,0,0,0"), ("C5", "0,0,0,0,1"),
+]
+
+
+def localised_arrangement(name, spec):
+    """The normals, dimension and rays that `cells()` of one problem reads."""
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    return list(problem._normals), group.rank, problem.rays()
+
+
+@pytest.mark.parametrize("name, spec", PRUNING_INPUTS)
+def test_pruned_localised_cells_match_the_unpruned_reference(monkeypatch, name, spec):
+    normals, dim, rays = localised_arrangement(name, spec)
+    reference, reference_calls = with_lp_calls(
+        monkeypatch, unpruned_cells_localised_at_rays, normals, dim, 10**6, rays
+    )
+    assert _cells_localised_at_rays(normals, dim, 10**6, rays) == reference
+    cells, calls = with_lp_calls(monkeypatch, arrangement_cells, normals, rays, dim)
+    assert cells == sorted(reference)
+    assert calls <= reference_calls
+
+
+def test_cells_found_at_an_earlier_ray_cost_no_lp(monkeypatch):
+    normals, dim, rays = localised_arrangement("A6", "1,0,0,0,0,0")
+    _, reference_calls = with_lp_calls(
+        monkeypatch, unpruned_cells_localised_at_rays, normals, dim, 10**6, rays
+    )
+    _, calls = with_lp_calls(monkeypatch, arrangement_cells, normals, rays, dim)
+    assert calls < reference_calls
+    # In these two every region the unpruned splitter probes holds only
+    # cells already found at an earlier ray.
+    assert cell_lp_calls(monkeypatch, "D4", "1,0,0,0") == 0
+    assert cell_lp_calls(monkeypatch, "D6", "1,0,0,0,0,0") == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(orthant_arrangements(dims=(4, 5)))
+def test_pruned_localised_cells_match_the_unpruned_reference_on_arrangements(arrangement):
+    dim, normals = arrangement
+    nonzero = [n for n in normals if any(n)]
+    rays = arrangement_rays(nonzero, dim)
+    reference = unpruned_cells_localised_at_rays(nonzero, dim, 10**6, rays)
+    assert _cells_localised_at_rays(nonzero, dim, 10**6, rays) == reference
 
 
 # Sign vectors of the cells of eight representations, frozen: one string

@@ -409,3 +409,26 @@ def test_only_the_zero_weight_vanishes_on_a_cell_witness(name, spec):
     for point in problem.cells():
         vanishing = tuple(i for i, c in enumerate(coeffs) if dot(pairing_vector(group, c), point) == 0)
         assert vanishing == expected
+
+
+@pytest.mark.parametrize(
+    "name, spec, witnesses",
+    [
+        ("E6", "1,0,0,0,0,0", [(0, 0, 1, 0, 1, 0), (0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0)]),
+        ("A5", "0,0,1,0,0", [(2, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 0, 0, 0, 1), (0, 1, 0, 0, 0)]),
+    ],
+)
+def test_polystable_locus_without_the_zero_weight_builds_no_cells(name, spec, witnesses):
+    # Neither support holds the zero weight, so no cell witness has a
+    # non-empty = 0 state. The witnesses are those read off the rays and
+    # the first cell before the cells were left out; each state is the set
+    # of weights vanishing at its witness.
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    states = solve_strictly_polystable(problem)
+    assert problem._cells is None
+    assert [s.witness.coeffs for s in states] == witnesses
+    for state in states:
+        assert state.coeff_set() == {
+            w.coeffs for w in problem.support if pairing(w, state.witness) == 0
+        }
