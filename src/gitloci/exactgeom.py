@@ -25,16 +25,24 @@ cuts a kernel basis down by one line, and `kernel_basis` and `matrix_rank`
 are that step applied row by row. Rays come from a walk over flats with
 the same step; the walk carries each open line's pairings with the current
 kernel basis and updates them by the step's own integer combination, so it
-evaluates no dot product. Cells come from an exact angular sweep in
-dimension 2; in higher dimension they are localised at the rays, where the
-local walls form a partial orthant, and only the small local systems of
-rank-4 and larger arrangements reach the cell LP `lp_feasible`. There the
-splitter drops, unprobed, each local region whose cells all hold one
-earlier ray in their closure, since they were found at that ray. There is
-one simplex, `_phase_one`, a revised simplex that pivots fraction-free on
-integers. It keeps det·B^-1 and the phase-one duals, O(m^2) integers for
-m rows, and prices a column of A (O(m) work) only when Bland's rule
-reaches it, so a pivot does not rewrite every column of a wide system;
+evaluates no dot product. The cutting normals split the coordinates into
+blocks that none of them joins, and the orthant with the arrangement is
+the product of the blocks' orthants, so the rays are each block's rays
+padded with zeros (Orlik-Terao): a block of one coordinate gives its axis,
+and each larger block is walked in its own dimension. Cells come from an
+exact angular sweep in dimension 2; in higher dimension they are
+localised at the rays, where the local walls form a partial orthant, and
+only the small local systems of rank-4 and larger arrangements reach the
+cell LP `lp_feasible`. There the splitter drops, unprobed, each local
+region whose cells all hold one earlier ray in their closure, since they
+were found at that ray, and probes a region only when the rays in its
+closure, projected into the local system, span it: a non-empty region
+holds a local cell, and the extreme rays of that cell's closure span the
+local space. So every cell LP finds a point. There is one simplex,
+`_phase_one`, a revised simplex that pivots fraction-free on integers.
+It keeps det·B^-1 and the phase-one duals, O(m^2) integers for m rows,
+and prices a column of A (O(m) work) only when Bland's rule reaches it,
+so a pivot does not rewrite every column of a wide system;
 `classify_torus` poses up to hundreds of columns over a few rows. Both of
 its callers hand it a system with one row per ambient coordinate (plus one):
 `lp_feasible` poses the transposition dual of its system (Gordan, Motzkin)
@@ -337,6 +345,43 @@ def _wall_sign(line, walled):
     return sign if all(i in walled for i, x in enumerate(line) if x) else 0
 
 
+def _coordinate_blocks(lines, dim):
+    """The coordinate blocks of `lines`: the connected components of
+    range(dim) when a line joins every two coordinates of its support. Each
+    block is returned as its coordinates, in increasing order, and the
+    lines supported on it, restricted to those coordinates; a line's
+    support lies in one block. Once every coordinate is joined, the one
+    block is the whole range with the lines as they are, and the lines left
+    are not read."""
+    parent = list(range(dim))
+    count = dim
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for line in lines:
+        if count == 1:
+            break
+        first, *rest = [i for i, x in enumerate(line) if x]
+        first = root(first)
+        for i in rest:
+            i = root(i)
+            if i != first:
+                parent[i] = first
+                count -= 1
+    if count == 1:
+        return [(range(dim), lines)]
+    blocks = {}
+    for i in range(dim):
+        blocks.setdefault(root(i), ([], []))[0].append(i)
+    for line in lines:
+        coords, members = blocks[root(next(i for i, x in enumerate(line) if x))]
+        members.append(tuple([line[i] for i in coords]))
+    return list(blocks.values())
+
+
 def arrangement_rays(normals, dim):
     """Rays (1-dimensional intersection faces) of the arrangement in the
     non-negative orthant, as the sorted list of their primitive integer
@@ -345,19 +390,53 @@ def arrangement_rays(normals, dim):
     A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
     drawn from the normals and the coordinate walls together, oriented into
     the orthant. Only the normals that cut the open orthant (`_wall_sign`
-    0: entries of both signs) enter the walk. A sign-definite normal n
-    leaves the faces in the closed orthant as they are: there n . x = 0
-    exactly when x vanishes on the support of n, which the walls already
-    say, so every sign class, and hence every ray, is the same set with or
-    without n. In fundamental-coweight coordinates a weight's pairing
-    vector is its simple-root expansion, so the weights in plus or minus
-    the positive root cone are sign-definite, and an adjoint arrangement
-    keeps no normal at all.
+    0: entries of both signs) count. A sign-definite normal n leaves the
+    faces in the closed orthant as they are: there n . x = 0 exactly when x
+    vanishes on the support of n, which the walls already say, so every
+    sign class, and hence every ray, is the same set with or without n. In
+    fundamental-coweight coordinates a weight's pairing vector is its
+    simple-root expansion, so the weights in plus or minus the positive
+    root cone are sign-definite, and an adjoint arrangement keeps no normal
+    at all.
+
+    The cutting normals split the coordinates into blocks
+    (`_coordinate_blocks`): two coordinates share a block when a chain of
+    cutting normals links their supports. Every cutting normal lies in one
+    block and every wall is one coordinate, so the closed orthant with the
+    arrangement is the product of the blocks' orthants with their normals,
+    and the rays of a product of pointed cones are the rays of each factor,
+    padded with zeros (Orlik-Terao, *Arrangements of Hyperplanes*, 1992).
+    A block of one coordinate has no cutting normal, and its axis is its
+    one ray; each larger block is walked in its own dimension with its
+    coordinates of its normals (`_flat_walk`). A caller that needs the
+    normals vanishing at a ray pairs them with its point.
+    """
+    if dim <= 0:
+        return []
+    normals = [tuple(n) for n in normals]
+    _require_integers(normals, "arrangement_rays", "normals", dim)
+    walled = range(dim)
+    cutting = _dedupe_lines([n for n in normals if any(n) and not _wall_sign(n, walled)])
+    found = []
+    for coords, lines in _coordinate_blocks(cutting, dim):
+        for ray in _flat_walk(lines, len(coords)) if lines else [(1,)]:
+            point = [0] * dim
+            for i, x in zip(coords, ray):
+                point[i] = x
+            found.append(tuple(point))
+    return sorted(found)
+
+
+def _flat_walk(cutting, dim):
+    """The rays of the distinct cutting lines `cutting` and the walls of
+    the non-negative orthant, in dimension dim >= 2, in the order the walk
+    finds them.
 
     The flats are walked depth first over index-increasing subsets of the
-    distinct constraint lines, keeping a gcd-reduced integer basis of the
-    prefix's kernel (`_eliminate`); at depth dim-1 that basis is the ray.
-    Two cuts keep the walk to one visit per flat:
+    constraint lines (the cutting lines, then the walls), keeping a
+    gcd-reduced integer basis of the prefix's kernel (`_eliminate`); at
+    depth dim-1 that basis is the ray. Two cuts keep the walk to one visit
+    per flat:
 
     * a line in the span of the prefix (it pairs to zero with the whole
       kernel basis) is never appended, since every subset through it is
@@ -380,16 +459,9 @@ def arrangement_rays(normals, dim):
     sign of its first nonzero entry) to group the flats. A prefix whose
     kernel basis has two vectors z0, z1 builds the rays of its flats itself,
     with no child table: a line with canonical row (u0, u1) cuts out the
-    line through ``u0 z1 - u1 z0``. A caller that needs the normals
-    vanishing at a ray pairs them with its point.
+    line through ``u0 z1 - u1 z0``.
     """
-    if dim <= 0:
-        return []
-    normals = [tuple(n) for n in normals]
-    _require_integers(normals, "arrangement_rays", "normals", dim)
     identity = _unit_vectors(dim)
-    walled = range(dim)
-    lines = _dedupe_lines([*(n for n in normals if any(n) and not _wall_sign(n, walled)), *identity])
     found = []
 
     def leaves(kernel, table, last):
@@ -449,11 +521,8 @@ def arrangement_rays(normals, dim):
                     )
             (leaves if len(child) == 2 else walk)(child, child_table, j)
 
-    if dim == 1:
-        found.append((1,))
-    else:
-        (leaves if dim == 2 else walk)(identity, list(enumerate(lines)), -1)
-    return sorted(found)
+    (leaves if dim == 2 else walk)(identity, list(enumerate([*cutting, *identity])), -1)
+    return found
 
 
 def _rot90(v):
@@ -516,10 +585,11 @@ def _planar_cell_witnesses(normals, walls):
     return [w for w in candidates if all(w[i] > 0 for i in walled)]
 
 
-def _cell_witnesses_by_lp(normals, walls, dim, guard, covered=()):
+def _cell_witnesses_by_lp(normals, walls, dim, guard, points=None, covered=0):
     """Cell witnesses strictly inside `walls` by incremental sign splitting
-    with feasibility probes, leaving out the cells whose closure holds a
-    `covered` point.
+    with feasibility probes. Given `points`, it poses a probe only when the
+    points in the probed region's closure span it, and it leaves out the
+    cells whose closure holds one of the first `covered` points.
 
     Regions of the arrangement of the first k lines are refined one line at a
     time. A region carries its witness and its signed forms, each line so
@@ -534,28 +604,39 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, covered=()):
     whole partial orthant, is witnessed by their sum (the indicator of the
     wall coordinates; the zero vector when there are none) with no LP.
 
-    The covered points must be non-negative on the wall coordinates, so
-    each pairs with a line that does not cut with that line's sign or 0. A
-    region also carries the bitmask of the covered points on its side of
-    each line so far or on the line, the points its closure holds as far
-    as those lines tell. A point that further lies on every later line that
-    cuts is in the closure of every cell inside the region. A region that
-    holds one is dropped before its probe, and so is a kept side or a
-    region taking a line that does not cut, so every later probe inside it
-    goes too; when the seed region holds one, no region is left. The
-    regions that stay pose the systems they posed without `covered`, so
-    every cell whose closure holds no covered point is found with the same
-    witness, in the same order.
+    The points must be non-negative on the wall coordinates, so each pairs
+    with a line that does not cut with that line's sign or 0. A region also
+    carries the bitmask of the points on its side of each line so far or on
+    the line, the points its closure holds as far as those lines tell.
+
+    * Spans. A probe is posed only when the points of the region's mask on
+      the probed side (or on the line) have rank dim: the popcount is
+      checked first, and the rank is kept per mask. Such points make the
+      closed side full-dimensional, so its open interior is non-empty and
+      the LP finds a point; a spanned probe that finds none raises a
+      RuntimeError. The converse is the caller's promise: every non-empty
+      region holds points of rank dim in its closure, so each probe
+      skipped is one that finds no point.
+    * Covered points. A covered point that further lies on every later
+      line that cuts is in the closure of every cell inside the region. A
+      region that holds one is dropped before its probe, and so is a kept
+      side or a region taking a line that does not cut, so every later
+      probe inside it goes too; when the seed region holds one, no region
+      is left. The regions that stay pose the systems they posed without
+      `covered`, so every cell whose closure holds no covered point is
+      found with the same witness, in the same order.
+
+    Without `points` every region is probed and none is dropped.
     """
     lines = _dedupe_lines(normals)
     walled = {i for wall in walls for i, x in enumerate(wall) if x}
     signs = [_wall_sign(line, walled) for line in lines]
-    # agree[k][s]: the covered points on side s of line k or on it (all of
-    # them, for a line that does not cut: they agree with the sign every
-    # region takes); settled[k]: those in both sides of lines k and on.
-    full = (1 << len(covered)) - 1
-    point_columns = tuple(zip(*covered))
-    agree, settled = [], [full]
+    # agree[k][s]: the points on side s of line k or on it (all of them,
+    # for a line that does not cut: they agree with the sign every region
+    # takes); settled[k]: the covered ones in both sides of lines k and on.
+    full = (1 << len(points)) - 1 if points else 0
+    point_columns = tuple(zip(*points)) if points else ()
+    agree, settled = [], [(1 << covered) - 1]
     for line, known in zip(lines, signs):
         positive = negative = full
         if not known:
@@ -571,6 +652,15 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, covered=()):
     settled.reverse()
     if settled[0]:
         return []
+    ranks = {}
+
+    def spans(mask):
+        if mask not in ranks:
+            ranks[mask] = mask.bit_count() >= dim and matrix_rank(
+                [point for bit, point in enumerate(points) if mask >> bit & 1]
+            ) == dim
+        return ranks[mask]
+
     regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim, full)]
     for index, (line, known) in enumerate(zip(lines, signs), 1):
         sides = {1: line, -1: tuple(-c for c in line)}
@@ -594,11 +684,15 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, covered=()):
                     refined.append(((*forms, sides[kept]), witness, child))
             for sign in probes:
                 child = mask & on_side[sign]
-                if child & rest:
+                if child & rest or (points is not None and not spans(child)):
                     continue
                 point = lp_feasible((), (*forms, sides[sign], *walls), dim)
                 if point is not None:
                     refined.append(((*forms, sides[sign]), point, child))
+                elif points is not None:
+                    raise RuntimeError(
+                        f"spanned probe at line {index} of {len(lines)} found no point; this is a bug"
+                    )
             if len(refined) > guard:
                 raise ResourceGuardError(
                     f"cell enumeration by sign splitting exceeded the guard of {guard}"
@@ -609,7 +703,10 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, covered=()):
 
 
 def _cells_localised_at_rays(normals, dim, guard, rays):
-    """Cell witnesses in dimension >= 3, one local problem per ray.
+    """Cell witnesses in dimension >= 3, one local problem per ray. The
+    `rays` must be exactly `arrangement_rays(normals, dim)`: the LP
+    splitter reads which local regions are empty off them, so a missing ray
+    can hide a cell.
 
     At a ray r keep the normals that vanish at r, and the coordinate walls
     x_i >= 0 with r_i = 0. They are forms on the quotient by r, which is the
@@ -623,46 +720,61 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
     the sign of f . r there once K |f . r| > |f . y|, which
     ``K = 1 + max(|f . y| // |f . r|)`` guarantees, and a form vanishing at
     r takes the sign f . y it has in the local cell. A wall x_i pairs to
-    r_i and y_i, and r and y are each paired with the normals once, by one
-    `dot_rows`; K and the lift's signs ``K n . r + n . y > 0`` are read off
-    those two rows. Lifts are deduplicated by that sign vector, and only a
-    new one is made primitive, which keeps its signs.
+    r_i and y_i, and every ray is paired with the normals once, by one
+    `dot_rows`, and each local witness y once; K and the lift's signs
+    ``K n . r + n . y > 0`` are read off those two rows. Lifts are
+    deduplicated by that sign vector, and only a new one is made primitive,
+    which keeps its signs.
 
-    The local cells at r lift to the cells whose closure holds r, so a cell
-    is found again at every ray of its closure. The LP splitter skips those
-    seen before: each earlier ray q in `rays` order that agrees in sign with
-    r off r's zero set, ``(n . q)(n . r) >= 0`` for every normal n (kept
-    with its pairing row), is passed to it as the covered point
-    ``r_j q - q_j r`` with coordinate j dropped. That point pairs with each
-    local normal n as ``r_j (n . q)`` does, r_j > 0, and its wall
-    coordinates ``r_j q_i`` are non-negative, so a local cell whose closure
-    holds it lifts to a cell whose closure holds q, and that cell was found
-    at q. Nothing else changes: a cell takes its witness from the first ray
-    r1 of its closure, and a region at r1 holding its local cell could only
-    be dropped for an earlier ray in that closure. The regions left pose
-    the same systems, so `by_signs` gets the same entries, witnesses and
-    order. The planar sweep of dimension 3 makes no LP and takes no points.
+    The LP splitter gets, as its points, every other ray q that agrees in
+    sign with r off r's zero set, ``(n . q)(n . r) >= 0`` for every normal
+    n (read off the rays' sign masks), projected to ``r_j q - q_j r`` with
+    coordinate j dropped, in `rays` order. That point pairs with each local
+    normal n as ``r_j (n . q)`` does, r_j > 0, and its wall coordinates
+    ``r_j q_i`` are non-negative, so it lies in the closure of a local
+    region exactly when q's signs agree with the region's.
+
+    * Spans. A non-empty local region holds a local cell, the local picture
+      of a cell C whose closure holds r. The extreme rays of C's closure
+      are arrangement rays that span R^dim (`arrangement_cells`), and each
+      agrees in sign with r; their points lie in the closed local cell, so
+      in the region's closure, and span the local space. So a region whose
+      points do not span it is empty, and the splitter poses no LP for it.
+    * Covered points. The earlier rays among them are covered. A local cell
+      whose closure holds one lifts to a cell whose closure holds q, and
+      that cell was found at q. Nothing else changes: a cell takes its
+      witness from the first ray r1 of its closure, and a region at r1
+      holding its local cell could only be dropped for an earlier ray in
+      that closure. The regions left pose the same systems, so `by_signs`
+      gets the same entries, witnesses and order.
+
+    The planar sweep of dimension 3 makes no LP and takes no points.
     """
     columns = tuple(zip(*normals))
+    rows = [dot_rows(columns, r) for r in rays]
+    masks = [
+        (sum(1 << k for k, v in enumerate(row) if v > 0), sum(1 << k for k, v in enumerate(row) if v < 0))
+        for row in rows
+    ] if dim > 3 else ()
+    local_units = _unit_vectors(dim - 1)
     by_signs = {}
-    earlier = []
-    for index, r in enumerate(rays, 1):
-        stage = f"at ray {index} of {len(rays)}"
+    for index, (r, at_r) in enumerate(zip(rays, rows)):
+        stage = f"at ray {index + 1} of {len(rays)}"
         j = next(i for i, x in enumerate(r) if x != 0)
-        at_r = dot_rows(columns, r)
         local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, at_r) if v == 0]
-        local_walls = [w for w, x in zip(_unit_vectors(dim - 1), r[:j] + r[j + 1:]) if x == 0]
+        local_walls = [w for w, x in zip(local_units, r[:j] + r[j + 1:]) if x == 0]
         if dim == 3:
             local = _planar_cell_witnesses(local_normals, local_walls)
         else:
-            covered = []
-            for q, at_q in earlier:
-                if all(u * v >= 0 for u, v in zip(at_q, at_r)):
+            positive, negative = masks[index]
+            points, covered = [], 0
+            for k, (q, (q_positive, q_negative)) in enumerate(zip(rays, masks)):
+                if k != index and not (q_positive & negative or q_negative & positive):
                     p = [r[j] * a - q[j] * b for a, b in zip(q, r)]
-                    covered.append((*p[:j], *p[j + 1:]))
-            earlier.append((r, at_r))
+                    points.append((*p[:j], *p[j + 1:]))
+                    covered += k < index
             try:
-                local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard, covered)
+                local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard, points, covered)
             except ResourceGuardError as exc:
                 raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
         for y in local:
@@ -693,7 +805,9 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     `arrangement_rays(normals, dim)` (`_cells_localised_at_rays`). The
     orthant's axes are always among them and no ray leaves the closed
     orthant, so `rays` missing an axis or holding a point outside it is an
-    error; other subsets of the true rays are not detected."""
+    error; other subsets of the true rays are not detected, and a missing
+    ray can hide a cell, since the LP splitter reads off the rays which
+    local regions are empty."""
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]

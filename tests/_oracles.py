@@ -878,3 +878,128 @@ def unpruned_cells_localised_at_rays(normals, dim, guard, rays):
                         f"cell enumeration localised at rays exceeded the guard of {guard} cells {stage}"
                     )
     return list(by_signs.values())
+
+
+def unsplit_arrangement_rays(normals, dim):
+    """`exactgeom.arrangement_rays` as it was before it split the
+    coordinates into blocks: one walk over every flat of the mixed-sign
+    normals and all the walls in the full dimension.
+
+    Rays (1-dimensional intersection faces) of the arrangement in the
+    non-negative orthant, as the sorted list of their primitive integer
+    points. The normals must be integer vectors of length dim.
+
+    A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
+    drawn from the normals and the coordinate walls together, oriented into
+    the orthant. Only the normals that cut the open orthant (`_wall_sign`
+    0: entries of both signs) enter the walk. A sign-definite normal n
+    leaves the faces in the closed orthant as they are: there n . x = 0
+    exactly when x vanishes on the support of n, which the walls already
+    say, so every sign class, and hence every ray, is the same set with or
+    without n. In fundamental-coweight coordinates a weight's pairing
+    vector is its simple-root expansion, so the weights in plus or minus
+    the positive root cone are sign-definite, and an adjoint arrangement
+    keeps no normal at all.
+
+    The flats are walked depth first over index-increasing subsets of the
+    distinct constraint lines, keeping a gcd-reduced integer basis of the
+    prefix's kernel (`_eliminate`); at depth dim-1 that basis is the ray.
+    Two cuts keep the walk to one visit per flat:
+
+    * a line in the span of the prefix (it pairs to zero with the whole
+      kernel basis) is never appended, since every subset through it is
+      dependent; such lines leave the table;
+    * the other lines fall into the flats one rank up, two lines sharing a
+      flat exactly when their pairings with the kernel basis are parallel.
+      Each such flat is entered once, through its smallest line, and only
+      when that line comes after the prefix's last one. So every prefix is
+      the greedy basis of its span; every flat has exactly one greedy basis
+      and each prefix of it is the greedy basis of its own span, so every
+      flat is still reached.
+
+    The pairings of the open lines with the kernel basis are kept in a
+    table, not recomputed: at the root they are the lines themselves, and
+    when a child's basis vector becomes ``(p z_k - v_k z_pivot) // g_k`` a
+    line's pairing with it becomes ``(p P_k - v_k P_pivot) // g_k`` by the
+    same integers, an exact division since g_k divides every entry of the
+    vector it reduced, so the walk evaluates no dot product. The table is a
+    list of (line, row) pairs, and each row is made canonical (gcd, then the
+    sign of its first nonzero entry) to group the flats. A prefix whose
+    kernel basis has two vectors z0, z1 builds the rays of its flats itself,
+    with no child table: a line with canonical row (u0, u1) cuts out the
+    line through ``u0 z1 - u1 z0``. A caller that needs the normals
+    vanishing at a ray pairs them with its point.
+    """
+    from gitloci.exactgeom import _dedupe_lines, _eliminate, _require_integers, _unit_vectors, _wall_sign
+
+    if dim <= 0:
+        return []
+    normals = [tuple(n) for n in normals]
+    _require_integers(normals, "arrangement_rays", "normals", dim)
+    identity = _unit_vectors(dim)
+    walled = range(dim)
+    lines = _dedupe_lines([*(n for n in normals if any(n) and not _wall_sign(n, walled)), *identity])
+    found = []
+
+    def leaves(kernel, table, last):
+        z0, z1 = kernel
+        flats = {}
+        for m, (v0, v1) in table:
+            g = gcd(v0, v1)
+            if v0 < 0 or (v0 == 0 and v1 < 0):
+                g = -g
+            key = (v0 // g, v1 // g)
+            if key not in flats:
+                flats[key] = m
+        for (u0, u1), first in flats.items():
+            if first <= last:
+                continue
+            if u0 == 0:
+                direction = z0
+            elif u1 == 0:
+                direction = z1
+            else:
+                direction = [u0 * b - u1 * a for a, b in zip(z0, z1)]
+                g = gcd(*direction)
+                direction = tuple([x // g for x in direction])
+            if min(direction) < 0:
+                if max(direction) > 0:
+                    continue
+                direction = tuple([-x for x in direction])
+            found.append(direction)
+
+    def walk(kernel, table, last):
+        flats = {}
+        for m, row in table:
+            g = gcd(*row)
+            for x in row:
+                if x:
+                    break
+            if x < 0:
+                g = -g
+            key = tuple([x // g for x in row])
+            flat = flats.get(key)
+            if flat is None:
+                flats[key] = (row, [m])
+            else:
+                flat[1].append(m)
+        for row, members in flats.values():
+            j = members[0]
+            if j <= last:
+                continue
+            closed = set(members)
+            child, (pivot, p, kept) = _eliminate(kernel, row)
+            child_table = []
+            for m, r in table:
+                if m not in closed:
+                    rp = r[pivot]
+                    child_table.append(
+                        (m, [(p * r[k] - v * rp) // g if v else r[k] for k, v, g in kept])
+                    )
+            (leaves if len(child) == 2 else walk)(child, child_table, j)
+
+    if dim == 1:
+        found.append((1,))
+    else:
+        (leaves if dim == 2 else walk)(identity, list(enumerate(lines)), -1)
+    return sorted(found)

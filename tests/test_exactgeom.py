@@ -39,6 +39,7 @@ from _oracles import (
     subset_rref_rays,
     tableau_phase_one,
     unpruned_cells_localised_at_rays,
+    unsplit_arrangement_rays,
     zero_in_relative_interior_oracle,
     zero_set,
 )
@@ -691,6 +692,96 @@ def test_pruned_localised_cells_match_the_unpruned_reference_on_arrangements(arr
     rays = arrangement_rays(nonzero, dim)
     reference = unpruned_cells_localised_at_rays(nonzero, dim, 10**6, rays)
     assert _cells_localised_at_rays(nonzero, dim, 10**6, rays) == reference
+
+
+@pytest.mark.parametrize(
+    "name, spec", [*PRUNING_INPUTS, ("E7", "1,0,0,0,0,0,0"), ("E8", "0,0,0,0,0,0,0,1")]
+)
+def test_block_rays_match_the_unsplit_walk(name, spec):
+    group = make_group(name)
+    normals = list(new_problem(group, parse_highest_weight(group, spec))._normals)
+    assert arrangement_rays(normals, group.rank) == unsplit_arrangement_rays(normals, group.rank)
+
+
+@st.composite
+def block_arrangements(draw):
+    """Integer normals in dimension 3-7 whose mixed-sign normals each lie in
+    one of 2-3 blocks of a drawn partition of the coordinates, with
+    sign-definite normals, which may cross the blocks, mixed in."""
+    dim = draw(st.integers(3, 7))
+    coords = draw(st.permutations(range(dim)))
+    cuts = sorted(draw(st.sets(st.integers(1, dim - 1), min_size=1, max_size=2)))
+    normals = []
+    for block in (coords[a:b] for a, b in zip((0, *cuts), (*cuts, dim))):
+        if len(block) < 2:
+            continue
+        for _ in range(draw(st.integers(1, 3))):
+            entries = dict(zip(block, draw(st.lists(st.integers(-3, 3), min_size=len(block), max_size=len(block)))))
+            plus, minus = draw(st.permutations(block))[:2]
+            entries[plus], entries[minus] = draw(st.integers(1, 3)), -draw(st.integers(1, 3))
+            normals.append(tuple(entries.get(i, 0) for i in range(dim)))
+    definite = st.tuples(
+        st.lists(st.integers(0, 3), min_size=dim, max_size=dim).filter(any),
+        st.sampled_from((1, -1)),
+    ).map(lambda pair: tuple(pair[1] * x for x in pair[0]))
+    normals += draw(st.lists(definite, max_size=3))
+    return dim, tuple(draw(st.permutations(normals)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(block_arrangements())
+def test_block_rays_match_the_unsplit_walk_on_block_arrangements(arrangement):
+    dim, normals = arrangement
+    assert arrangement_rays(normals, dim) == unsplit_arrangement_rays(normals, dim)
+
+
+def lp_results(monkeypatch, function, *args):
+    """`function(*args)` and the result of every `lp_feasible` call it made."""
+    results = []
+    real = exactgeom.lp_feasible
+
+    def recorded(*lp_args):
+        results.append(real(*lp_args))
+        return results[-1]
+
+    monkeypatch.setattr(exactgeom, "lp_feasible", recorded)
+    try:
+        return function(*args), results
+    finally:
+        monkeypatch.undo()
+
+
+# Cell LPs of four inputs, frozen, now that a region is probed only when the
+# rays in its closure span it.
+CELL_LP_CALLS = {
+    ("A6", "1,0,0,0,0,0"): 3, ("A5", "1,1,0,0,0"): 281, ("C5", "0,0,0,0,1"): 193, ("E6", "1,0,0,0,0,0"): 40,
+}
+
+
+@pytest.mark.parametrize("name, spec", PRUNING_INPUTS)
+def test_every_cell_lp_finds_a_point(monkeypatch, name, spec):
+    normals, dim, rays = localised_arrangement(name, spec)
+    _, results = lp_results(monkeypatch, arrangement_cells, normals, rays, dim)
+    assert None not in results
+    if (name, spec) in CELL_LP_CALLS:
+        assert len(results) == CELL_LP_CALLS[(name, spec)]
+
+
+def test_a_spanned_probe_that_finds_no_point_is_a_bug(monkeypatch):
+    normals, dim, rays = localised_arrangement("A6", "1,0,0,0,0,0")
+    monkeypatch.setattr(exactgeom, "lp_feasible", lambda *args: None)
+    with pytest.raises(RuntimeError, match=r"^spanned probe at line \d+ of \d+ found no point; this is a bug$"):
+        arrangement_cells(normals, rays, dim)
+
+
+def test_probes_need_points_that_span_the_side():
+    line = ((1, -1),)
+    # The witness (1, 1) lies on the line, so both sides are probed: with
+    # the quadrant's rays each side is spanned and holds a cell; with the
+    # diagonal alone neither side is, and both cells are lost, which is why
+    # the localised cells need every ray of the arrangement.
+    assert _cell_witnesses_by_lp(line, QUADRANT, 2, 10, [(1, 0), (0, 1), (1, 1)]) == [(2, 1), (1, 2)]
+    assert _cell_witnesses_by_lp(line, QUADRANT, 2, 10, [(1, 1)]) == []
 
 
 # Sign vectors of the cells of eight representations, frozen: one string
