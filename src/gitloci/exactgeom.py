@@ -249,19 +249,26 @@ def zero_in_relative_interior(points):
     return _phase_one(rows, rhs) is None
 
 
-def _integer_direction(v):
-    """The primitive integer vector spanning the same line as the nonzero
-    integer vector v, with its first nonzero entry positive."""
-    g = gcd(*v)
-    if next(x for x in v if x != 0) < 0:
-        g = -g
-    return tuple(x // g for x in v)
-
-
 def _dedupe_lines(vectors):
-    """The distinct lines through the nonzero integer vectors, each as its
-    `_integer_direction`, in first-seen order."""
-    return list(dict.fromkeys(_integer_direction(v) for v in vectors if any(v)))
+    """The distinct lines through the nonzero integer vectors, each as the
+    primitive integer vector on it whose first nonzero entry is positive,
+    in first-seen order.
+
+    Built from whole columns: each vector's gcd is one `gcd` over its
+    entries (1 for a zero vector), the sign of its first nonzero entry is
+    carried into that divisor by one pass per column from the last column
+    to the first, and the columns are divided exactly. The zero row, if any
+    vector was zero, is dropped from the first-seen rows."""
+    columns = list(zip(*vectors))
+    if not columns:
+        return []
+    gcds = [g or 1 for g in map(gcd, *columns)]
+    divisors = gcds
+    for column in reversed(columns):
+        divisors = [d if not x else g if x > 0 else -g for x, g, d in zip(column, gcds, divisors)]
+    lines = dict.fromkeys(zip(*[[x // d for x, d in zip(column, divisors)] for column in columns]))
+    lines.pop((0,) * len(columns), None)
+    return list(lines)
 
 
 def _eliminate(basis, values):

@@ -85,7 +85,7 @@ from .rootdata import (
     _chamber_word,
     _closure,
     pairing,
-    pairing_vector,
+    pairing_vector,  # unused here; the tests import it from this module
     reflect_coweight_coeffs,
     weyl_elements,  # unused here; the benchmark's tracer wraps it under this module
 )
@@ -134,6 +134,10 @@ class GITProblem:
     The support must be strictly sorted and closed under the simple
     reflections; otherwise `ParseError` is raised. `index` maps coefficients to support positions, and
     `reflections[i]` maps each position to that of its i-th reflection.
+    The support-sized tables are built column-wise: the reflection table
+    by `repsupport`'s packed integer keys, each pairing column by one
+    `dot_rows` of a row of the Cartan adjugate with the coefficient
+    columns, and the distinct lines by `exactgeom`'s column passes.
 
     Ray and cell candidates are computed lazily in the fundamental chamber,
     which in coweight coordinates is the non-negative orthant, then cached;
@@ -167,9 +171,12 @@ class GITProblem:
         self.weyl_guard = weyl_guard
         self.index = {w.coeffs: i for i, w in enumerate(support.weights)}
         self.reflections = _reflection_table(group, support.weights, self.index)
-        self._pairing_vectors = tuple(pairing_vector(group, w.coeffs) for w in support.weights)
+        coefficient_columns = tuple(zip(*(w.coeffs for w in support.weights)))
+        self._pairing_columns = tuple(
+            tuple(dot_rows(coefficient_columns, row)) for row in group.cartan_adjugate
+        )
+        self._pairing_vectors = tuple(zip(*self._pairing_columns))
         self._normals = tuple(_dedupe_lines(self._pairing_vectors))
-        self._pairing_columns = tuple(zip(*self._pairing_vectors))
         self._rays = None
         self._cells = None
         self._witness_pairings = {}
@@ -250,7 +257,7 @@ def state_of(problem, lam, mode):
     if lam.group != problem.group:
         raise RankMismatchError("one-parameter subgroup belongs to a different group")
     if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(_MODES)}")
+        raise ParseError(f"unknown mode {mode!r}; expected one of {sorted(_MODES)}")
     selected = _weights(problem, problem._select(problem._pairings(lam.coeffs), mode))
     return State(kind=_MODES[mode][0], weights=selected, witness=lam)
 
@@ -374,10 +381,10 @@ def _support_indices(problem, point_support, caller):
             )
         i = problem.index.get(w.coeffs)
         if i is None:
-            raise ValueError(f"weight {w.coeffs} is not in the problem's support")
+            raise ParseError(f"weight {w.coeffs} is not in the problem's support")
         indices.append(i)
     if not indices:
-        raise ValueError(f"{caller} needs a non-empty support")
+        raise ParseError(f"{caller} needs a non-empty support")
     return indices
 
 

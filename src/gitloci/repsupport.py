@@ -13,8 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import NonDominantError, ParseError, RankMismatchError, ResourceGuardError
+from .exactgeom import dot_rows
 from .rootdata import SimpleGroup, Weight, _differences, reflect_weight_coeffs
 
 DEFAULT_SUPPORT_GUARD = 10**6
@@ -165,20 +167,42 @@ def support_from_weights(group, coeff_rows):
 def _reflection_table(group, weights, index):
     """For each simple reflection, the position (by `index`) of the image of
     the weight at each position; raises ParseError unless the weights are
-    strictly sorted and closed under the simple reflections."""
+    strictly sorted and closed under the simple reflections. A miss names
+    the first weight, and for it the first reflection, whose image is not
+    in the support.
+
+    The table is built from whole coefficient columns. Each weight is
+    packed into one integer key ``sum_j mu_j B^j`` with ``B = 8M + 1``,
+    where M is the largest absolute coefficient in the support. A simple
+    root, column i of the Cartan matrix, has entries in [-3, 2], so every
+    image ``mu_j - mu_i C[j][i]`` has its coefficients in [-4M, 4M]; as
+    balanced digits in base 8M + 1, distinct such vectors have distinct
+    keys, and an image outside the support never aliases a support weight.
+    The image key is then ``k - mu_i delta_i``, with ``delta_i`` the packed
+    i-th simple root: one multiply-subtract and one dict lookup per weight
+    and reflection."""
     for previous, w in zip(weights, weights[1:]):
         if previous.coeffs >= w.coeffs:
             raise ParseError(
                 f"support is not strictly sorted: weight {w.coeffs} follows {previous.coeffs}"
             )
-    table = [[] for _ in range(group.rank)]
-    for w in weights:
-        for i, column in enumerate(table):
-            image = reflect_weight_coeffs(group.cartan, w.coeffs, i)
-            if image not in index:
-                raise ParseError(
-                    f"support is not closed under the Weyl group: reflection {i + 1}"
-                    f" maps {w.coeffs} to {image}, which is missing"
-                )
-            column.append(index[image])
+    rows = [w.coeffs for w in weights]
+    columns = list(zip(*rows)) or [()] * group.rank
+    base = 8 * max(map(abs, chain.from_iterable(rows)), default=0) + 1
+    powers = [base**j for j in range(group.rank)]
+    keys = dot_rows(columns, powers)
+    position = dict(zip(keys, map(index.__getitem__, rows)))
+    get = position.get
+    table = [
+        [get(k - m * root) for k, m in zip(keys, column)]
+        for column, root in zip(columns, dot_rows(group.cartan, powers))
+    ]
+    missing = [(column.index(None), i) for i, column in enumerate(table) if None in column]
+    if missing:
+        p, i = min(missing)
+        image = reflect_weight_coeffs(group.cartan, rows[p], i)
+        raise ParseError(
+            f"support is not closed under the Weyl group: reflection {i + 1}"
+            f" maps {rows[p]} to {image}, which is missing"
+        )
     return tuple(map(tuple, table))

@@ -1003,3 +1003,43 @@ def unsplit_arrangement_rays(normals, dim):
     else:
         (leaves if dim == 2 else walk)(identity, list(enumerate(lines)), -1)
     return sorted(found)
+
+
+def per_pair_reflection_table(group, weights, index):
+    """`repsupport._reflection_table` as it was written before the packed
+    integer keys: one reflected tuple and one `index` lookup per (weight,
+    reflection), weight-major."""
+    from gitloci.errors import ParseError
+    from gitloci.rootdata import reflect_weight_coeffs
+
+    for previous, w in zip(weights, weights[1:]):
+        if previous.coeffs >= w.coeffs:
+            raise ParseError(
+                f"support is not strictly sorted: weight {w.coeffs} follows {previous.coeffs}"
+            )
+    table = [[] for _ in range(group.rank)]
+    for w in weights:
+        for i, column in enumerate(table):
+            image = reflect_weight_coeffs(group.cartan, w.coeffs, i)
+            if image not in index:
+                raise ParseError(
+                    f"support is not closed under the Weyl group: reflection {i + 1}"
+                    f" maps {w.coeffs} to {image}, which is missing"
+                )
+            column.append(index[image])
+    return tuple(map(tuple, table))
+
+
+def _integer_direction(v):
+    """The primitive integer vector spanning the same line as the nonzero
+    integer vector v, with its first nonzero entry positive."""
+    g = gcd(*v)
+    if next(x for x in v if x != 0) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def per_vector_dedupe_lines(vectors):
+    """`exactgeom._dedupe_lines` as it was written before the column passes:
+    one `_integer_direction` per nonzero vector, in first-seen order."""
+    return list(dict.fromkeys(_integer_direction(v) for v in vectors if any(v)))

@@ -20,6 +20,7 @@ from gitloci.exactgeom import (
     zero_in_relative_interior,
     _cell_witnesses_by_lp,
     _cells_localised_at_rays,
+    _dedupe_lines,
     _eliminate,
     _phase_one,
     _planar_cell_witnesses,
@@ -34,6 +35,7 @@ from _oracles import (
     _rank_exact,
     cleared_denominators,
     lp_relint_reference,
+    per_vector_dedupe_lines,
     primal_lp_reference,
     sign_vector,
     subset_rref_rays,
@@ -983,3 +985,38 @@ def test_e6_rays_match_frozen_table():
     assert [(r, sorted(zero_set(normals, r))) for r in rays] == E6_RAYS
     for ray in rays:
         assert zero_set(normals, ray) == {i for i, n in enumerate(normals) if dot(n, ray) == 0}
+
+
+@st.composite
+def line_lists(draw):
+    """Integer vectors of one dimension 1-8: a few base vectors (small or
+    very large entries, zero vectors included), each listed with negated
+    and scaled copies, shuffled."""
+    dim = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    bases = draw(st.lists(st.tuples(*[entry] * dim), min_size=0, max_size=6))
+    vectors = []
+    for base in bases:
+        vectors.append(base)
+        for scale in draw(st.lists(st.sampled_from([-1, 2, -3, 7, -(10**12)]), max_size=3)):
+            vectors.append(tuple(scale * x for x in base))
+        if draw(st.booleans()):
+            vectors.append((0,) * dim)
+    return draw(st.permutations(vectors))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(line_lists())
+def test_dedupe_lines_matches_the_per_vector_reference(vectors):
+    expected = per_vector_dedupe_lines(vectors)
+    assert _dedupe_lines(vectors) == expected
+    assert _dedupe_lines(iter(vectors)) == expected
+    assert _dedupe_lines(tuple(vectors)) == expected
+
+
+def test_dedupe_lines_keeps_first_seen_order_and_drops_zero_vectors():
+    vectors = [(0, 0, 0), (0, -2, 4), (3, 0, 0), (0, 1, -2), (-6, 0, 0), (0, 0, 0), (0, 0, -5)]
+    assert _dedupe_lines(vectors) == [(0, 1, -2), (1, 0, 0), (0, 0, 1)]
+    assert _dedupe_lines([(0, 0)] * 3) == []
+    assert _dedupe_lines([]) == []
+    assert _dedupe_lines(v for v in [(-4,), (2,)]) == [(1,)]

@@ -8,7 +8,7 @@ destabilizing witnesses below were derived that way before being frozen here.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitloci.errors import ParseError, RankMismatchError
+from gitloci.errors import GitLociError, ParseError, RankMismatchError
 from gitloci.exactgeom import dot
 from gitloci.gitsolver import (
     GITProblem,
@@ -33,6 +33,7 @@ from gitloci.rootdata import (
     weight,
     weyl_elements,
 )
+from _oracles import per_vector_dedupe_lines
 
 A2 = make_group("A2")
 B2 = make_group("B2")
@@ -432,3 +433,31 @@ def test_polystable_locus_without_the_zero_weight_builds_no_cells(name, spec, wi
         assert state.coeff_set() == {
             w.coeffs for w in problem.support if pairing(w, state.witness) == 0
         }
+
+
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
+def test_pairing_tables_match_the_pairing_vector_per_weight(name, spec):
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    vectors = tuple(pairing_vector(group, w.coeffs) for w in problem.support)
+    assert problem._pairing_vectors == vectors
+    assert problem._pairing_columns == tuple(zip(*vectors))
+    assert list(problem._normals) == per_vector_dedupe_lines(vectors)
+
+
+def test_user_input_errors_are_parse_errors():
+    problem = a2_cubic_problem()
+    lam = OneParameterSubgroup(A2, (0, 1))
+    missing = [weight(A2, (9, 9))]
+    cases = [
+        (lambda: state_of(problem, lam, ">=1"), "unknown mode '>=1'; expected one of ['=0', '>0', '>=0']"),
+        (lambda: classify_torus(problem, missing), "weight (9, 9) is not in the problem's support"),
+        (lambda: hm_mu(problem, missing, lam), "weight (9, 9) is not in the problem's support"),
+        (lambda: classify_torus(problem, []), "classify_torus needs a non-empty support"),
+        (lambda: hm_mu(problem, [], lam), "hm_mu needs a non-empty support"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParseError) as err:
+            call()
+        assert isinstance(err.value, GitLociError) and isinstance(err.value, ValueError)
+        assert str(err.value) == message

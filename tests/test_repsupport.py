@@ -8,9 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gitloci.errors import NonDominantError, ParseError, RankMismatchError, ResourceGuardError
-from gitloci.repsupport import parse_highest_weight, support_from_weights, weight_support
-from gitloci.rootdata import dominant_representative, make_group, weight, weyl_orbit
-from _oracles import b2_ball_support, saturated_support_oracle, type_a_monomial_support
+from gitloci.repsupport import (
+    _reflection_table,
+    parse_highest_weight,
+    support_from_weights,
+    weight_support,
+)
+from gitloci.rootdata import Weight, dominant_representative, make_group, weight, weyl_orbit
+from _oracles import (
+    b2_ball_support,
+    per_pair_reflection_table,
+    saturated_support_oracle,
+    type_a_monomial_support,
+)
 
 A2 = make_group("A2")
 B2 = make_group("B2")
@@ -186,3 +196,102 @@ def test_support_from_weights_rejects_non_integral_coefficients():
 def test_support_from_weights_rejects_wrong_length_rows():
     with pytest.raises(RankMismatchError):
         support_from_weights(A2, [(1, 0, 0)])
+
+
+# The benchmark's inputs, the heavier inputs of scripts/compare_reports.py,
+# the widest coefficient range there (B2 20*w1, +-40) and two adjoints.
+TABLE_INPUTS = [
+    *[("A2", f"{d},0") for d in range(3, 13)],
+    *[("B2", f"{d}*w1") for d in range(3, 13)],
+    *[("G2", f"{d},0") for d in range(1, 5)],
+    *[("G2", f"0,{d}") for d in range(1, 4)],
+    ("A3", "1,0,0"), ("A3", "2,0,0"), ("B3", "2,0,0"), ("B3", "0,1,0"), ("C3", "0,0,1"),
+    ("A4", "1,0,0,0"), ("A4", "0,1,0,0"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"), ("D4", "1,0,0,0"),
+    ("A5", "0,0,1,0,0"), ("A6", "1,0,0,0,0,0"), ("B6", "1,0,0,0,0,0"),
+    ("C6", "1,0,0,0,0,0"), ("D6", "1,0,0,0,0,0"), ("C7", "1,0,0,0,0,0,0"),
+    ("A3", "3,0,0"), ("A3", "4,0,0"), ("B3", "1,0,1"), ("A4", "2,0,0,0"), ("C4", "0,0,0,1"),
+    ("D5", "0,0,0,0,1"), ("E6", "1,0,0,0,0,0"), ("A7", "1,0,0,0,0,0,0"), ("A1", "3"),
+    ("C2", "0,1"), ("D3", "1,0,0"), ("A5", "1,1,0,0,0"), ("A5", "2,0,0,0,0"),
+    ("D5", "1,0,0,0,0"), ("B5", "1,0,0,0,0"), ("A3", "0,1,0"),
+    ("B2", "20*w1"), ("E7", "0,0,0,0,0,0,1"), ("E8", "0,0,0,0,0,0,0,1"),
+]
+TRIVIAL_GROUPS = [
+    *[f"A{r}" for r in range(1, 9)], *[f"B{r}" for r in range(2, 9)],
+    *[f"C{r}" for r in range(2, 9)], *[f"D{r}" for r in range(4, 9)],
+    "E6", "E7", "E8", "F4", "G2",
+]
+
+
+def positions(weights):
+    return {w.coeffs: i for i, w in enumerate(weights)}
+
+
+@pytest.mark.parametrize("name, spec", TABLE_INPUTS)
+def test_reflection_table_matches_the_per_pair_reference(name, spec):
+    group = make_group(name)
+    weights = weight_support(group, parse_highest_weight(group, spec)).weights
+    index = positions(weights)
+    assert _reflection_table(group, weights, index) == per_pair_reflection_table(group, weights, index)
+
+
+@pytest.mark.parametrize("name", TRIVIAL_GROUPS)
+def test_reflection_table_of_the_trivial_representation(name):
+    # The support {0} packs with base 8 * 0 + 1 = 1.
+    group = make_group(name)
+    weights = weight_support(group, weight(group, (0,) * group.rank)).weights
+    table = _reflection_table(group, weights, positions(weights))
+    assert table == ((0,),) * group.rank == per_pair_reflection_table(group, weights, positions(weights))
+
+
+def test_reflection_table_of_an_empty_hand_built_support():
+    for name in ("A1", "G2", "C3", "E8"):
+        group = make_group(name)
+        assert _reflection_table(group, (), {}) == ((),) * group.rank
+        assert per_pair_reflection_table(group, (), {}) == ((),) * group.rank
+
+
+def test_reflection_table_names_the_first_missing_image_without_aliasing():
+    # Packed in base 2M + 1 = 5 instead of 8M + 1, the missing image
+    # (2, -3, -1) would read as the key of (2, 2, -2), a support weight.
+    group = make_group("C3")
+    weights = tuple(Weight(group, row) for row in [(-2, -1, -1), (1, 2, 2), (2, 2, -2)])
+    message = (
+        "support is not closed under the Weyl group: reflection 1 maps (-2, -1, -1)"
+        " to (2, -3, -1), which is missing"
+    )
+    with pytest.raises(ParseError) as err:
+        _reflection_table(group, weights, positions(weights))
+    assert str(err.value) == message
+
+
+@st.composite
+def hand_built_weights(draw):
+    """A group with Cartan entries down to -3, and a weight list: a few
+    weights with coefficients up to +-6, or the union of their Weyl orbits,
+    some of its weights dropped, sorted or reversed."""
+    group = draw(st.sampled_from([A2, B2, G2, make_group("C3")]))
+    coefficient = st.integers(-6, 6)
+    seeds = draw(st.lists(st.tuples(*[coefficient] * group.rank), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        seeds = {w.coeffs for seed in seeds for w in weyl_orbit(group, Weight(group, seed))}
+    rows = sorted(set(seeds))
+    dropped = draw(st.sets(st.integers(0, len(rows) - 1), max_size=3))
+    rows = [row for i, row in enumerate(rows) if i not in dropped]
+    if draw(st.booleans()):
+        rows.reverse()
+    return group, tuple(Weight(group, row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hand_built_weights())
+def test_reflection_table_matches_the_reference_on_hand_built_supports(case):
+    group, weights = case
+    index = positions(weights)
+    try:
+        expected = per_pair_reflection_table(group, weights, index)
+    except ParseError as refused:
+        with pytest.raises(ParseError) as err:
+            _reflection_table(group, weights, index)
+        assert str(err.value) == str(refused)
+    else:
+        assert _reflection_table(group, weights, index) == expected
