@@ -266,7 +266,7 @@ def _read_weights_file(path, rank):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read weights file {path}: {exc}") from None
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):

@@ -16,9 +16,11 @@ one it vanishes exactly where the walls of its support do, so it adds no
 face there. In fundamental-coweight coordinates that is every weight in
 plus or minus the positive root cone, since a weight's pairing vector is
 its simple-root expansion; for an adjoint representation it is every
-weight. The ray walk and the planar sweep leave such normals out, and the
-cell splitting gives each region their sign without a feasibility probe,
-so rays, cells and their witnesses are the same as with them.
+weight. The ray walk and the planar sweep leave such normals out. The cell
+splitter keeps them among its forms but never probes one: each region's
+witness lies strictly on its sign side, and the far side holds only the
+rays on its hyperplane, which do not span the local space. So rays, cells
+and their witnesses are the same as with them.
 
 All elimination is fraction-free on integers: one step, `_eliminate`,
 cuts a kernel basis down by one line, and `kernel_basis` and `matrix_rank`
@@ -592,70 +594,70 @@ def _planar_cell_witnesses(normals, walls):
     return [w for w in candidates if all(w[i] > 0 for i in walled)]
 
 
-def _cell_witnesses_by_lp(normals, walls, dim, guard, points=None, covered=0):
+def _cell_witnesses_by_lp(normals, walls, dim, guard, points, covered):
     """Cell witnesses strictly inside `walls` by incremental sign splitting
-    with feasibility probes. Given `points`, it poses a probe only when the
-    points in the probed region's closure span it, and it leaves out the
-    cells whose closure holds one of the first `covered` points.
+    with feasibility probes, posed only where the `points` in the probed
+    side's closure span it, and leaving out the cells whose closure holds
+    one of the first `covered` points.
 
     Regions of the arrangement of the first k lines are refined one line at a
-    time. A region carries its witness and its signed forms, each line so
-    far times its sign there; the side of the new line already containing
-    the witness is kept for free, and only the far side costs one
-    feasibility check, of the region's forms, that side of the line and the
-    walls. A line that does not cut the open partial orthant (`_wall_sign`
-    nonzero) has that sign on every region, so each region takes it with no
-    probe. The line still joins the forms of later probes, so they are the
-    systems, and give the witnesses, that a failed probe of it would have
-    left. The walls must be distinct unit vectors, so the seed region, the
-    whole partial orthant, is witnessed by their sum (the indicator of the
-    wall coordinates; the zero vector when there are none) with no LP.
+    time. A region carries its witness, its signed forms (each line so far
+    times its sign there) and the bitmask of the points on its side of each
+    line so far or on the line, the points its closure holds as far as
+    those lines tell. The walls must be distinct unit vectors, so the seed
+    region, the whole partial orthant, is witnessed by their sum (the
+    indicator of the wall coordinates; the zero vector when there are none)
+    with no LP. Each line splits each region by one rule per side, the side
+    holding the witness first (the positive side first when the witness
+    lies on the line):
 
-    The points must be non-negative on the wall coordinates, so each pairs
-    with a line that does not cut with that line's sign or 0. A region also
-    carries the bitmask of the points on its side of each line so far or on
-    the line, the points its closure holds as far as those lines tell.
+    * Covered points. A side is dropped when its mask holds a covered point
+      that further lies on every later line that cuts: it is in the closure
+      of every cell inside the side, which the caller has found already.
+      When the seed region holds one, no region is left. The regions that
+      stay pose the systems they pose with no point covered, so every cell
+      whose closure holds no covered point is found with the same witness,
+      in the same order.
+    * Witness. A side holding the witness strictly keeps it, with no probe.
+    * Spans. Otherwise the side costs one feasibility check, of the
+      region's forms, that side of the line and the walls, posed only when
+      the points of the side's mask have rank dim: the popcount is checked
+      first, and the rank is kept per mask. Such points make the closed
+      side full-dimensional, so its open interior is non-empty and the LP
+      finds a point; a spanned probe that finds none raises a RuntimeError.
+      The converse is the caller's promise: every non-empty region holds
+      points of rank dim in its closure, so each probe skipped is one that
+      finds no point.
 
-    * Spans. A probe is posed only when the points of the region's mask on
-      the probed side (or on the line) have rank dim: the popcount is
-      checked first, and the rank is kept per mask. Such points make the
-      closed side full-dimensional, so its open interior is non-empty and
-      the LP finds a point; a spanned probe that finds none raises a
-      RuntimeError. The converse is the caller's promise: every non-empty
-      region holds points of rank dim in its closure, so each probe
-      skipped is one that finds no point.
-    * Covered points. A covered point that further lies on every later
-      line that cuts is in the closure of every cell inside the region. A
-      region that holds one is dropped before its probe, and so is a kept
-      side or a region taking a line that does not cut, so every later
-      probe inside it goes too; when the seed region holds one, no region
-      is left. The regions that stay pose the systems they posed without
-      `covered`, so every cell whose closure holds no covered point is
-      found with the same witness, in the same order.
-
-    Without `points` every region is probed and none is dropped.
+    The points must be non-negative on the wall coordinates. A line that
+    does not cut the open partial orthant (`_wall_sign` nonzero) then needs
+    no rule of its own. The witness is strictly inside the walls, so
+    strictly on the line's sign side, which keeps it with every point; the
+    far side holds only the points on the line, which lie in a hyperplane,
+    never span and are never probed. The line still joins the forms of
+    later probes, so they are the systems, and give the witnesses, that a
+    failed probe of it would have left. It unsettles no covered point:
+    every point and every cell lie on its closed sign side, so a covered
+    point off the line is still in the closure of every cell that the
+    lines that cut leave; unsettling it would keep every cell but pose
+    more probes.
     """
     lines = _dedupe_lines(normals)
     walled = {i for wall in walls for i, x in enumerate(wall) if x}
-    signs = [_wall_sign(line, walled) for line in lines]
-    # agree[k][s]: the points on side s of line k or on it (all of them,
-    # for a line that does not cut: they agree with the sign every region
-    # takes); settled[k]: the covered ones in both sides of lines k and on.
-    full = (1 << len(points)) - 1 if points else 0
-    point_columns = tuple(zip(*points)) if points else ()
+    # agree[k][s]: the points on side s of line k or on it; settled[k]: the
+    # covered ones in both sides of every line from k on that cuts.
+    point_columns = tuple(zip(*points))
     agree, settled = [], [(1 << covered) - 1]
-    for line, known in zip(lines, signs):
-        positive = negative = full
-        if not known:
-            positive = negative = 0
-            for bit, value in enumerate(dot_rows(point_columns, line)):
-                if value >= 0:
-                    positive |= 1 << bit
-                if value <= 0:
-                    negative |= 1 << bit
+    for line in lines:
+        positive = negative = 0
+        for bit, value in enumerate(dot_rows(point_columns, line)):
+            if value >= 0:
+                positive |= 1 << bit
+            if value <= 0:
+                negative |= 1 << bit
         agree.append({1: positive, -1: negative})
-    for sides in reversed(agree):
-        settled.append(settled[-1] & sides[1] & sides[-1])
+    for line, sides in zip(reversed(lines), reversed(agree)):
+        settled.append(settled[-1] & (-1 if _wall_sign(line, walled) else sides[1] & sides[-1]))
     settled.reverse()
     if settled[0]:
         return []
@@ -668,38 +670,23 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, points=None, covered=0):
             ) == dim
         return ranks[mask]
 
-    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim, full)]
-    for index, (line, known) in enumerate(zip(lines, signs), 1):
+    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim, (1 << len(points)) - 1)]
+    for index, (line, on_side, rest) in enumerate(zip(lines, agree, settled[1:]), 1):
         sides = {1: line, -1: tuple(-c for c in line)}
-        on_side, rest = agree[index - 1], settled[index]
-        if known:
-            regions = [
-                ((*forms, sides[known]), witness, mask)
-                for forms, witness, mask in regions
-                if not mask & rest
-            ]
-            continue
         refined = []
         for forms, witness, mask in regions:
             value = dot(line, witness)
-            probes = (1, -1)
-            if value:
-                kept = 1 if value > 0 else -1
-                probes = (-kept,)
-                child = mask & on_side[kept]
-                if not child & rest:
-                    refined.append(((*forms, sides[kept]), witness, child))
-            for sign in probes:
+            for sign in (-1, 1) if value < 0 else (1, -1):
                 child = mask & on_side[sign]
-                if child & rest or (points is not None and not spans(child)):
+                holds = sign * value > 0
+                if child & rest or not (holds or spans(child)):
                     continue
-                point = lp_feasible((), (*forms, sides[sign], *walls), dim)
-                if point is not None:
-                    refined.append(((*forms, sides[sign]), point, child))
-                elif points is not None:
+                point = witness if holds else lp_feasible((), (*forms, sides[sign], *walls), dim)
+                if point is None:
                     raise RuntimeError(
                         f"spanned probe at line {index} of {len(lines)} found no point; this is a bug"
                     )
+                refined.append(((*forms, sides[sign]), point, child))
             if len(refined) > guard:
                 raise ResourceGuardError(
                     f"cell enumeration by sign splitting exceeded the guard of {guard}"

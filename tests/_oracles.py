@@ -823,6 +823,141 @@ def unpruned_cell_witnesses_by_lp(normals, walls, dim, guard):
     return [primitive_vector(witness) for _, witness in regions]
 
 
+
+def branched_cell_witnesses_by_lp(normals, walls, dim, guard, points=None, covered=0):
+    """`exactgeom._cell_witnesses_by_lp` as it was before every line was
+    split by one rule per side: with its probe-every-region mode
+    (`points=None`) and a branch of its own for the lines that do not cut
+    the open partial orthant. Like `instability_first_classify_torus` it
+    runs on the package's own LP, looked up when called, so a test that
+    wraps `exactgeom.lp_feasible` sees its probes too.
+
+    Cell witnesses strictly inside `walls` by incremental sign splitting
+    with feasibility probes. Given `points`, it poses a probe only when the
+    points in the probed region's closure span it, and it leaves out the
+    cells whose closure holds one of the first `covered` points.
+
+    Regions of the arrangement of the first k lines are refined one line at a
+    time. A region carries its witness and its signed forms, each line so
+    far times its sign there; the side of the new line already containing
+    the witness is kept for free, and only the far side costs one
+    feasibility check, of the region's forms, that side of the line and the
+    walls. A line that does not cut the open partial orthant (`_wall_sign`
+    nonzero) has that sign on every region, so each region takes it with no
+    probe. The line still joins the forms of later probes, so they are the
+    systems, and give the witnesses, that a failed probe of it would have
+    left. The walls must be distinct unit vectors, so the seed region, the
+    whole partial orthant, is witnessed by their sum (the indicator of the
+    wall coordinates; the zero vector when there are none) with no LP.
+
+    The points must be non-negative on the wall coordinates, so each pairs
+    with a line that does not cut with that line's sign or 0. A region also
+    carries the bitmask of the points on its side of each line so far or on
+    the line, the points its closure holds as far as those lines tell.
+
+    * Spans. A probe is posed only when the points of the region's mask on
+      the probed side (or on the line) have rank dim: the popcount is
+      checked first, and the rank is kept per mask. Such points make the
+      closed side full-dimensional, so its open interior is non-empty and
+      the LP finds a point; a spanned probe that finds none raises a
+      RuntimeError. The converse is the caller's promise: every non-empty
+      region holds points of rank dim in its closure, so each probe
+      skipped is one that finds no point.
+    * Covered points. A covered point that further lies on every later
+      line that cuts is in the closure of every cell inside the region. A
+      region that holds one is dropped before its probe, and so is a kept
+      side or a region taking a line that does not cut, so every later
+      probe inside it goes too; when the seed region holds one, no region
+      is left. The regions that stay pose the systems they posed without
+      `covered`, so every cell whose closure holds no covered point is
+      found with the same witness, in the same order.
+
+    Without `points` every region is probed and none is dropped.
+    """
+    from gitloci.errors import ResourceGuardError
+    from gitloci.exactgeom import (
+        _dedupe_lines,
+        _wall_sign,
+        dot,
+        dot_rows,
+        lp_feasible,
+        matrix_rank,
+        primitive_vector,
+    )
+
+    lines = _dedupe_lines(normals)
+    walled = {i for wall in walls for i, x in enumerate(wall) if x}
+    signs = [_wall_sign(line, walled) for line in lines]
+    # agree[k][s]: the points on side s of line k or on it (all of them,
+    # for a line that does not cut: they agree with the sign every region
+    # takes); settled[k]: the covered ones in both sides of lines k and on.
+    full = (1 << len(points)) - 1 if points else 0
+    point_columns = tuple(zip(*points)) if points else ()
+    agree, settled = [], [(1 << covered) - 1]
+    for line, known in zip(lines, signs):
+        positive = negative = full
+        if not known:
+            positive = negative = 0
+            for bit, value in enumerate(dot_rows(point_columns, line)):
+                if value >= 0:
+                    positive |= 1 << bit
+                if value <= 0:
+                    negative |= 1 << bit
+        agree.append({1: positive, -1: negative})
+    for sides in reversed(agree):
+        settled.append(settled[-1] & sides[1] & sides[-1])
+    settled.reverse()
+    if settled[0]:
+        return []
+    ranks = {}
+
+    def spans(mask):
+        if mask not in ranks:
+            ranks[mask] = mask.bit_count() >= dim and matrix_rank(
+                [point for bit, point in enumerate(points) if mask >> bit & 1]
+            ) == dim
+        return ranks[mask]
+
+    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim, full)]
+    for index, (line, known) in enumerate(zip(lines, signs), 1):
+        sides = {1: line, -1: tuple(-c for c in line)}
+        on_side, rest = agree[index - 1], settled[index]
+        if known:
+            regions = [
+                ((*forms, sides[known]), witness, mask)
+                for forms, witness, mask in regions
+                if not mask & rest
+            ]
+            continue
+        refined = []
+        for forms, witness, mask in regions:
+            value = dot(line, witness)
+            probes = (1, -1)
+            if value:
+                kept = 1 if value > 0 else -1
+                probes = (-kept,)
+                child = mask & on_side[kept]
+                if not child & rest:
+                    refined.append(((*forms, sides[kept]), witness, child))
+            for sign in probes:
+                child = mask & on_side[sign]
+                if child & rest or (points is not None and not spans(child)):
+                    continue
+                point = lp_feasible((), (*forms, sides[sign], *walls), dim)
+                if point is not None:
+                    refined.append(((*forms, sides[sign]), point, child))
+                elif points is not None:
+                    raise RuntimeError(
+                        f"spanned probe at line {index} of {len(lines)} found no point; this is a bug"
+                    )
+            if len(refined) > guard:
+                raise ResourceGuardError(
+                    f"cell enumeration by sign splitting exceeded the guard of {guard}"
+                    f" regions at line {index} of {len(lines)}"
+                )
+        regions = refined
+    return [primitive_vector(witness) for _, witness, _ in regions]
+
 def unpruned_cells_localised_at_rays(normals, dim, guard, rays):
     """`exactgeom._cells_localised_at_rays` as it was before it passed the
     earlier rays to the LP splitter: each cell is found again at every ray

@@ -406,6 +406,16 @@ def test_weights_file_reports_offending_line(capsys, tmp_path):
     assert "nope" in err or ":2" in err
 
 
+def test_weights_file_that_is_not_utf8_exits_with_two(capsys, tmp_path):
+    source = tmp_path / "weights.txt"
+    source.write_bytes(b"\xff\xfe1\x000\x00\n\x00")
+    code, out, err = run(capsys, "solve", "A2", "--weights-file", str(source))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"gitloci: error: cannot read weights file {source}: ")
+    assert err.count("\n") == 1
+
+
 def test_parse_failures_exit_with_two(capsys):
     for argv in (
         ["solve", "G5", "--weight", "1,0"],

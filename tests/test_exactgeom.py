@@ -33,6 +33,7 @@ from _oracles import (
     _bland_phase_one,
     _eliminated_pairings,
     _rank_exact,
+    branched_cell_witnesses_by_lp,
     cleared_denominators,
     lp_relint_reference,
     per_vector_dedupe_lines,
@@ -40,6 +41,7 @@ from _oracles import (
     sign_vector,
     subset_rref_rays,
     tableau_phase_one,
+    unpruned_cell_witnesses_by_lp,
     unpruned_cells_localised_at_rays,
     unsplit_arrangement_rays,
     zero_in_relative_interior_oracle,
@@ -439,8 +441,9 @@ def test_cell_guard_messages_name_the_stage_and_its_progress():
         match=r"sign splitting .* regions at line 1 of 2, in the local system at ray 1 of 13$",
     ):
         orthant_cells(cycle, 4, guard=1)
+    lines = ((1, -1), (1, -2))
     with pytest.raises(ResourceGuardError, match=r"sign splitting .* regions at line 2 of 2$"):
-        _cell_witnesses_by_lp(((1, -1), (1, -2)), QUADRANT, 2, 2)
+        _cell_witnesses_by_lp(lines, QUADRANT, 2, 2, arrangement_rays(lines, 2), 0)
     with pytest.raises(ResourceGuardError, match=r"guard of 1 cells with 2 found$"):
         orthant_cells(((1, -1),), 2, guard=1)
 
@@ -466,7 +469,7 @@ normal_2d = st.lists(st.integers(-5, 5), min_size=2, max_size=2).map(tuple)
 def test_planar_sweep_agrees_with_lp_enumeration(normals):
     nonzero = [n for n in normals if n != (0, 0)]
     planar = _planar_cell_witnesses(nonzero, QUADRANT)
-    by_lp = _cell_witnesses_by_lp(nonzero, QUADRANT, 2, 10**6)
+    by_lp = unpruned_cell_witnesses_by_lp(nonzero, QUADRANT, 2, 10**6)
     key = lambda pts: {sign_vector(p, nonzero) for p in pts}
     assert key(planar) == key(by_lp)
     assert len(planar) == len(by_lp)
@@ -637,7 +640,7 @@ def test_localised_cells_match_global_lp(arrangement):
     dim, normals = arrangement
     nonzero = [n for n in normals if any(n)]
     cells = orthant_cells(normals, dim)
-    by_lp = _cell_witnesses_by_lp(nonzero, orthant(dim), dim, 10**6)
+    by_lp = unpruned_cell_witnesses_by_lp(nonzero, orthant(dim), dim, 10**6)
     assert cell_signatures(cells, normals) == cell_signatures(by_lp, normals)
     assert len(cells) == len(by_lp)
 
@@ -753,10 +756,14 @@ def lp_results(monkeypatch, function, *args):
         monkeypatch.undo()
 
 
-# Cell LPs of four inputs, frozen, now that a region is probed only when the
-# rays in its closure span it.
+# Cell LPs of every rank >= 4 input, frozen, now that a region is probed
+# only when the rays in its closure span it.
 CELL_LP_CALLS = {
     ("A6", "1,0,0,0,0,0"): 3, ("A5", "1,1,0,0,0"): 281, ("C5", "0,0,0,0,1"): 193, ("E6", "1,0,0,0,0,0"): 40,
+    ("A4", "1,0,0,0"): 2, ("A4", "0,1,0,0"): 11, ("B4", "0,0,0,1"): 3, ("F4", "0,0,0,1"): 0, ("D4", "1,0,0,0"): 0,
+    ("A5", "0,0,1,0,0"): 5, ("B6", "1,0,0,0,0,0"): 0, ("C6", "1,0,0,0,0,0"): 0, ("D6", "1,0,0,0,0,0"): 0,
+    ("C7", "1,0,0,0,0,0,0"): 0, ("A4", "2,0,0,0"): 19, ("C4", "0,0,0,1"): 3, ("D5", "0,0,0,0,1"): 19,
+    ("A7", "1,0,0,0,0,0,0"): 3, ("A5", "2,0,0,0,0"): 52,
 }
 
 
@@ -782,8 +789,44 @@ def test_probes_need_points_that_span_the_side():
     # the quadrant's rays each side is spanned and holds a cell; with the
     # diagonal alone neither side is, and both cells are lost, which is why
     # the localised cells need every ray of the arrangement.
-    assert _cell_witnesses_by_lp(line, QUADRANT, 2, 10, [(1, 0), (0, 1), (1, 1)]) == [(2, 1), (1, 2)]
-    assert _cell_witnesses_by_lp(line, QUADRANT, 2, 10, [(1, 1)]) == []
+    assert _cell_witnesses_by_lp(line, QUADRANT, 2, 10, [(1, 0), (0, 1), (1, 1)], 0) == [(2, 1), (1, 2)]
+    assert _cell_witnesses_by_lp(line, QUADRANT, 2, 10, [(1, 1)], 0) == []
+
+
+def cells_and_lp_systems(splitter, normals, rays, dim):
+    """`arrangement_cells` with `splitter` as its LP splitter, and the
+    arguments of every `lp_feasible` call it made, in order."""
+    systems = []
+    real = exactgeom.lp_feasible
+
+    def recorded(*args):
+        systems.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactgeom, "_cell_witnesses_by_lp", splitter)
+        patch.setattr(exactgeom, "lp_feasible", recorded)
+        return arrangement_cells(normals, rays, dim), systems
+
+
+def assert_splitter_poses_the_branched_systems(normals, dim, rays):
+    # One rule per side keeps the regions, forms and witnesses of the
+    # splitter with a branch for the lines that do not cut, so the cells
+    # and every LP system, in order, are the same.
+    split = cells_and_lp_systems(_cell_witnesses_by_lp, normals, rays, dim)
+    assert split == cells_and_lp_systems(branched_cell_witnesses_by_lp, normals, rays, dim)
+
+
+@pytest.mark.parametrize("name, spec", PRUNING_INPUTS)
+def test_splitter_poses_the_branched_systems(name, spec):
+    assert_splitter_poses_the_branched_systems(*localised_arrangement(name, spec))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(half_definite_arrangements(), block_arrangements(), orthant_arrangements(dims=(4, 5, 6))))
+def test_splitter_poses_the_branched_systems_on_arrangements(arrangement):
+    dim, normals = arrangement
+    assert_splitter_poses_the_branched_systems(normals, dim, arrangement_rays(normals, dim))
 
 
 # Sign vectors of the cells of eight representations, frozen: one string
