@@ -631,24 +631,32 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, points, covered):
 
     The points must be non-negative on the wall coordinates. A line that
     does not cut the open partial orthant (`_wall_sign` nonzero) then needs
-    no rule of its own. The witness is strictly inside the walls, so
-    strictly on the line's sign side, which keeps it with every point; the
-    far side holds only the points on the line, which lie in a hyperplane,
-    never span and are never probed. The line still joins the forms of
-    later probes, so they are the systems, and give the witnesses, that a
-    failed probe of it would have left. It unsettles no covered point:
-    every point and every cell lie on its closed sign side, so a covered
-    point off the line is still in the closure of every cell that the
-    lines that cut leave; unsettling it would keep every cell but pose
-    more probes.
+    no rule of its own, and is paired with no point. Every point lies on
+    its closed sign side, whose mask is all the points. The witness is
+    strictly inside the walls, so strictly on that side, which keeps it.
+    The far side holds only the points on the line, which lie in a
+    hyperplane and never span, so its mask is left empty and it is never
+    probed. The line still joins the forms of later probes, so they are the
+    systems, and give the witnesses, that a failed probe of it would have
+    left. It unsettles no covered point: every point and every cell lie on
+    its closed sign side, so a covered point off the line is still in the
+    closure of every cell that the lines that cut leave; unsettling it
+    would keep every cell but pose more probes.
     """
     lines = _dedupe_lines(normals)
     walled = {i for wall in walls for i, x in enumerate(wall) if x}
-    # agree[k][s]: the points on side s of line k or on it; settled[k]: the
-    # covered ones in both sides of every line from k on that cuts.
+    # agree[k][s]: the points on side s of line k or on it, none on the far
+    # side of a line that does not cut; keeps[k]: the points line k leaves
+    # settled; settled[k]: the covered ones kept by every line from k on.
     point_columns = tuple(zip(*points))
-    agree, settled = [], [(1 << covered) - 1]
+    everything = (1 << len(points)) - 1
+    agree, keeps, settled = [], [], [(1 << covered) - 1]
     for line in lines:
+        sign = _wall_sign(line, walled)
+        if sign:
+            agree.append({sign: everything, -sign: 0})
+            keeps.append(-1)
+            continue
         positive = negative = 0
         for bit, value in enumerate(dot_rows(point_columns, line)):
             if value >= 0:
@@ -656,8 +664,9 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, points, covered):
             if value <= 0:
                 negative |= 1 << bit
         agree.append({1: positive, -1: negative})
-    for line, sides in zip(reversed(lines), reversed(agree)):
-        settled.append(settled[-1] & (-1 if _wall_sign(line, walled) else sides[1] & sides[-1]))
+        keeps.append(positive & negative)
+    for keep in reversed(keeps):
+        settled.append(settled[-1] & keep)
     settled.reverse()
     if settled[0]:
         return []
@@ -670,7 +679,7 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, points, covered):
             ) == dim
         return ranks[mask]
 
-    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim, (1 << len(points)) - 1)]
+    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim, everything)]
     for index, (line, on_side, rest) in enumerate(zip(lines, agree, settled[1:]), 1):
         sides = {1: line, -1: tuple(-c for c in line)}
         refined = []

@@ -47,15 +47,26 @@ the permutation of the support by each simple reflection, tabulated by
 `repsupport`'s check that the support is Weyl-closed, and the Weyl group
 acts on states through them. Weyl deduplication walks the sorted states
 once: it keeps a state unless an earlier kept state's class
-reached it, and closes each kept state's class breadth first, so the first
-state of each class in sort order is kept. Nothing of a class outlives the
-deduplication that closed it, and no query enumerates W.
+reached it, so the first state of each class in sort order is kept.
+
+A kept state's class is closed, breadth first, only when a later state
+shares its bucket: three invariants that conjugate sets share and that need
+no element of W, the last two worked out only for sizes that recur. The
+size, since W permutes the support. The sorted orbit
+labels of the members, the connected components of the reflections'
+permutations of the support, since w maps each weight into its own orbit.
+The dominant form of the sum of the members' coefficients, since w(S) sums
+to w of the sum of S and each W-orbit of weights holds one dominant weight.
+A state alone in its bucket is alone in its class, and closes nothing.
+Nothing of a class outlives the deduplication that closed it, and no query
+enumerates W.
 """
 
 from __future__ import annotations
 
 import operator
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 
@@ -87,6 +98,7 @@ from .rootdata import (
     pairing,
     pairing_vector,  # unused here; the tests import it from this module
     reflect_coweight_coeffs,
+    reflect_weight_coeffs,
     weyl_elements,  # unused here; the benchmark's tracer wraps it under this module
 )
 
@@ -149,8 +161,10 @@ class GITProblem:
     other one-parameter subgroups, such as those passed to `state_of`, are
     paired afresh and not cached. The sorted maximal states of each mode,
     before Weyl deduplication, are cached for the loci and
-    `classify_torus`.
-    `weyl_guard` bounds the Weyl set closure of the deduplication.
+    `classify_torus`, and so are the Weyl orbit labels of the support
+    positions that the deduplication buckets by.
+    `weyl_guard` bounds the Weyl set closure of the deduplication, which
+    runs only for a kept state whose bucket a later candidate shares.
     """
 
     def __init__(
@@ -181,6 +195,7 @@ class GITProblem:
         self._cells = None
         self._witness_pairings = {}
         self._maximal = {}
+        self._orbit_labels = None
 
     def rays(self):
         if self._rays is None:
@@ -285,16 +300,60 @@ def _maximal_only(entries):
     return [entry for entry, s in zip(entries, sets) if not any(s < other for other in sets)]
 
 
+def _orbit_labels(problem):
+    """The Weyl orbit of each support position, labelled by its first
+    position: the connected components of the simple reflections'
+    permutations of the support, found once per problem."""
+    labels = problem._orbit_labels
+    if labels is None:
+        labels = [None] * len(problem.index)
+        for start, label in enumerate(labels):
+            if label is None:
+                labels[start] = start
+                stack = [start]
+                while stack:
+                    i = stack.pop()
+                    for permutation in problem.reflections:
+                        j = permutation[i]
+                        if labels[j] is None:
+                            labels[j] = start
+                            stack.append(j)
+        problem._orbit_labels = labels
+    return labels
+
+
+def _weyl_bucket(problem, indices):
+    """W-invariants of an index set, which conjugate sets share: its size,
+    the sorted orbit labels of its members and the dominant form of the sum
+    of their coefficients."""
+    labels, weights = _orbit_labels(problem), problem.support.weights
+    total = tuple(map(sum, zip(*(weights[i].coeffs for i in indices))))
+    dominant = _chamber_word(problem.group.cartan, total, reflect_weight_coeffs)[0]
+    return len(indices), tuple(sorted(map(labels.__getitem__, indices))), dominant
+
+
 def _drop_weyl_duplicates(problem, entries):
     """The entries, in order, whose index set is in the Weyl class of no
-    earlier entry: each kept set closes its class under the simple
-    reflections, breadth first within the guard, and every member is seen."""
+    earlier entry. Conjugate sets share a `_weyl_bucket`, so a kept set
+    closes its class under the simple reflections, breadth first within the
+    guard, and sees every member only when a later entry shares its bucket;
+    otherwise no later entry can be in its class. An entry of a size no
+    other entry has is bucketed by its size alone."""
     reflections, guard = problem.reflections, problem.weyl_guard
+    sizes = Counter(len(indices) for indices, _ in entries)
+    buckets = [
+        _weyl_bucket(problem, indices) if sizes[len(indices)] > 1 else len(indices)
+        for indices, _ in entries
+    ]
+    later = Counter(buckets)
     kept = []
     seen = set()
-    for indices, point in entries:
-        if indices not in seen:
-            kept.append((indices, point))
+    for (indices, point), bucket in zip(entries, buckets):
+        later[bucket] -= 1
+        if indices in seen:
+            continue
+        kept.append((indices, point))
+        if later[bucket]:
             members = _closure(
                 indices,
                 lambda current: [tuple(sorted(map(p.__getitem__, current))) for p in reflections],

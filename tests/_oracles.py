@@ -1178,3 +1178,28 @@ def per_vector_dedupe_lines(vectors):
     """`exactgeom._dedupe_lines` as it was written before the column passes:
     one `_integer_direction` per nonzero vector, in first-seen order."""
     return list(dict.fromkeys(_integer_direction(v) for v in vectors if any(v)))
+
+
+def closing_drop_weyl_duplicates(problem, entries):
+    """`gitsolver._drop_weyl_duplicates` as it was before the invariant
+    buckets: every kept set closes its Weyl class, whether or not a later
+    entry can be in it. Like `instability_first_classify_torus` it runs on
+    the package's own closure, because what it pins is which entries are
+    kept, not how a class is closed."""
+    from gitloci.rootdata import _closure
+
+    reflections, guard = problem.reflections, problem.weyl_guard
+    kept = []
+    seen = set()
+    for indices, point in entries:
+        if indices not in seen:
+            kept.append((indices, point))
+            members = _closure(
+                indices,
+                lambda current: [tuple(sorted(map(p.__getitem__, current))) for p in reflections],
+                guard,
+                lambda reached, rounds: f"Weyl set closure exceeded the guard of {guard},"
+                f" with {len(reached)} sets of {len(indices)} weights reached in round {rounds}",
+            )
+            seen.update(members)
+    return kept

@@ -8,6 +8,7 @@ destabilizing witnesses below were derived that way before being frozen here.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gitloci import gitsolver, rootdata
 from gitloci.errors import GitLociError, ParseError, RankMismatchError
 from gitloci.exactgeom import dot
 from gitloci.gitsolver import (
@@ -33,7 +34,7 @@ from gitloci.rootdata import (
     weight,
     weyl_elements,
 )
-from _oracles import per_vector_dedupe_lines
+from _oracles import closing_drop_weyl_duplicates, per_vector_dedupe_lines
 
 A2 = make_group("A2")
 B2 = make_group("B2")
@@ -397,6 +398,57 @@ BENCHMARK_SOLVES = [
     ("A5", "0,0,1,0,0"), ("A6", "1,0,0,0,0,0"), ("B6", "1,0,0,0,0,0"),
     ("C6", "1,0,0,0,0,0"), ("D6", "1,0,0,0,0,0"), ("C7", "1,0,0,0,0,0,0"),
 ]
+
+
+@pytest.mark.parametrize("weyl", [False, True], ids=["plain", "weyl-opt"])
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
+def test_bucketed_weyl_deduplication_keeps_what_closing_every_class_keeps(
+    name, spec, weyl, monkeypatch
+):
+    # Every entry list the solve deduplicates, checked against the
+    # deduplication that closes the class of every state it keeps.
+    bucketed = gitsolver._drop_weyl_duplicates
+    calls = []
+
+    def both(problem, entries):
+        kept = bucketed(problem, entries)
+        assert kept == closing_drop_weyl_duplicates(problem, entries)
+        calls.append(len(entries))
+        return kept
+
+    monkeypatch.setattr(gitsolver, "_drop_weyl_duplicates", both)
+    group = make_group(name)
+    solve_all(new_problem(group, parse_highest_weight(group, spec), weyl_optimisation=weyl))
+    assert len(calls) == (3 if weyl else 1)
+
+
+def test_non_conjugate_states_may_share_a_weyl_bucket():
+    # F4 0,0,0,1: two 7-weight strictly polystable states share every
+    # invariant of the bucket but lie in different Weyl classes, so their
+    # conjugacy is decided by the closure, and both are kept.
+    group = make_group("F4")
+    problem = new_problem(group, parse_highest_weight(group, "0,0,0,1"))
+    first, second = [s for s in solve_strictly_polystable(problem) if s.size == 7]
+    buckets = [
+        gitsolver._weyl_bucket(problem, tuple(sorted(problem.index[w.coeffs] for w in s)))
+        for s in (first, second)
+    ]
+    assert buckets[0] == buckets[1]
+    assert second.coeff_set() not in _weyl_set_images(group, first.coeff_set())
+
+
+def test_rank_7_states_alone_in_their_buckets_close_no_class(monkeypatch):
+    # E7 0,0,0,0,0,0,1: the 3 non-stable and 8 unstable states kept under
+    # the optimisation each have a bucket of their own.
+    closures = []
+    monkeypatch.setattr(
+        gitsolver, "_closure", lambda *args: closures.append(args) or rootdata._closure(*args)
+    )
+    group = make_group("E7")
+    problem = new_problem(group, parse_highest_weight(group, "0,0,0,0,0,0,1"), weyl_optimisation=True)
+    solution = solve_all(problem, "nonstable,unstable")
+    assert (len(solution.nonstable), len(solution.unstable)) == (3, 8)
+    assert closures == []
 
 
 @pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
