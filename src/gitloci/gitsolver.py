@@ -41,8 +41,15 @@ check of the = 0 states is marked as failing on the inputs of item 1.
 
 States and the Weyl group
 -------------------------
-Inside the solver a state is the ascending tuple of its positions in the
-sorted support, so index order is coefficient order. `GITProblem` keeps
+Inside the selection a state is a bitmask. Each pairing column is packed
+into one integer with a biased field per support weight, wide enough that
+no field carries, and one multiply-add per nonzero coordinate of a witness
+gives all its biased pairings at once: the weights that pair >= 0 are the
+set top bits, those that pair > 0 the top bits still set after one is
+taken from every field, and the = 0 state is the difference. Distinctness,
+maximality and the polystable certificates are tests on these masks.
+Outside the selection a state is the ascending tuple of its positions in
+the sorted support, so index order is coefficient order. `GITProblem` keeps
 the permutation of the support by each simple reflection, tabulated by
 `repsupport`'s check that the support is Weyl-closed, and the Weyl group
 acts on states through them. Weyl deduplication walks the sorted states
@@ -64,11 +71,10 @@ enumerates W.
 
 from __future__ import annotations
 
-import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, starmap
 
 from .errors import ParseError, RankMismatchError
 from .exactgeom import (
@@ -96,18 +102,17 @@ from .rootdata import (
     _chamber_word,
     _closure,
     pairing,
-    pairing_vector,  # unused here; the tests import it from this module
     reflect_coweight_coeffs,
     reflect_weight_coeffs,
     weyl_elements,  # unused here; the benchmark's tracer wraps it under this module
 )
 
-# Each mode: the kind of state it selects and the comparison of a pairing
-# against zero that keeps a weight.
+# Each mode: the kind of state it selects and its mask, read off the masks
+# (ge, gt) of the weights that pair >= 0 and > 0 with a point.
 _MODES = {
-    ">=0": ("nonstable", operator.ge),
-    ">0": ("unstable", operator.gt),
-    "=0": ("strictly_polystable", operator.eq),
+    ">=0": ("nonstable", lambda ge, gt: ge),
+    ">0": ("unstable", lambda ge, gt: gt),
+    "=0": ("strictly_polystable", lambda ge, gt: ge ^ gt),
 }
 
 
@@ -156,10 +161,10 @@ class GITProblem:
     cells are localised at the cached rays. The arrangement's normals are
     the support's distinct lines: the pairing vectors of the nonzero
     weights, each line once, in first-seen order. `rays()` and `cells()`
-    are tuples of integer points. The pairing row of each ray and cell
-    witness with the support is computed once and read by every locus;
-    other one-parameter subgroups, such as those passed to `state_of`, are
-    paired afresh and not cached. The sorted maximal states of each mode,
+    are tuples of integer points. Each locus, and each `state_of` call,
+    packs the pairing columns at the field width its points need and reads
+    the sign masks of all of them in one pass (`_sign_masks`); no pairing
+    of a point is kept. The sorted maximal states of each mode,
     before Weyl deduplication, are cached for the loci and
     `classify_torus`, and so are the Weyl orbit labels of the support
     positions that the deduplication buckets by.
@@ -193,7 +198,6 @@ class GITProblem:
         self._normals = tuple(_dedupe_lines(self._pairing_vectors))
         self._rays = None
         self._cells = None
-        self._witness_pairings = {}
         self._maximal = {}
         self._orbit_labels = None
 
@@ -210,22 +214,6 @@ class GITProblem:
                 )
             )
         return self._cells
-
-    def _pairings(self, coweight_coeffs):
-        """The det-scaled pairing of each support weight with the coweight."""
-        return dot_rows(self._pairing_columns, coweight_coeffs)
-
-    def _witness_row(self, point):
-        """`_pairings` of a ray or cell witness point, computed once."""
-        row = self._witness_pairings.get(point)
-        if row is None:
-            row = self._witness_pairings[point] = self._pairings(point)
-        return row
-
-    def _select(self, pairings, mode):
-        """Indices of the support weights whose pairing the mode keeps."""
-        keep = _MODES[mode][1]
-        return tuple(compress(range(len(pairings)), map(keep, pairings, repeat(0))))
 
 
 def new_problem(
@@ -273,7 +261,8 @@ def state_of(problem, lam, mode):
         raise RankMismatchError("one-parameter subgroup belongs to a different group")
     if mode not in _MODES:
         raise ParseError(f"unknown mode {mode!r}; expected one of {sorted(_MODES)}")
-    selected = _weights(problem, problem._select(problem._pairings(lam.coeffs), mode))
+    masks, width = _sign_masks(problem, [lam.coeffs])
+    selected = _weights(problem, _indices(problem, _MODES[mode][1](*masks[0]), width))
     return State(kind=_MODES[mode][0], weights=selected, witness=lam)
 
 
@@ -283,21 +272,65 @@ def _weights(problem, indices):
     return tuple(weights[i] for i in indices)
 
 
-def _distinct(problem, witnesses, mode):
-    """Each distinct non-empty state of the mode over the witnesses, as
-    (indices into the support, point) with the first witness point that
-    realises it, in the order first seen."""
+def _sign_masks(problem, points):
+    """The masks (ge, gt) of the support weights that pair >= 0 and > 0
+    with each point, and the field width in bytes that `_indices` reads
+    them with.
+
+    Each pairing column is packed into one integer with a field of `width`
+    bytes per support weight, in support order, and the point's pairings
+    are then one multiply-add per nonzero coordinate on the bias
+    2^(8 width - 1) in every field. The width is the least that holds every
+    column entry and every pairing of the points in (-bias, bias), so each
+    biased field lies in [0, 2 bias) and no field carries into the next: a
+    field's top bit is set exactly when its pairing is >= 0, and, less one,
+    exactly when it is > 0."""
+    columns, n = problem._pairing_columns, len(problem.index)
+    bounds = [max(map(abs, column)) for column in columns]
+    bound = max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)])
+    width = bound.bit_length() // 8 + 1
+    bias = 1 << (8 * width - 1)
+    top = int.from_bytes(bias.to_bytes(width, "little") * n, "little")
+    ones = int.from_bytes((1).to_bytes(width, "little") * n, "little")
+    packed = [
+        int.from_bytes(b"".join([(u + bias).to_bytes(width, "little") for u in column]), "little") - top
+        for column in columns
+    ]
+    masks = []
+    for point in points:
+        fields = top
+        for c, column in zip(point, packed):
+            if c:
+                fields += c * column
+        masks.append((fields & top, (fields - ones) & top))
+    return masks, width
+
+
+def _indices(problem, mask, width):
+    """The ascending support positions of a `_sign_masks` mask."""
+    n = len(problem.index)
+    return tuple(compress(range(n), mask.to_bytes(n * width, "little")[width - 1 :: width]))
+
+
+def _distinct(masks, witnesses):
+    """Each distinct nonzero mask, with the first witness point that gives
+    it, in the order first seen."""
     out = {}
-    for point in witnesses:
-        selected = problem._select(problem._witness_row(point), mode)
-        if selected:
-            out.setdefault(selected, point)
-    return list(out.items())
+    for mask, point in zip(masks, witnesses):
+        if mask:
+            out.setdefault(mask, point)
+    return out
 
 
-def _maximal_only(entries):
-    sets = [frozenset(indices) for indices, _ in entries]
-    return [entry for entry, s in zip(entries, sets) if not any(s < other for other in sets)]
+def _maximal_only(masks):
+    """The masks that no other mask strictly contains, largest first: a
+    mask is dropped when it lies in one already kept, and only a larger
+    mask can strictly contain it."""
+    kept = []
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(mask & other == mask for other in kept):
+            kept.append(mask)
+    return kept
 
 
 def _orbit_labels(problem):
@@ -380,7 +413,9 @@ def _sorted_maximal(problem, mode):
     entries = problem._maximal.get(mode)
     if entries is None:
         witnesses = problem.rays() if mode == ">=0" else problem.cells()
-        entries = _maximal_only(_distinct(problem, witnesses, mode))
+        masks, width = _sign_masks(problem, witnesses)
+        first = _distinct(starmap(_MODES[mode][1], masks), witnesses)
+        entries = [(_indices(problem, m, width), first[m]) for m in _maximal_only(first)]
         entries.sort(key=lambda e: (-len(e[0]), e[0]))
         problem._maximal[mode] = entries
     return entries
@@ -413,17 +448,28 @@ def solve_strictly_polystable(problem):
     deduplicated up to Weyl equivalence of the weight sets. Nested states
     are kept on purpose. No weight but 0 vanishes at a cell witness, so
     `cells()[0]` gives {0} its witness when no ray does, and a support
-    without the zero weight reads the rays alone and builds no cell. The
-    relative-interior test runs once per distinct weight set."""
+    without the zero weight reads the rays alone and builds no cell.
+
+    The origin is in the relative interior of the hull of the members' pairing
+    vectors v_i exactly when sum c_i v_i = 0 for some c > 0. Each distinct
+    weight set Z is decided by the first of three steps that applies:
+    * no, when a witness q of the locus pairs >= 0 with all of Z and > 0
+      with one of its weights, as then sum c_i <v_i, q> > 0 for every c > 0;
+    * yes, when the v_i sum to 0, as then c = 1 works;
+    * otherwise by the relative-interior simplex."""
     vectors = problem._pairing_vectors
     witnesses = problem.rays()
     if (0,) * problem.group.rank in problem.index:
         witnesses = (*witnesses, *problem.cells()[:1])
-    entries = [
-        (indices, point)
-        for indices, point in _distinct(problem, witnesses, "=0")
-        if zero_in_relative_interior([vectors[i] for i in indices])
-    ]
+    masks, width = _sign_masks(problem, witnesses)
+    entries = []
+    for zero, point in _distinct(starmap(_MODES["=0"][1], masks), witnesses).items():
+        if any(ge & zero == zero and gt & zero for ge, gt in masks):
+            continue
+        indices = _indices(problem, zero, width)
+        members = [vectors[i] for i in indices]
+        if not any(map(sum, zip(*members))) or zero_in_relative_interior(members):
+            entries.append((indices, point))
     entries.sort(key=lambda e: (len(e[0]), e[0]))
     entries = _drop_weyl_duplicates(problem, entries)
     return _as_states(problem, "=0", entries)

@@ -9,8 +9,9 @@ hide behind the same bug in the test.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
 from math import gcd, lcm
 
 
@@ -1203,3 +1204,14 @@ def closing_drop_weyl_duplicates(problem, entries):
             )
             seen.update(members)
     return kept
+
+
+def pairing_row_select(problem, point, mode):
+    """The support positions whose pairing with the point the mode keeps,
+    as `gitsolver` selected them before its sign masks: one `dot_rows`
+    pairing row, each entry compared against 0."""
+    from gitloci.exactgeom import dot_rows
+
+    keep = {">=0": operator.ge, ">0": operator.gt, "=0": operator.eq}[mode]
+    row = dot_rows(problem._pairing_columns, point)
+    return tuple(compress(range(len(row)), map(keep, row, repeat(0))))

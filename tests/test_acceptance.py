@@ -16,12 +16,13 @@ from fractions import Fraction
 from math import comb
 
 from gitloci.exactgeom import zero_in_relative_interior
-from gitloci.gitsolver import new_problem, pairing_vector, solve_all, state_of
+from gitloci.gitsolver import new_problem, solve_all, state_of
 from gitloci.repsupport import parse_highest_weight, weight_support
 from gitloci.rootdata import (
     convert_coordinates,
     make_group,
     one_param_subgroup,
+    pairing_vector,
     weight,
     weyl_elements,
     weyl_group_order,

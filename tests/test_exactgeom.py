@@ -26,9 +26,9 @@ from gitloci.exactgeom import (
     _planar_cell_witnesses,
     _wall_sign,
 )
-from gitloci.gitsolver import new_problem, pairing_vector
+from gitloci.gitsolver import new_problem
 from gitloci.repsupport import parse_highest_weight
-from gitloci.rootdata import make_group
+from gitloci.rootdata import make_group, pairing_vector
 from _oracles import (
     _bland_phase_one,
     _eliminated_pairings,

@@ -5,18 +5,19 @@ small enough to solve by hand, and the expected rays, cells, states, and
 destabilizing witnesses below were derived that way before being frozen here.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gitloci import gitsolver, rootdata
 from gitloci.errors import GitLociError, ParseError, RankMismatchError
-from gitloci.exactgeom import dot
+from gitloci.exactgeom import dot, zero_in_relative_interior
 from gitloci.gitsolver import (
     GITProblem,
     classify_torus,
     hm_mu,
     new_problem,
-    pairing_vector,
     parse_loci,
     problem_from_weights,
     solve_all,
@@ -31,10 +32,11 @@ from gitloci.rootdata import (
     make_group,
     one_param_subgroup,
     pairing,
+    pairing_vector,
     weight,
     weyl_elements,
 )
-from _oracles import closing_drop_weyl_duplicates, per_vector_dedupe_lines
+from _oracles import closing_drop_weyl_duplicates, pairing_row_select, per_vector_dedupe_lines
 
 A2 = make_group("A2")
 B2 = make_group("B2")
@@ -372,32 +374,168 @@ def test_classification_certificates_are_primitive():
     assert certificate.coeffs == certificate.primitive().coeffs
 
 
-def test_witness_pairing_rows_are_cached_once_and_state_of_adds_none():
-    problem = new_problem(B2, parse_highest_weight(B2, "5*w1"))
-    solve_all(problem)
-    witnesses = {*problem.rays(), *problem.cells()}
-    rows = problem._witness_pairings
-    assert set(rows) == witnesses
-    for point, row in rows.items():
-        assert list(row) == [dot(pairing_vector(B2, w.coeffs), point) for w in problem.support]
-    before = dict(rows)
-    for coeffs in [(1, 0), (3, 7), (-2, 5), *witnesses]:
-        state_of(problem, OneParameterSubgroup(B2, coeffs), ">=0")
-    assert problem._witness_pairings == before
-    assert all(rows[p] is before[p] for p in before)
-
-
 # The benchmark's `planar`, `midrank` and `minuscule` inputs.
-BENCHMARK_SOLVES = [
+PLANAR_SOLVES = [
     *[("A2", f"{d},0") for d in range(3, 13)],
     *[("B2", f"{d}*w1") for d in range(3, 13)],
     *[("G2", f"{d},0") for d in range(1, 5)],
     *[("G2", f"0,{d}") for d in range(1, 4)],
+]
+MIDRANK_SOLVES = [
     ("A3", "1,0,0"), ("A3", "2,0,0"), ("B3", "2,0,0"), ("B3", "0,1,0"), ("C3", "0,0,1"),
     ("A4", "1,0,0,0"), ("A4", "0,1,0,0"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"), ("D4", "1,0,0,0"),
+]
+MINUSCULE_SOLVES = [
     ("A5", "0,0,1,0,0"), ("A6", "1,0,0,0,0,0"), ("B6", "1,0,0,0,0,0"),
     ("C6", "1,0,0,0,0,0"), ("D6", "1,0,0,0,0,0"), ("C7", "1,0,0,0,0,0,0"),
 ]
+BENCHMARK_SOLVES = [*PLANAR_SOLVES, *MIDRANK_SOLVES, *MINUSCULE_SOLVES]
+# The `HEAVY` inputs of scripts/compare_reports.py.
+HEAVY_SOLVES = [
+    ("A3", "3,0,0"), ("A3", "4,0,0"), ("B3", "1,0,1"), ("A4", "2,0,0,0"), ("C4", "0,0,0,1"),
+    ("D5", "0,0,0,0,1"), ("E6", "1,0,0,0,0,0"), ("A7", "1,0,0,0,0,0,0"), ("A1", "3"),
+    ("C2", "0,1"), ("D3", "1,0,0"), ("A5", "1,1,0,0,0"), ("A5", "2,0,0,0,0"),
+    ("D5", "1,0,0,0,0"), ("B5", "1,0,0,0,0"), ("A3", "0,1,0"), ("B2", "20*w1"),
+    ("E7", "0,0,0,0,0,0,1"), ("A5", "3,0,0,0,0"), ("A4", "4,0,0,0"),
+]
+MODES = (">=0", ">0", "=0")
+
+
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES + HEAVY_SOLVES)
+def test_sign_masks_select_what_the_pairing_row_selects(name, spec, monkeypatch):
+    # Every call the loci make, at the width each call chooses: the rays,
+    # the cells, and the polystable witnesses, in all three modes.
+    kernel = gitsolver._sign_masks
+    seen = set()
+
+    def checked(problem, points):
+        masks, width = kernel(problem, points)
+        assert len(masks) == len(points)
+        for point, (ge, gt) in zip(points, masks):
+            for mode in MODES:
+                mask = gitsolver._MODES[mode][1](ge, gt)
+                assert gitsolver._indices(problem, mask, width) == pairing_row_select(problem, point, mode)
+        seen.update(points)
+        return masks, width
+
+    monkeypatch.setattr(gitsolver, "_sign_masks", checked)
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    solve_all(problem)
+    assert seen == {*problem.rays(), *problem.cells()}
+
+
+def test_polystable_certificates_agree_with_the_simplex():
+    # Every distinct = 0 candidate of the inputs, from the pairing rows. A
+    # witness q with every member >= 0 and one > 0 says no; a zero sum of
+    # the members' pairing vectors says yes. Each certificate that applies
+    # agrees with the relative-interior simplex, and the locus keeps the
+    # candidates the simplex keeps. The first 601 candidates (215 no and
+    # 386 yes) are those of the inputs before A5 3,0,0,0,0 and A4 4,0,0,0.
+    totals = Counter()
+    for name, spec in BENCHMARK_SOLVES + HEAVY_SOLVES:
+        group = make_group(name)
+        problem = new_problem(group, parse_highest_weight(group, spec))
+        witnesses = list(problem.rays())
+        if (0,) * group.rank in problem.index:
+            witnesses += problem.cells()[:1]
+        signs = [
+            (set(pairing_row_select(problem, q, ">=0")), set(pairing_row_select(problem, q, ">0")))
+            for q in witnesses
+        ]
+        candidates = {}
+        for q in witnesses:
+            zero = pairing_row_select(problem, q, "=0")
+            if zero:
+                candidates.setdefault(zero, q)
+        kept = []
+        for zero, q in candidates.items():
+            members = [problem._pairing_vectors[i] for i in zero]
+            answer = zero_in_relative_interior(members)
+            witnessed = any(ge >= set(zero) and gt & set(zero) for ge, gt in signs)
+            summed = not any(map(sum, zip(*members)))
+            assert not (witnessed and answer) and not (summed and not answer)
+            totals.update(candidates=1, no=not answer, witnessed=witnessed, yes=answer, summed=summed)
+            if answer:
+                kept.append((zero, q))
+        kept.sort(key=lambda e: (len(e[0]), e[0]))
+        expected = [
+            (frozenset(problem.support.weights[i].coeffs for i in zero), q)
+            for zero, q in gitsolver._drop_weyl_duplicates(problem, kept)
+        ]
+        states = solve_strictly_polystable(problem)
+        assert [(s.coeff_set(), s.witness.coeffs) for s in states] == expected
+    assert totals == Counter(candidates=892, no=482, witnessed=482, yes=410, summed=353)
+
+
+def test_polystable_locus_runs_the_simplex_only_without_a_certificate(monkeypatch):
+    runs = []
+    monkeypatch.setattr(
+        gitsolver,
+        "zero_in_relative_interior",
+        lambda points: runs.append(points) or zero_in_relative_interior(points),
+    )
+    counts = []
+    for inputs in (PLANAR_SOLVES, MIDRANK_SOLVES, MINUSCULE_SOLVES):
+        runs.clear()
+        for name, spec in inputs:
+            group = make_group(name)
+            solve_strictly_polystable(new_problem(group, parse_highest_weight(group, spec)))
+        counts.append(len(runs))
+    assert counts == [19, 2, 0]
+
+
+def b2_quintic_problem():
+    return new_problem(B2, parse_highest_weight(B2, "5*w1"))
+
+
+def g2_problem():
+    return new_problem(G2, parse_highest_weight(G2, "0,2"))
+
+
+def assert_state_of_matches_the_pairing_row(problem, coeffs):
+    lam = OneParameterSubgroup(problem.group, coeffs)
+    weights = problem.support.weights
+    for mode in MODES:
+        expected = tuple(weights[i] for i in pairing_row_select(problem, coeffs, mode))
+        assert state_of(problem, lam, mode).weights == expected
+
+
+@relaxed
+@given(st.lists(st.integers(-(10**40), 10**40), min_size=2, max_size=2))
+def test_state_of_matches_the_pairing_row_for_any_integer_lambda(coeffs):
+    if any(coeffs):
+        for problem in (b2_quintic_problem(), g2_problem()):
+            assert_state_of_matches_the_pairing_row(problem, tuple(coeffs))
+
+
+@pytest.mark.parametrize("coeffs", [(-2, 5), (3, -7), (-1, -1), (0, -4)])
+def test_state_of_a_lambda_with_negative_entries(coeffs):
+    assert_state_of_matches_the_pairing_row(b2_quintic_problem(), coeffs)
+
+
+def test_state_of_a_lambda_whose_pairings_need_fields_wider_than_64_bits():
+    problem = b2_quintic_problem()
+    for coeffs in [(10**30, 3 * 10**30 + 1), (-(10**30), 10**30), (10**31, 0)]:
+        assert gitsolver._sign_masks(problem, [coeffs])[1] > 8
+        assert_state_of_matches_the_pairing_row(problem, coeffs)
+
+
+def test_field_width_covers_the_column_entries_that_a_lambda_does_not_reach():
+    # The Weyl orbit of the G2 weight (0, 64): the pairing columns reach 64
+    # and 128. lam = (1, 0) is 0 on the column of 128, so its pairings fit
+    # one byte, but packing that column needs two.
+    orbit = {(0, 64)}
+    frontier = list(orbit)
+    while frontier:
+        image = [rootdata.reflect_weight_coeffs(G2.cartan, c, i) for c in frontier for i in (0, 1)]
+        frontier = [c for c in image if c not in orbit]
+        orbit.update(frontier)
+    problem = problem_from_weights(G2, sorted(orbit))
+    assert [max(map(abs, column)) for column in problem._pairing_columns] == [64, 128]
+    for coeffs in [(1, 0), (-1, 0)]:
+        assert gitsolver._sign_masks(problem, [coeffs])[1] == 2
+        assert_state_of_matches_the_pairing_row(problem, coeffs)
 
 
 @pytest.mark.parametrize("weyl", [False, True], ids=["plain", "weyl-opt"])
