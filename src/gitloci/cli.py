@@ -78,7 +78,7 @@ def _guard_from_env(name, default):
 
 
 def _format_vector(values):
-    return "(" + ", ".join(str(v) for v in values) + ")"
+    return "(" + ", ".join(map(str, values)) + ")"
 
 
 class _Display:
@@ -92,7 +92,9 @@ class _Display:
     ``sum((i + 1) * c_i)``, which each simple root changes by 0 or by
     rank+1, so the shift is exact on every weight of the support. A
     witness's H form is its suffix sums minus their mean, taken times
-    rank+1 and made primitive."""
+    rank+1 and made primitive. Outside type A a witness is shown as its
+    coweight coefficients as they are: every witness is a ray or cell point
+    of the arrangement, which is primitive already."""
 
     def __init__(self, group, highest):
         self.group = group
@@ -122,7 +124,7 @@ class _Display:
             lifted = _suffix_sums(lam.coeffs)
             total = sum(lifted)
             return primitive_vector([(self.group.rank + 1) * x - total for x in lifted])
-        return primitive_vector(lam.coeffs)
+        return lam.coeffs
 
     def representation_name(self, support):
         if self.highest is None:
@@ -132,9 +134,10 @@ class _Display:
 
 
 def _render_text(solution, loci, display):
-    """The text report; each distinct weight is formatted once per report."""
+    """The text report; each weight of the support is formatted once per
+    report."""
     lines = []
-    weight_texts = {}
+    weight_texts = {w.coeffs: _format_vector(display.weight(w)) for w in solution.support.weights}
     for locus in loci:
         title, set_header, state_label = _LOCI_TEXT[locus]
         states = getattr(solution, _SOLUTION_FIELD[locus])
@@ -154,13 +157,7 @@ def _render_text(solution, loci, display):
                 lines.append(
                     f"({index}) 1-PS = {witness} yields a state with {state.size} characters"
                 )
-            members = []
-            for w in state.weights:
-                rendered = weight_texts.get(w.coeffs)
-                if rendered is None:
-                    rendered = weight_texts[w.coeffs] = _format_vector(display.weight(w))
-                members.append(rendered)
-            members = ", ".join(members)
+            members = ", ".join([weight_texts[w.coeffs] for w in state.weights])
             lines.append(f"{state_label}{{{members}}}")
         lines.append("")
     return "\n".join(lines)
@@ -184,28 +181,23 @@ def _vector_fragment(values):
 
 def _state_fragment(state, display, weight_fragments):
     """One state as `json.dumps(indent=2, sort_keys=True)` writes it as a
-    member of a locus's "states" list. The fragments of its weights are
-    looked up in, or added to, the report's `weight_fragments`."""
-    members = []
-    for w in state.weights:
-        fragment = weight_fragments.get(w.coeffs)
-        if fragment is None:
-            fragment = weight_fragments[w.coeffs] = _vector_fragment(display.weight(w))
-        members.append(fragment)
-    weights = _json_list(members, 10)
+    member of a locus's "states" list. `weight_fragments` holds each weight
+    of the support as a member of a state's weight list, indented; a state
+    is never empty, so its list is one join of them. Its witness is a ray or
+    cell point, primitive already, and is written as it is."""
+    weights = ",\n".join([weight_fragments[w.coeffs] for w in state.weights])
     h_form = (
         f'            "H": {_vector_fragment(display.witness(state.witness))},\n'
         if display.group.dynkin.letter == "A"
         else ""
     )
-    coweight = _vector_fragment(primitive_vector(state.witness.coeffs))
     return (
         "{\n"
         f'          "size": {state.size},\n'
-        f'          "weights": {weights},\n'
+        f'          "weights": [\n{weights}\n          ],\n'
         '          "witness": {\n'
         f"{h_form}"
-        f'            "coweight": {coweight}\n'
+        f'            "coweight": {_vector_fragment(state.witness.coeffs)}\n'
         "          }\n"
         "        }"
     )
@@ -220,13 +212,14 @@ def _render_structured(solution, loci, display):
     tree, each state a dict of "size", "weights" (the display coordinates of
     its members) and "witness" ("coweight", and "H" in type A).
 
-    Only the states are written here: each distinct weight is rendered once
-    per report as a `_vector_fragment` and every state that holds it reuses
-    that fragment. The rest of the tree, with every "states" list left
-    empty, goes through one `json.dumps`, and each empty list is then
-    filled in; a key of the tree can only appear as `"states": []` where a
-    locus holds it, since quotes inside json strings are escaped. The loci
-    come out in sorted order, so the lists are filled in that order."""
+    Only the states are written here: each weight of the support is
+    rendered once per report as a `_vector_fragment`, indented as a member
+    of a weight list, and every state that holds it reuses that fragment.
+    The rest of the tree, with every "states" list left empty, goes through
+    one `json.dumps`, and each empty list is then filled in; a key of the
+    tree can only appear as `"states": []` where a locus holds it, since
+    quotes inside json strings are escaped. The loci come out in sorted
+    order, so the lists are filled in that order."""
     group = solution.group
     representation = {
         "source": "highest-weight" if display.highest is not None else "weights-file",
@@ -250,7 +243,9 @@ def _render_structured(solution, loci, display):
         },
         "warnings": list(group.warnings),
     }
-    weight_fragments = {}
+    weight_fragments = {
+        w.coeffs: " " * 12 + _vector_fragment(display.weight(w)) for w in solution.support.weights
+    }
     filled = []
     for locus in sorted(loci):
         states = getattr(solution, _SOLUTION_FIELD[locus])
@@ -264,7 +259,7 @@ def _render_structured(solution, loci, display):
 
 def _read_weights_file(path, rank):
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read weights file {path}: {exc}") from None

@@ -527,11 +527,13 @@ def classify_torus(problem, point_support):
     test: lam is reflected into the fundamental chamber by simple
     reflections, the same word w permutes the indices of S, and the first
     maximal chamber state of the verdict's mode (unstable, else non-stable)
-    that contains w(S) gives its witness, mapped back by w^-1 and made
-    primitive. Such a state exists because w(lam)'s state contains w(S) and
-    the loci are complete; when none does, the loci are wrong and
-    RuntimeError is raised. The Weyl group is never enumerated.
-    G-stability is out of scope: only torus data is consulted.
+    that contains w(S) gives its witness, mapped back by w^-1. The witness
+    is a primitive ray or cell point and simple reflections are unimodular,
+    so the certificate is primitive as it stands. Such a state exists
+    because w(lam)'s state contains w(S) and the loci are complete; when
+    none does, the loci are wrong and RuntimeError is raised. The Weyl
+    group is never enumerated. G-stability is out of scope: only torus data
+    is consulted.
     """
     indices = _support_indices(problem, point_support, "classify_torus")
     group = problem.group
@@ -557,8 +559,7 @@ def classify_torus(problem, point_support):
         if target.issubset(state):
             for i in reversed(word):
                 point = reflect_coweight_coeffs(cartan, point, i)
-            certificate = OneParameterSubgroup(group, point).primitive()
-            return TorusClassification(verdict=verdict, certificate=certificate)
+            return TorusClassification(verdict=verdict, certificate=OneParameterSubgroup(group, point))
     raise RuntimeError(
         f"no maximal {mode} chamber state contains the reflected support of a"
         f" {verdict} point; the loci are incomplete, which is a bug"

@@ -21,12 +21,12 @@ conversion formula in this module refers back to this single convention:
 * reflection of a weight:    ``s_i(c)[j]   = c[j] - c[i] * cartan[j][i]``
 * reflection of a coweight:  ``s_i(m)[j]   = m[j] - m[i] * cartan[i][j]``
 
-The Weyl generator matrices are these formulas on the unit vectors. Every
-Weyl closure goes through one guarded breadth-first closure (`_closure`):
-weight orbits, the Weyl classes that `gitsolver`'s deduplication closes, one
-per kept state, and the enumeration of the group itself, whose elements are
-closed as their images of the unit vectors. Dominant weights and chamber
-words share one loop (`_chamber_word`).
+Every Weyl closure goes through one guarded breadth-first closure
+(`_closure`) of these two formulas: weight orbits, the Weyl classes that
+`gitsolver`'s deduplication closes, one per kept state, and the enumeration
+of the group itself, whose elements are closed as their images of the unit
+vectors. Dominant weights and chamber words share one loop
+(`_chamber_word`).
 
 Type A extras
 -------------
@@ -125,8 +125,6 @@ class SimpleGroup:
     cartan_det: int
     simple_roots_fundamental: tuple[tuple[int, ...], ...]
     chamber_generators: tuple[tuple[int, ...], ...]
-    weyl_generators: tuple[tuple[tuple[int, ...], ...], ...]
-    weyl_cogenerators: tuple[tuple[tuple[int, ...], ...], ...]
     warnings: tuple[str, ...]
 
     def __eq__(self, other):
@@ -177,12 +175,6 @@ def _build_group(letter, rank):
         tuple(cartan[i][j] for i in range(rank)) for j in range(rank)
     )
     chamber = tuple(primitive_vector(row) for row in adjugate)
-    # A reflection's matrix has the images of the unit vectors as columns.
-    units = [tuple(int(j == k) for k in range(rank)) for j in range(rank)]
-    generators, cogenerators = (
-        tuple(tuple(zip(*(reflect(cartan, unit, i) for unit in units))) for i in range(rank))
-        for reflect in (reflect_weight_coeffs, reflect_coweight_coeffs)
-    )
     warnings = (_D2_WARNING,) if (letter, rank) == ("D", 2) else ()
     return SimpleGroup(
         dynkin=dynkin,
@@ -192,8 +184,6 @@ def _build_group(letter, rank):
         cartan_det=det,
         simple_roots_fundamental=roots_fundamental,
         chamber_generators=chamber,
-        weyl_generators=generators,
-        weyl_cogenerators=cogenerators,
         warnings=warnings,
     )
 

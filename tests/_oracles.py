@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, compress, product, repeat
 from math import gcd, lcm
@@ -1182,19 +1183,27 @@ def per_vector_dedupe_lines(vectors):
 
 
 def closing_drop_weyl_duplicates(problem, entries):
-    """`gitsolver._drop_weyl_duplicates` as it was before the invariant
-    buckets: every kept set closes its Weyl class, whether or not a later
-    entry can be in it. Like `instability_first_classify_torus` it runs on
-    the package's own closure, because what it pins is which entries are
-    kept, not how a class is closed."""
+    """`gitsolver._drop_weyl_duplicates` without the invariant buckets:
+    every kept set closes its Weyl class when a later entry has its size,
+    whatever its other invariants. Simple reflections permute the support,
+    so no set of another size is in the class; skipping those closures
+    keeps what is kept, and spares the class of more than a million sets
+    of the E7 adjoint's lone 63-weight unstable state. Like
+    `instability_first_classify_torus` it runs on the package's own
+    closure, because what it pins is which entries are kept, not how a
+    class is closed."""
     from gitloci.rootdata import _closure
 
     reflections, guard = problem.reflections, problem.weyl_guard
+    later = Counter(len(indices) for indices, _ in entries)
     kept = []
     seen = set()
     for indices, point in entries:
-        if indices not in seen:
-            kept.append((indices, point))
+        later[len(indices)] -= 1
+        if indices in seen:
+            continue
+        kept.append((indices, point))
+        if later[len(indices)]:
             members = _closure(
                 indices,
                 lambda current: [tuple(sorted(map(p.__getitem__, current))) for p in reflections],

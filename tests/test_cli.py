@@ -416,6 +416,20 @@ def test_weights_file_that_is_not_utf8_exits_with_two(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json-like"])
+def test_weights_file_with_a_utf8_byte_order_mark_reads_as_without_it(capsys, tmp_path, fmt):
+    body = b"1,0\n-1,1\n0,-1\n"
+    reports = []
+    for name, data in (("plain.txt", body), ("marked.txt", b"\xef\xbb\xbf" + body)):
+        source = tmp_path / name
+        source.write_bytes(data)
+        code, out, err = run(capsys, "solve", "A2", "--weights-file", str(source), "--format", fmt)
+        assert (code, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert "[custom support of 3 weights]" in reports[0]
+
+
 def test_parse_failures_exit_with_two(capsys):
     for argv in (
         ["solve", "G5", "--weight", "1,0"],

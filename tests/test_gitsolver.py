@@ -6,6 +6,7 @@ destabilizing witnesses below were derived that way before being frozen here.
 """
 
 from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -399,6 +400,35 @@ HEAVY_SOLVES = [
     ("E7", "0,0,0,0,0,0,1"), ("A5", "3,0,0,0,0"), ("A4", "4,0,0,0"),
 ]
 MODES = (">=0", ">0", "=0")
+# The problems of the benchmark's classify workload.
+CLASSIFY_SOLVES = [
+    ("B2", "8*w1"), ("G2", "2,0"), ("A3", "2,0,0"),
+    ("B3", "2,0,0"), ("C3", "0,0,1"), ("F4", "0,0,0,1"),
+]
+
+
+@pytest.mark.parametrize("weyl", [False, True], ids=["plain", "weyl-opt"])
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES + HEAVY_SOLVES)
+def test_witnesses_and_certificates_are_primitive(name, spec, weyl):
+    # Reports and classify_torus write witnesses as they are, because each
+    # is a ray or cell point, which the geometry returns primitive, and
+    # simple reflections are unimodular. On a classify problem the queries
+    # are every state, the support less each state, and the full support.
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec), weyl_optimisation=weyl)
+    solution = solve_all(problem)
+    states = [*solution.nonstable, *solution.unstable, *solution.strictly_polystable]
+    assert states and all(gcd(*state.witness.coeffs) == 1 for state in states)
+    if (name, spec) in CLASSIFY_SOLVES:
+        support = problem.support.weights
+        queries = [
+            *(state.weights for state in states),
+            *([w for w in support if w not in state.weights] for state in states),
+            support,
+        ]
+        certificates = [classify_torus(problem, query).certificate for query in filter(None, queries)]
+        assert any(certificates)
+        assert all(gcd(*c.coeffs) == 1 for c in certificates if c is not None)
 
 
 @pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES + HEAVY_SOLVES)
@@ -538,8 +568,12 @@ def test_field_width_covers_the_column_entries_that_a_lambda_does_not_reach():
         assert_state_of_matches_the_pairing_row(problem, coeffs)
 
 
+# Wider Weyl groups for the deduplication: the E7 adjoint, F4 and E6.
+WEYL_DEDUP_SOLVES = [("E7", "1,0,0,0,0,0,0"), ("F4", "1,0,0,0"), ("E6", "0,1,0,0,0,0")]
+
+
 @pytest.mark.parametrize("weyl", [False, True], ids=["plain", "weyl-opt"])
-@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES + WEYL_DEDUP_SOLVES)
 def test_bucketed_weyl_deduplication_keeps_what_closing_every_class_keeps(
     name, spec, weyl, monkeypatch
 ):

@@ -218,18 +218,27 @@ def test_reflections_are_involutions(name, data):
 
 
 def test_braid_relations_hold_for_generator_matrices():
+    # Each generator matrix is built here, with the images of the unit
+    # vectors under a reflection formula as its columns, on the weight and
+    # on the coweight side; s_i s_j has order exactly m_ij.
     orders = {0: 2, 1: 3, 2: 4, 3: 6}
     for name in ("A2", "B2", "G2", "A3", "B3", "C3"):
         group = make_group(name)
         n = group.rank
         identity = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = orders[group.cartan[i][j] * group.cartan[j][i]]
-                power = identity
-                for _ in range(m):
-                    power = matmul(matmul(power, group.weyl_generators[i]), group.weyl_generators[j])
-                assert power == identity
+        for reflect in (reflect_weight_coeffs, reflect_coweight_coeffs):
+            generators = [
+                tuple(zip(*(reflect(group.cartan, unit, i) for unit in identity))) for i in range(n)
+            ]
+            for i in range(n):
+                assert matmul(generators[i], generators[i]) == identity
+                for j in range(i + 1, n):
+                    m = orders[group.cartan[i][j] * group.cartan[j][i]]
+                    power = identity
+                    for k in range(m):
+                        assert k == 0 or power != identity
+                        power = matmul(matmul(power, generators[i]), generators[j])
+                    assert power == identity
 
 
 def test_weyl_group_orders():
