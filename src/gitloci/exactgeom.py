@@ -40,7 +40,11 @@ region whose cells all hold one earlier ray in their closure, since they
 were found at that ray, and probes a region only when the rays in its
 closure, projected into the local system, span it: a non-empty region
 holds a local cell, and the extreme rays of that cell's closure span the
-local space. So every cell LP finds a point. There is one simplex,
+local space. So every cell LP finds a point. A ray whose whole local
+system is such a region builds no system at all: three bitmasks over the
+rays per normal (the rays on its positive side, on its negative side and
+on it) give each ray's sign-agreeing rays by one OR and one AND-NOT, and
+the splitter's seed test is run on those masks first. There is one simplex,
 `_phase_one`, a revised simplex that pivots fraction-free on integers.
 It keeps det·B^-1 and the phase-one duals, O(m^2) integers for m rows,
 and prices a column of A (O(m) work) only when Bland's rule reaches it,
@@ -751,33 +755,76 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
       that closure. The regions left pose the same systems, so `by_signs`
       gets the same entries, witnesses and order.
 
-    The planar sweep of dimension 3 makes no LP and takes no points.
+    The rays' agreement is read off three bitmasks over the rays per
+    normal n, built once per call from the rows of pairings: the rays with
+    n . q > 0, with n . q < 0 and with n . q = 0. The rays that disagree
+    with r are one OR, over the normals with n . r != 0, of the mask of
+    the side that r is not on, and the rays that agree are the rest, less
+    r itself (one AND-NOT).
+
+    Before it builds r's local system, the splitter's seed test is run on
+    those masks: whether one earlier agreeing ray q vanishes on every local
+    normal that cuts the partial orthant (`_wall_sign` 0). A local normal
+    cuts exactly when its normal n vanishes at r and has entries of both
+    signs: a sign-definite n vanishing at r >= 0 has its support in r's
+    zero set, so off coordinate j, on the local walls; and a mixed n whose
+    local form is sign-definite has n_j of the other sign, so n . r = 0
+    puts a coordinate of its support off the walls. Such a q projects to a
+    covered point on every cutting local line, so `_cell_witnesses_by_lp`
+    would return [] before its first region; r is skipped, and the same LPs
+    run and the same witnesses come out in the same order. The skip is kept
+    to rank >= 4; the planar sweep of dimension 3 makes no LP and takes no
+    points.
     """
     columns = tuple(zip(*normals))
     rows = [dot_rows(columns, r) for r in rays]
-    masks = [
-        (sum(1 << k for k, v in enumerate(row) if v > 0), sum(1 << k for k, v in enumerate(row) if v < 0))
-        for row in rows
-    ] if dim > 3 else ()
     local_units = _unit_vectors(dim - 1)
+    if dim > 3:
+        # above[k], below[k], on[k]: the rays on the positive side of normal
+        # k, on its negative side, and on it; mixed[k]: whether k has
+        # entries of both signs.
+        above, below, on = ([0] * len(normals) for _ in range(3))
+        for bit, row in enumerate(rows):
+            for k, v in enumerate(row):
+                if v > 0:
+                    above[k] |= 1 << bit
+                elif v < 0:
+                    below[k] |= 1 << bit
+                else:
+                    on[k] |= 1 << bit
+        mixed = [min(n) < 0 < max(n) for n in normals]
+        everything = (1 << len(rays)) - 1
     by_signs = {}
     for index, (r, at_r) in enumerate(zip(rays, rows)):
         stage = f"at ray {index + 1} of {len(rays)}"
         j = next(i for i, x in enumerate(r) if x != 0)
+        if dim > 3:
+            disagree, cut_on = 1 << index, everything
+            for k, v in enumerate(at_r):
+                if v > 0:
+                    disagree |= below[k]
+                elif v < 0:
+                    disagree |= above[k]
+                elif mixed[k]:
+                    cut_on &= on[k]
+            agree = everything & ~disagree
+            earlier = agree & ((1 << index) - 1)
+            if earlier & cut_on:
+                continue
         local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, at_r) if v == 0]
         local_walls = [w for w, x in zip(local_units, r[:j] + r[j + 1:]) if x == 0]
         if dim == 3:
             local = _planar_cell_witnesses(local_normals, local_walls)
         else:
-            positive, negative = masks[index]
-            points, covered = [], 0
-            for k, (q, (q_positive, q_negative)) in enumerate(zip(rays, masks)):
-                if k != index and not (q_positive & negative or q_negative & positive):
+            points = []
+            for bit, q in enumerate(rays):
+                if agree >> bit & 1:
                     p = [r[j] * a - q[j] * b for a, b in zip(q, r)]
                     points.append((*p[:j], *p[j + 1:]))
-                    covered += k < index
             try:
-                local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard, points, covered)
+                local = _cell_witnesses_by_lp(
+                    local_normals, local_walls, dim - 1, guard, points, earlier.bit_count()
+                )
             except ResourceGuardError as exc:
                 raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
         for y in local:

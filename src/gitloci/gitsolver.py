@@ -43,7 +43,8 @@ States and the Weyl group
 -------------------------
 Inside the selection a state is a bitmask. Each pairing column is packed
 into one integer with a biased field per support weight, wide enough that
-no field carries, and one multiply-add per nonzero coordinate of a witness
+no field carries, and kept on the problem until a call needs wider
+fields; one multiply-add per nonzero coordinate of a witness
 gives all its biased pairings at once: the weights that pair >= 0 are the
 set top bits, those that pair > 0 the top bits still set after one is
 taken from every field, and the = 0 state is the difference. Distinctness,
@@ -162,9 +163,11 @@ class GITProblem:
     the support's distinct lines: the pairing vectors of the nonzero
     weights, each line once, in first-seen order. `rays()` and `cells()`
     are tuples of integer points. Each locus, and each `state_of` call,
-    packs the pairing columns at the field width its points need and reads
-    the sign masks of all of them in one pass (`_sign_masks`); no pairing
-    of a point is kept. The sorted maximal states of each mode,
+    reads the sign masks of all its points in one pass over the pairing
+    columns packed at a field width that holds them (`_sign_masks`); the
+    problem keeps the columns' bounds and the widest pack so far, so a
+    solve packs its columns once unless a later call needs wider fields,
+    and no pairing of a point is kept. The sorted maximal states of each mode,
     before Weyl deduplication, are cached for the loci and
     `classify_torus`, and so are the Weyl orbit labels of the support
     positions that the deduplication buckets by.
@@ -195,6 +198,8 @@ class GITProblem:
             tuple(dot_rows(coefficient_columns, row)) for row in group.cartan_adjugate
         )
         self._pairing_vectors = tuple(zip(*self._pairing_columns))
+        self._column_bounds = [max(map(abs, column)) for column in self._pairing_columns]
+        self._packed = None
         self._normals = tuple(_dedupe_lines(self._pairing_vectors))
         self._rays = None
         self._cells = None
@@ -268,8 +273,7 @@ def state_of(problem, lam, mode):
 
 def _weights(problem, indices):
     """The support weights at the indices."""
-    weights = problem.support.weights
-    return tuple(weights[i] for i in indices)
+    return tuple(map(problem.support.weights.__getitem__, indices))
 
 
 def _sign_masks(problem, points):
@@ -280,22 +284,28 @@ def _sign_masks(problem, points):
     Each pairing column is packed into one integer with a field of `width`
     bytes per support weight, in support order, and the point's pairings
     are then one multiply-add per nonzero coordinate on the bias
-    2^(8 width - 1) in every field. The width is the least that holds every
-    column entry and every pairing of the points in (-bias, bias), so each
-    biased field lies in [0, 2 bias) and no field carries into the next: a
-    field's top bit is set exactly when its pairing is >= 0, and, less one,
-    exactly when it is > 0."""
-    columns, n = problem._pairing_columns, len(problem.index)
-    bounds = [max(map(abs, column)) for column in columns]
+    2^(8 width - 1) in every field. A width holds the points when every
+    column entry and every pairing of the points lies in (-bias, bias), so
+    each biased field lies in [0, 2 bias) and no field carries into the
+    next: a field's top bit is set exactly when its pairing is >= 0, and,
+    less one, exactly when it is > 0. The problem keeps the widest pack
+    made so far and reuses it whenever its width holds the points;
+    otherwise the columns are packed afresh at the least width that does,
+    and that pack is kept instead."""
+    bounds = problem._column_bounds
     bound = max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)])
     width = bound.bit_length() // 8 + 1
-    bias = 1 << (8 * width - 1)
-    top = int.from_bytes(bias.to_bytes(width, "little") * n, "little")
-    ones = int.from_bytes((1).to_bytes(width, "little") * n, "little")
-    packed = [
-        int.from_bytes(b"".join([(u + bias).to_bytes(width, "little") for u in column]), "little") - top
-        for column in columns
-    ]
+    if problem._packed is None or problem._packed[0] < width:
+        n = len(problem.index)
+        bias = 1 << (8 * width - 1)
+        top = int.from_bytes(bias.to_bytes(width, "little") * n, "little")
+        ones = int.from_bytes((1).to_bytes(width, "little") * n, "little")
+        packed = [
+            int.from_bytes(b"".join([(u + bias).to_bytes(width, "little") for u in column]), "little") - top
+            for column in problem._pairing_columns
+        ]
+        problem._packed = (width, top, ones, packed)
+    width, top, ones, packed = problem._packed
     masks = []
     for point in points:
         fields = top
@@ -476,10 +486,12 @@ def solve_strictly_polystable(problem):
 
 
 def _support_indices(problem, point_support, caller):
-    """The support positions of the point's weights, checked non-empty and
-    inside the problem's support."""
+    """The support positions of the point's weights, checked to be
+    `Weight`s, non-empty and inside the problem's support."""
     indices = []
     for w in point_support:
+        if not isinstance(w, Weight):
+            raise ParseError(f"{caller} needs Weight members, got {w!r}")
         if w.group != problem.group:
             raise RankMismatchError(
                 f"weight {w.coeffs} belongs to {w.group.name}, not {problem.group.name}"

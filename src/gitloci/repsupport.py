@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul, sub
 
 from .errors import NonDominantError, ParseError, RankMismatchError, ResourceGuardError
 from .exactgeom import dot_rows
@@ -106,27 +107,48 @@ def weight_support(group, highest, guard=DEFAULT_SUPPORT_GUARD):
     i-th fundamental coefficient of mu (Humphreys, *Introduction to Lie
     Algebras and Representation Theory*, 21.3). So mu - alpha_i is a weight
     exactly when p >= 1: always when c > 0, and otherwise exactly when
-    mu + (1 - c) alpha_i is one, a weight 1 - c rounds before mu."""
+    mu + (1 - c) alpha_i is one, a weight 1 - c rounds before mu.
+
+    The descent runs on packed keys: each weight is one integer
+    ``sum_j mu_j B^j`` and each simple root one such key, so a candidate
+    mu - alpha_i costs one subtraction and its probe mu + (1 - c) alpha_i
+    one multiply-add, each with one lookup in a set of ints, and a
+    coefficient tuple is built only for an accepted weight. With
+    ``B = 2(4M + 3) + 1`` the keys are balanced base-B digits, so vectors
+    with every coefficient in [-(4M + 3), 4M + 3] have distinct keys. Here
+    M = 6 sum(hw) bounds |mu_j| on the support: |mu_j| <= <hw, theta^vee>
+    for theta^vee the highest coroot, none of whose coefficients exceeds 6.
+    A simple root has coefficients in [-3, 2], the entries of a Cartan
+    column, and a probe is taken only when c <= 0, so 1 - c <= M + 1; so
+    every candidate and probe stays within M + 3(M + 1) = 4M + 3, and a key
+    in the set is always the weight it stands for."""
     if highest.group != group:
         raise RankMismatchError("highest weight belongs to a different group")
     if not highest.is_dominant:
         raise NonDominantError(f"highest weight {highest.coeffs} is not dominant")
     simple_root_columns = group.simple_roots_fundamental
     start = highest.coeffs
-    seen = {start}
-    frontier = [start]
+    base = 2 * (4 * 6 * sum(start) + 3) + 1
+    powers = [base**j for j in range(group.rank)]
+    steps = [sum(map(mul, alpha, powers)) for alpha in simple_root_columns]
+    key = sum(map(mul, start, powers))
+    seen = {key}
+    found = [start]
+    frontier = [(start, key)]
     rounds = 0
     while frontier:
         rounds += 1
         nxt = []
-        for coeffs in frontier:
-            for c, alpha in zip(coeffs, simple_root_columns):
-                cand = tuple([m - a for m, a in zip(coeffs, alpha)])
+        for coeffs, key in frontier:
+            for c, alpha, step in zip(coeffs, simple_root_columns, steps):
+                cand = key - step
                 if cand in seen:
                     continue
-                if c > 0 or tuple([m + (1 - c) * a for m, a in zip(coeffs, alpha)]) in seen:
+                if c > 0 or key + (1 - c) * step in seen:
                     seen.add(cand)
-                    nxt.append(cand)
+                    weight = tuple(map(sub, coeffs, alpha))
+                    found.append(weight)
+                    nxt.append((weight, cand))
                     if len(seen) > guard:
                         raise ResourceGuardError(
                             f"weight support exceeded the guard of {guard} weights,"
@@ -134,7 +156,7 @@ def weight_support(group, highest, guard=DEFAULT_SUPPORT_GUARD):
                             " of simple-root descent"
                         )
         frontier = nxt
-    weights = tuple(Weight(group, c) for c in sorted(seen))
+    weights = tuple(Weight(group, c) for c in sorted(found))
     return RepresentationSupport(group=group, highest=highest, weights=weights)
 
 

@@ -1224,3 +1224,88 @@ def pairing_row_select(problem, point, mode):
     keep = {">=0": operator.ge, ">0": operator.gt, "=0": operator.eq}[mode]
     row = dot_rows(problem._pairing_columns, point)
     return tuple(compress(range(len(row)), map(keep, row, repeat(0))))
+
+
+def tuple_weight_support(group, highest):
+    """The coefficient tuples of `repsupport.weight_support`, sorted, as it
+    found them before it descended on packed keys: one coefficient tuple
+    per candidate mu - alpha_i and per alpha-string probe
+    mu + (1 - c) alpha_i, each looked up in a set of tuples."""
+    simple_root_columns = group.simple_roots_fundamental
+    start = highest.coeffs
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for coeffs in frontier:
+            for c, alpha in zip(coeffs, simple_root_columns):
+                cand = tuple([m - a for m, a in zip(coeffs, alpha)])
+                if cand in seen:
+                    continue
+                if c > 0 or tuple([m + (1 - c) * a for m, a in zip(coeffs, alpha)]) in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(seen)
+
+
+def every_ray_cells_localised_at_rays(normals, dim, guard, rays):
+    """`exactgeom._cells_localised_at_rays` as it was before it skipped the
+    rays whose local cells were all found at earlier rays: it builds the
+    local system at every ray and hands the LP splitter the rays that agree
+    in sign with r, found by comparing r's sign masks with every other
+    ray's, so the splitter's own seed test drops the rays that the package
+    now skips before building their systems.
+
+    Cell witnesses in dimension >= 3, one local problem per ray; local
+    witnesses lift to ``K r + y`` and are deduplicated by their sign
+    vectors, as in `unpruned_cells_localised_at_rays`.
+    """
+    from gitloci.errors import ResourceGuardError
+    from gitloci.exactgeom import (
+        _cell_witnesses_by_lp,
+        _planar_cell_witnesses,
+        _unit_vectors,
+        dot_rows,
+        primitive_vector,
+    )
+
+    columns = tuple(zip(*normals))
+    rows = [dot_rows(columns, r) for r in rays]
+    masks = [
+        (sum(1 << k for k, v in enumerate(row) if v > 0), sum(1 << k for k, v in enumerate(row) if v < 0))
+        for row in rows
+    ] if dim > 3 else ()
+    local_units = _unit_vectors(dim - 1)
+    by_signs = {}
+    for index, (r, at_r) in enumerate(zip(rays, rows)):
+        stage = f"at ray {index + 1} of {len(rays)}"
+        j = next(i for i, x in enumerate(r) if x != 0)
+        local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, at_r) if v == 0]
+        local_walls = [w for w, x in zip(local_units, r[:j] + r[j + 1:]) if x == 0]
+        if dim == 3:
+            local = _planar_cell_witnesses(local_normals, local_walls)
+        else:
+            positive, negative = masks[index]
+            points, covered = [], 0
+            for k, (q, (q_positive, q_negative)) in enumerate(zip(rays, masks)):
+                if k != index and not (q_positive & negative or q_negative & positive):
+                    p = [r[j] * a - q[j] * b for a, b in zip(q, r)]
+                    points.append((*p[:j], *p[j + 1:]))
+                    covered += k < index
+            try:
+                local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard, points, covered)
+            except ResourceGuardError as exc:
+                raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
+        for y in local:
+            y = (*y[:j], 0, *y[j:])
+            at_y = dot_rows(columns, y)
+            k = 1 + max(abs(u) // abs(v) for u, v in zip((*at_y, *y), (*at_r, *r)) if v)
+            signs = tuple(k * v + u > 0 for v, u in zip(at_r, at_y))
+            if signs not in by_signs:
+                by_signs[signs] = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
+                if len(by_signs) > guard:
+                    raise ResourceGuardError(
+                        f"cell enumeration localised at rays exceeded the guard of {guard} cells {stage}"
+                    )
+    return list(by_signs.values())

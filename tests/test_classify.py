@@ -17,7 +17,7 @@ from math import gcd
 import pytest
 
 from gitloci import gitsolver
-from gitloci.errors import RankMismatchError
+from gitloci.errors import ParseError, RankMismatchError
 from gitloci.gitsolver import classify_torus, hm_mu, new_problem
 from gitloci.repsupport import parse_highest_weight
 from gitloci.rootdata import OneParameterSubgroup, Weight, make_group
@@ -207,6 +207,20 @@ def test_weights_of_another_group_are_refused():
         classify_torus(problem, foreign)
     with pytest.raises(RankMismatchError):
         hm_mu(problem, foreign, OneParameterSubgroup(g2, (1, 0)))
+
+
+@pytest.mark.parametrize("caller", ["classify_torus", "hm_mu"])
+def test_support_members_that_are_not_weights_are_parse_errors(caller):
+    a2 = make_group("A2")
+    problem = new_problem(a2, parse_highest_weight(a2, "2,0"))
+    ask = {
+        "classify_torus": lambda points: classify_torus(problem, points),
+        "hm_mu": lambda points: hm_mu(problem, points, OneParameterSubgroup(a2, (1, 0))),
+    }[caller]
+    with pytest.raises(ParseError, match=rf"^{caller} needs Weight members, got \(2, 0\)$"):
+        ask([(2, 0)])
+    with pytest.raises(ParseError, match=rf"^{caller} needs Weight members, got '2,0'$"):
+        ask([Weight(a2, (2, 0)), "2,0"])
 
 
 @pytest.mark.parametrize("caller", ["classify_torus", "hm_mu"])

@@ -568,6 +568,57 @@ def test_field_width_covers_the_column_entries_that_a_lambda_does_not_reach():
         assert_state_of_matches_the_pairing_row(problem, coeffs)
 
 
+def test_masks_read_off_a_widened_pack_match_the_pairing_rows():
+    # The loci pack A2 2,0 at one byte; lam = (10^30, -10^29) needs wider
+    # fields, and the rays and cells are then read off that wider pack.
+    problem = new_problem(A2, parse_highest_weight(A2, "2,0"))
+    solve_all(problem)
+    narrow = problem._packed[0]
+    assert_state_of_matches_the_pairing_row(problem, (10**30, -(10**29)))
+    wide = problem._packed[0]
+    assert wide > narrow
+    for points in (problem.rays(), problem.cells()):
+        masks, width = gitsolver._sign_masks(problem, points)
+        assert width == wide
+        for point, (ge, gt) in zip(points, masks):
+            for mode in MODES:
+                mask = gitsolver._MODES[mode][1](ge, gt)
+                assert gitsolver._indices(problem, mask, width) == pairing_row_select(problem, point, mode)
+
+
+def field_width(problem, points):
+    """The fewest bytes per field that hold, strictly inside the bias,
+    every pairing column entry and the bound sum_j |p_j| max|column j| on
+    every pairing of the points."""
+    bounds = [max(map(abs, column)) for column in problem._pairing_columns]
+    bound = max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)])
+    return next(width for width in range(1, 64) if bound < 1 << (8 * width - 1))
+
+
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
+def test_solve_all_packs_each_problems_columns_once_per_width(name, spec, monkeypatch):
+    # The rays need the width of the first pack; the cells repack only when
+    # they need wider fields, and the polystable locus never repacks.
+    kernel = gitsolver._sign_masks
+    packs = []
+
+    def counted(problem, points):
+        before = problem._packed
+        masks, width = kernel(problem, points)
+        if problem._packed is not before:
+            packs.append(width)
+        return masks, width
+
+    monkeypatch.setattr(gitsolver, "_sign_masks", counted)
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    solve_all(problem)
+    first, cells = field_width(problem, problem.rays()), field_width(problem, problem.cells())
+    assert packs == ([first, cells] if cells > first else [first])
+    if name in ("B6", "C6", "C7"):
+        assert packs == [1]
+
+
 # Wider Weyl groups for the deduplication: the E7 adjoint, F4 and E6.
 WEYL_DEDUP_SOLVES = [("E7", "1,0,0,0,0,0,0"), ("F4", "1,0,0,0"), ("E6", "0,1,0,0,0,0")]
 

@@ -19,6 +19,7 @@ from _oracles import (
     b2_ball_support,
     per_pair_reflection_table,
     saturated_support_oracle,
+    tuple_weight_support,
     type_a_monomial_support,
 )
 
@@ -295,3 +296,30 @@ def test_reflection_table_matches_the_reference_on_hand_built_supports(case):
         assert str(err.value) == str(refused)
     else:
         assert _reflection_table(group, weights, index) == expected
+
+
+# The inputs above, G2 6,6 (901 weights; Cartan entries down to -3), the E7
+# weight 0,0,0,0,0,1,0 (883 weights) and the trivial representations of A1,
+# G2 and E8.
+DESCENT_INPUTS = [
+    *TABLE_INPUTS, ("G2", "6,6"), ("E7", "0,0,0,0,0,1,0"),
+    ("A1", "0"), ("G2", "0,0"), ("E8", "0,0,0,0,0,0,0,0"),
+]
+
+
+@pytest.mark.parametrize("name, spec", DESCENT_INPUTS)
+def test_packed_descent_finds_what_the_tuple_descent_finds(name, spec):
+    group = make_group(name)
+    highest = parse_highest_weight(group, spec)
+    rows = [w.coeffs for w in weight_support(group, highest).weights]
+    assert rows == tuple_weight_support(group, highest)
+    # The docstring's bound: every coefficient of the support within
+    # M = 6 sum(hw), and every candidate and alpha-string probe within 4M + 3.
+    bound = 6 * sum(highest.coeffs)
+    assert max(map(abs, (c for row in rows for c in row))) <= bound
+    for row in rows:
+        for c, alpha in zip(row, group.simple_roots_fundamental):
+            reached = [[m - a for m, a in zip(row, alpha)]]
+            if c <= 0:
+                reached.append([m + (1 - c) * a for m, a in zip(row, alpha)])
+            assert all(abs(x) <= 4 * bound + 3 for vector in reached for x in vector)
