@@ -37,7 +37,7 @@ from .repsupport import (
     support_from_weights,
     weight_support,
 )
-from .rootdata import DEFAULT_WEYL_GUARD, _suffix_sums, make_group
+from .rootdata import DEFAULT_WEYL_GUARD, _parse_integers, _suffix_sums, make_group
 
 _LOCI_TEXT = {
     "nonstable": (
@@ -268,11 +268,9 @@ def _read_weights_file(path, rank):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        parts = [p for p in body.replace(",", " ").split() if p]
-        try:
-            row = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: cannot parse weight line {line!r}") from None
+        row = _parse_integers(body)
+        if row is None:
+            raise ParseError(f"{path}:{line_no}: cannot parse weight line {line!r}")
         if len(row) != rank:
             raise ParseError(
                 f"{path}:{line_no}: weight has {len(row)} coefficients; expected {rank}"

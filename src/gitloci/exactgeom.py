@@ -6,9 +6,9 @@ full-dimensional open cell of a central arrangement of hyperplanes
 ``{x : n . x = 0}`` restricted to the non-negative orthant
 ``{x : x_i >= 0 for every i}``, which is the fundamental chamber in
 fundamental-coweight coordinates; its coordinate walls are built here.
-Both take integer normals of length dim only (a `ValueError` says so
-otherwise): every line is canonicalised with `gcd` alone, and both return
-sorted lists of primitive integer points.
+Both take a non-negative dim and integer normals of length dim only (a
+`ValueError` says so otherwise): every line is canonicalised with `gcd`
+alone, and both return sorted lists of primitive integer points.
 
 A normal whose nonzero entries all sit on wall coordinates and share one
 sign (`_wall_sign`) does not cut the open (partial) orthant: on the closed
@@ -33,18 +33,19 @@ the product of the blocks' orthants, so the rays are each block's rays
 padded with zeros (Orlik-Terao): a block of one coordinate gives its axis,
 and each larger block is walked in its own dimension. Cells come from an
 exact angular sweep in dimension 2; in higher dimension they are
-localised at the rays, where the local walls form a partial orthant, and
-only the small local systems of rank-4 and larger arrangements reach the
-cell LP `lp_feasible`. There the splitter drops, unprobed, each local
-region whose cells all hold one earlier ray in their closure, since they
-were found at that ray, and probes a region only when the rays in its
-closure, projected into the local system, span it: a non-empty region
-holds a local cell, and the extreme rays of that cell's closure span the
-local space. So every cell LP finds a point. A ray whose whole local
-system is such a region builds no system at all: three bitmasks over the
-rays per normal (the rays on its positive side, on its negative side and
-on it) give each ray's sign-agreeing rays by one OR and one AND-NOT, and
-the splitter's seed test is run on those masks first. There is one simplex,
+localised at the rays, where the local walls form a partial orthant. A
+cell is found at the first ray of its closure, so in every dimension >= 3
+a ray is skipped when an earlier ray that agrees with it in sign lies on
+every local normal that cuts, and so in the closure of every local cell;
+three bitmasks over the rays per normal (its positive side, its negative
+side, on it) decide this by one OR and one AND-NOT. The dimension picks
+only the local solver: the planar sweep in dimension 2, and above it the
+splitter, whose probes are the cell LP `lp_feasible`. It drops, unprobed,
+each local region whose cells all hold one earlier ray in their closure,
+and probes a region only when the rays in its closure, projected into
+the local system, span it: a non-empty region holds a local cell, and
+the extreme rays of that cell's closure span the local space. So every
+cell LP finds a point. There is one simplex,
 `_phase_one`, a revised simplex that pivots fraction-free on integers.
 It keeps det·B^-1 and the phase-one duals, O(m^2) integers for m rows,
 and prices a column of A (O(m) work) only when Bland's rule reaches it,
@@ -105,8 +106,11 @@ def primitive_vector(v):
 
 def _require_integers(rows, caller, what="entries", dim=None):
     """Raise a ValueError naming `caller` unless every entry of every row is
-    an int (bool included), and, when `dim` is given, every row has length
-    dim; the type check looks at each distinct entry type once."""
+    an int (bool included), and, when `dim` is given, dim is non-negative
+    and every row has length dim; the type check looks at each distinct
+    entry type once."""
+    if dim is not None and dim < 0:
+        raise ValueError(f"{caller} needs a non-negative dimension, got {dim}")
     if not all(map(issubclass, set(map(type, chain.from_iterable(rows))), repeat(int))):
         raise ValueError(f"{caller} needs integer {what}")
     if dim is not None and any(len(row) != dim for row in rows):
@@ -424,10 +428,10 @@ def arrangement_rays(normals, dim):
     coordinates of its normals (`_flat_walk`). A caller that needs the
     normals vanishing at a ray pairs them with its point.
     """
-    if dim <= 0:
-        return []
     normals = [tuple(n) for n in normals]
     _require_integers(normals, "arrangement_rays", "normals", dim)
+    if dim == 0:
+        return []
     walled = range(dim)
     cutting = _dedupe_lines([n for n in normals if any(n) and not _wall_sign(n, walled)])
     found = []
@@ -618,10 +622,10 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, points, covered):
     * Covered points. A side is dropped when its mask holds a covered point
       that further lies on every later line that cuts: it is in the closure
       of every cell inside the side, which the caller has found already.
-      When the seed region holds one, no region is left. The regions that
-      stay pose the systems they pose with no point covered, so every cell
-      whose closure holds no covered point is found with the same witness,
-      in the same order.
+      The regions that stay pose the systems they pose with no point
+      covered, so every cell whose closure holds no covered point is found
+      with the same witness, in the same order. The caller builds no
+      system whose seed region holds one on every line that cuts.
     * Witness. A side holding the witness strictly keeps it, with no probe.
     * Spans. Otherwise the side costs one feasibility check, of the
       region's forms, that side of the line and the walls, posed only when
@@ -651,7 +655,7 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, points, covered):
     walled = {i for wall in walls for i, x in enumerate(wall) if x}
     # agree[k][s]: the points on side s of line k or on it, none on the far
     # side of a line that does not cut; keeps[k]: the points line k leaves
-    # settled; settled[k]: the covered ones kept by every line from k on.
+    # settled; settled[k]: the covered ones kept by every line after k.
     point_columns = tuple(zip(*points))
     everything = (1 << len(points)) - 1
     agree, keeps, settled = [], [], [(1 << covered) - 1]
@@ -669,11 +673,9 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, points, covered):
                 negative |= 1 << bit
         agree.append({1: positive, -1: negative})
         keeps.append(positive & negative)
-    for keep in reversed(keeps):
+    for keep in reversed(keeps[1:]):
         settled.append(settled[-1] & keep)
     settled.reverse()
-    if settled[0]:
-        return []
     ranks = {}
 
     def spans(mask):
@@ -684,7 +686,7 @@ def _cell_witnesses_by_lp(normals, walls, dim, guard, points, covered):
         return ranks[mask]
 
     regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim, everything)]
-    for index, (line, on_side, rest) in enumerate(zip(lines, agree, settled[1:]), 1):
+    for index, (line, on_side, rest) in enumerate(zip(lines, agree, settled), 1):
         sides = {1: line, -1: tuple(-c for c in line)}
         refined = []
         for forms, witness, mask in regions:
@@ -733,13 +735,31 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
     deduplicated by that sign vector, and only a new one is made primitive,
     which keeps its signs.
 
-    The LP splitter gets, as its points, every other ray q that agrees in
-    sign with r off r's zero set, ``(n . q)(n . r) >= 0`` for every normal
-    n (read off the rays' sign masks), projected to ``r_j q - q_j r`` with
-    coordinate j dropped, in `rays` order. That point pairs with each local
-    normal n as ``r_j (n . q)`` does, r_j > 0, and its wall coordinates
-    ``r_j q_i`` are non-negative, so it lies in the closure of a local
-    region exactly when q's signs agree with the region's.
+    A cell takes its witness from the first ray of its closure, so in
+    every dimension r is skipped, and builds no local system, when an
+    earlier ray q that agrees in sign with r off r's zero set,
+    ``(n . q)(n . r) >= 0`` for every normal n, vanishes on every local
+    normal that cuts the partial orthant (`_wall_sign` 0). That q lies in
+    the closure of every local cell at r, so every cell whose closure holds
+    r holds an earlier ray; and the first ray of a cell's closure is never
+    skipped, as its q would be an earlier ray of that closure. A local
+    normal cuts exactly when n vanishes at r and has entries of both signs:
+    a sign-definite n vanishing at r >= 0 has its support in r's zero set,
+    so off coordinate j, on the local walls; and a mixed n whose local form
+    is sign-definite has n_j of the other sign, so n . r = 0 puts a
+    coordinate of its support off the walls. Both tests read three bitmasks
+    over the rays per normal n, built once per call from the rows of
+    pairings: the rays with n . q > 0, with n . q < 0 and with n . q = 0.
+    The rays that disagree with r are one OR, over the normals with
+    n . r != 0, of the mask of the side that r is not on, and the rays that
+    agree are the rest, less r itself (one AND-NOT).
+
+    The LP splitter gets, as its points, every agreeing ray q projected to
+    ``r_j q - q_j r`` with coordinate j dropped, in `rays` order. That
+    point pairs with each local normal n as ``r_j (n . q)`` does, r_j > 0,
+    and its wall coordinates ``r_j q_i`` are non-negative, so it lies in
+    the closure of a local region exactly when q's signs agree with the
+    region's.
 
     * Spans. A non-empty local region holds a local cell, the local picture
       of a cell C whose closure holds r. The extreme rays of C's closure
@@ -748,69 +768,43 @@ def _cells_localised_at_rays(normals, dim, guard, rays):
       in the region's closure, and span the local space. So a region whose
       points do not span it is empty, and the splitter poses no LP for it.
     * Covered points. The earlier rays among them are covered. A local cell
-      whose closure holds one lifts to a cell whose closure holds q, and
-      that cell was found at q. Nothing else changes: a cell takes its
-      witness from the first ray r1 of its closure, and a region at r1
-      holding its local cell could only be dropped for an earlier ray in
-      that closure. The regions left pose the same systems, so `by_signs`
-      gets the same entries, witnesses and order.
-
-    The rays' agreement is read off three bitmasks over the rays per
-    normal n, built once per call from the rows of pairings: the rays with
-    n . q > 0, with n . q < 0 and with n . q = 0. The rays that disagree
-    with r are one OR, over the normals with n . r != 0, of the mask of
-    the side that r is not on, and the rays that agree are the rest, less
-    r itself (one AND-NOT).
-
-    Before it builds r's local system, the splitter's seed test is run on
-    those masks: whether one earlier agreeing ray q vanishes on every local
-    normal that cuts the partial orthant (`_wall_sign` 0). A local normal
-    cuts exactly when its normal n vanishes at r and has entries of both
-    signs: a sign-definite n vanishing at r >= 0 has its support in r's
-    zero set, so off coordinate j, on the local walls; and a mixed n whose
-    local form is sign-definite has n_j of the other sign, so n . r = 0
-    puts a coordinate of its support off the walls. Such a q projects to a
-    covered point on every cutting local line, so `_cell_witnesses_by_lp`
-    would return [] before its first region; r is skipped, and the same LPs
-    run and the same witnesses come out in the same order. The skip is kept
-    to rank >= 4; the planar sweep of dimension 3 makes no LP and takes no
-    points.
+      whose closure holds one lifts to a cell whose closure holds an
+      earlier ray, which was found already. The regions left pose the same
+      systems, so `by_signs` gets the same entries, witnesses and order.
     """
     columns = tuple(zip(*normals))
     rows = [dot_rows(columns, r) for r in rays]
     local_units = _unit_vectors(dim - 1)
-    if dim > 3:
-        # above[k], below[k], on[k]: the rays on the positive side of normal
-        # k, on its negative side, and on it; mixed[k]: whether k has
-        # entries of both signs.
-        above, below, on = ([0] * len(normals) for _ in range(3))
-        for bit, row in enumerate(rows):
-            for k, v in enumerate(row):
-                if v > 0:
-                    above[k] |= 1 << bit
-                elif v < 0:
-                    below[k] |= 1 << bit
-                else:
-                    on[k] |= 1 << bit
-        mixed = [min(n) < 0 < max(n) for n in normals]
-        everything = (1 << len(rays)) - 1
+    # above[k], below[k], on[k]: the rays on the positive side of normal k,
+    # on its negative side, and on it; mixed[k]: whether k has entries of
+    # both signs.
+    above, below, on = ([0] * len(normals) for _ in range(3))
+    for bit, row in enumerate(rows):
+        for k, v in enumerate(row):
+            if v > 0:
+                above[k] |= 1 << bit
+            elif v < 0:
+                below[k] |= 1 << bit
+            else:
+                on[k] |= 1 << bit
+    mixed = [min(n) < 0 < max(n) for n in normals]
+    everything = (1 << len(rays)) - 1
     by_signs = {}
     for index, (r, at_r) in enumerate(zip(rays, rows)):
+        disagree, cut_on = 1 << index, everything
+        for k, v in enumerate(at_r):
+            if v > 0:
+                disagree |= below[k]
+            elif v < 0:
+                disagree |= above[k]
+            elif mixed[k]:
+                cut_on &= on[k]
+        agree = everything & ~disagree
+        earlier = agree & ((1 << index) - 1)
+        if earlier & cut_on:
+            continue
         stage = f"at ray {index + 1} of {len(rays)}"
         j = next(i for i, x in enumerate(r) if x != 0)
-        if dim > 3:
-            disagree, cut_on = 1 << index, everything
-            for k, v in enumerate(at_r):
-                if v > 0:
-                    disagree |= below[k]
-                elif v < 0:
-                    disagree |= above[k]
-                elif mixed[k]:
-                    cut_on &= on[k]
-            agree = everything & ~disagree
-            earlier = agree & ((1 << index) - 1)
-            if earlier & cut_on:
-                continue
         local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, at_r) if v == 0]
         local_walls = [w for w, x in zip(local_units, r[:j] + r[j + 1:]) if x == 0]
         if dim == 3:
@@ -858,10 +852,10 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     error; other subsets of the true rays are not detected, and a missing
     ray can hide a cell, since the LP splitter reads off the rays which
     local regions are empty."""
-    if dim <= 0:
-        return []
     normals = [tuple(n) for n in normals]
     _require_integers(normals, "arrangement_cells", "normals", dim)
+    if dim == 0:
+        return []
     nonzero = [n for n in normals if any(n)]
     if dim == 1:
         witnesses = [(1,)]

@@ -18,7 +18,7 @@ from operator import mul, sub
 
 from .errors import NonDominantError, ParseError, RankMismatchError, ResourceGuardError
 from .exactgeom import dot_rows
-from .rootdata import SimpleGroup, Weight, _differences, reflect_weight_coeffs
+from .rootdata import SimpleGroup, Weight, _differences, _parse_integers, reflect_weight_coeffs
 
 DEFAULT_SUPPORT_GUARD = 10**6
 
@@ -51,15 +51,16 @@ class RepresentationSupport:
 def parse_highest_weight(group, text):
     """Parse a dominant highest weight from user notation.
 
-    Three forms are accepted: ``rank`` comma-separated integers (fundamental
-    coefficients); for type A, ``rank+1`` comma-separated integers
-    (L-coordinates, which must be weakly decreasing); and ``d*w<i>`` meaning
-    d times the i-th fundamental weight.
+    Three forms are accepted: ``rank`` integers (fundamental coefficients);
+    for type A, ``rank+1`` integers (L-coordinates, which must be weakly
+    decreasing); and ``d*w<i>`` meaning d times the i-th fundamental weight.
+    The integers are ASCII ``[+-]?[0-9]+``, each separated from the next by
+    one comma and/or blanks (`_parse_integers`).
     """
     raw = str(text).strip()
     if not raw:
         raise ParseError("empty weight specification")
-    star = re.fullmatch(r"(\d+)\s*\*\s*w(\d+)", raw)
+    star = re.fullmatch(r"([0-9]+)\s*\*\s*w([0-9]+)", raw, re.ASCII)
     if star is not None:
         multiple, index = int(star.group(1)), int(star.group(2))
         if not 1 <= index <= group.rank:
@@ -69,11 +70,9 @@ def parse_highest_weight(group, text):
         coeffs = [0] * group.rank
         coeffs[index - 1] = multiple
         return Weight(group, tuple(coeffs))
-    parts = [p for p in re.split(r"[,\s]+", raw) if p]
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"cannot parse weight specification {text!r}") from None
+    values = _parse_integers(raw)
+    if values is None:
+        raise ParseError(f"cannot parse weight specification {text!r}")
     if len(values) == group.rank:
         if any(c < 0 for c in values):
             raise NonDominantError(

@@ -192,14 +192,19 @@ def make_group(letter, rank=None):
     """Build the simple group of the given Dynkin type.
 
     Accepts either ``make_group("B", 2)`` or the combined form
-    ``make_group("B2")``.
+    ``make_group("B2")``. A rank is an `int` that is not a `bool`, or a
+    string of ASCII digits; anything else is a `ParseError`.
     """
     if rank is None:
-        match = re.fullmatch(r"([A-Za-z])\s*(\d+)", str(letter).strip())
+        match = re.fullmatch(r"([A-Za-z])\s*([0-9]+)", str(letter).strip(), re.ASCII)
         if match is None:
             raise ParseError(f"cannot parse group name {letter!r}; expected forms like 'B2'")
-        letter, rank = match.group(1), int(match.group(2))
-    return _build_group(str(letter).strip().upper(), int(rank))
+        letter, rank = match.groups()
+    if isinstance(rank, str) and rank.isascii() and rank.isdigit():
+        rank = int(rank)
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ParseError(f"group rank must be an integer, got {rank!r}")
+    return _build_group(str(letter).strip().upper(), rank)
 
 
 def fundamental_chamber_generators(group):
@@ -470,6 +475,20 @@ def _exact(x):
         raise ConversionError(
             f"{x!r} is not an exact number; give an int, a Fraction or a string such as '1/4'"
         ) from None
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+", re.ASCII)
+_INTEGER_LIST = re.compile(r"\s*[+-]?[0-9]+(?:(?:\s*,\s*|\s+)[+-]?[0-9]+)*\s*", re.ASCII)
+
+
+def _parse_integers(text):
+    """The integers written in `text` as ASCII ``[+-]?[0-9]+`` tokens, each
+    separated from the next by one comma and/or blanks, or None when `text`
+    is not of that form. `int` alone would also read "1_0", "３" or "٣", and
+    splitting on commas would let "1,,0" pass as two integers."""
+    if _INTEGER_LIST.fullmatch(text) is None:
+        return None
+    return [int(token) for token in _INTEGER.findall(text)]
 
 
 def _differences(values):

@@ -1252,10 +1252,12 @@ def tuple_weight_support(group, highest):
 def every_ray_cells_localised_at_rays(normals, dim, guard, rays):
     """`exactgeom._cells_localised_at_rays` as it was before it skipped the
     rays whose local cells were all found at earlier rays: it builds the
-    local system at every ray and hands the LP splitter the rays that agree
-    in sign with r, found by comparing r's sign masks with every other
-    ray's, so the splitter's own seed test drops the rays that the package
-    now skips before building their systems.
+    local system at every ray, the planar sweep's in rank 3 too, and hands
+    the LP splitter the rays that agree in sign with r, found by comparing
+    r's sign masks with every other ray's. At a ray the package skips, a
+    covered point lies on every line that cuts, so the splitter drops every
+    region at its first line (with no line, its one region lifts to a cell
+    found already), and every cell the sweep finds there was found already.
 
     Cell witnesses in dimension >= 3, one local problem per ray; local
     witnesses lift to ``K r + y`` and are deduplicated by their sign

@@ -436,6 +436,11 @@ def test_parse_failures_exit_with_two(capsys):
         ["solve", "A2", "--weight", "x,y"],
         ["solve", "A2", "--weight", "0,0,3"],
         ["solve", "A2", "--weight", "1,0", "--loci", "bogus"],
+        ["solve", "A2", "--weight", "1_0,0"],
+        ["solve", "A2", "--weight", "３,0"],
+        ["solve", "A2", "--weight", "٣,0"],
+        ["solve", "A2", "--weight", "3,0,"],
+        ["solve", "A٣", "--weight", "1,0,0"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -471,6 +476,61 @@ def test_bad_guard_environment_value_exits_with_two(capsys, monkeypatch):
     monkeypatch.setenv("GITLOCI_SUPPORT_GUARD", "zero")
     code, _, err = run(capsys, "solve", "A2", "--weight", "3,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["A3", "--weight", "2,0,0"],
+            "cell enumeration localised at rays exceeded the guard of 1 cells at ray 2 of 6",
+        ),
+        (
+            ["A2", "--weight", "3,0", "--loci", "unstable"],
+            "cell enumeration exceeded the guard of 1 cells with 2 found",
+        ),
+    ],
+    ids=["localised", "planar"],
+)
+def test_cell_guard_from_the_environment_exits_with_three(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("GITLOCI_CELL_GUARD", "1")
+    code, out, err = run(capsys, "solve", *argv)
+    assert (code, out, err) == (3, "", f"gitloci: resource guard: {message}\n")
+
+
+def test_weyl_guard_from_the_environment_exits_with_three(capsys, monkeypatch):
+    argv = ("solve", "A2", "--weight", "3,0", "--loci", "polystable")
+    monkeypatch.setenv("GITLOCI_WEYL_GUARD", "2")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "gitloci: resource guard: Weyl set closure exceeded the guard of 2,"
+        " with 3 sets of 3 weights reached in round 2\n"
+    )
+    monkeypatch.setenv("GITLOCI_WEYL_GUARD", "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "gitloci: error: environment variable GITLOCI_WEYL_GUARD must be positive, got 0\n"
+
+
+# `int` alone would read each line that does not parse as some weight.
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1, 0\n1, 0, 0\n", "{source}:2: weight has 3 coefficients; expected 2"),
+        ("# only comments\n\n   # and blanks\n", "weights file {source} contains no weights"),
+        *(
+            (f"0, 0\n{line}\n", f"{{source}}:2: cannot parse weight line {line!r}")
+            for line in ("１, 0", "1_0, 0", "٣ 0", "1,,0", "3, 0,")
+        ),
+    ],
+)
+def test_weights_file_refusals_exit_with_two(capsys, tmp_path, body, message):
+    source = tmp_path / "weights.txt"
+    source.write_text(body)
+    code, out, err = run(capsys, "solve", "A2", "--weights-file", str(source))
+    assert (code, out) == (2, "")
+    assert err == f"gitloci: error: {message.format(source=source)}\n"
 
 
 def test_d2_warning_goes_to_stderr(capsys):

@@ -702,7 +702,8 @@ def test_pruned_localised_cells_match_the_unpruned_reference_on_arrangements(arr
 
 
 # The rank >= 3 inputs of the benchmark's solve and classify workloads and
-# of the `HEAVY` list of scripts/compare_reports.py, and A4 5,0,0,0.
+# of the `HEAVY` list of scripts/compare_reports.py, A4 5,0,0,0, and A3
+# 6,0,0, whose 73 rays all build a local system.
 SKIP_INPUTS = [
     ("A3", "1,0,0"), ("A3", "2,0,0"), ("B3", "2,0,0"), ("B3", "0,1,0"), ("C3", "0,0,1"),
     ("A4", "1,0,0,0"), ("A4", "0,1,0,0"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"), ("D4", "1,0,0,0"),
@@ -712,7 +713,7 @@ SKIP_INPUTS = [
     ("D5", "0,0,0,0,1"), ("E6", "1,0,0,0,0,0"), ("A7", "1,0,0,0,0,0,0"), ("D3", "1,0,0"),
     ("A5", "1,1,0,0,0"), ("A5", "2,0,0,0,0"), ("D5", "1,0,0,0,0"), ("B5", "1,0,0,0,0"),
     ("A3", "0,1,0"), ("E7", "0,0,0,0,0,0,1"), ("A5", "3,0,0,0,0"), ("A4", "4,0,0,0"),
-    ("A4", "5,0,0,0"),
+    ("A4", "5,0,0,0"), ("A3", "6,0,0"),
 ]
 
 
@@ -724,18 +725,19 @@ def test_skipping_rays_keeps_the_localised_cells_and_their_lps(monkeypatch, name
 
 
 def local_systems_built(monkeypatch, name, spec):
-    """The number of local systems the cells of one problem hand to the LP
-    splitter."""
+    """The number of local systems the cells of one problem build: calls of
+    the planar sweep in rank 3, of the LP splitter above."""
     calls = []
-    real = exactgeom._cell_witnesses_by_lp
+    group = make_group(name)
+    solver = "_planar_cell_witnesses" if group.rank == 3 else "_cell_witnesses_by_lp"
+    real = getattr(exactgeom, solver)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(exactgeom, "_cell_witnesses_by_lp", counted)
+    monkeypatch.setattr(exactgeom, solver, counted)
     try:
-        group = make_group(name)
         new_problem(group, parse_highest_weight(group, spec)).cells()
         return len(calls)
     finally:
@@ -748,6 +750,12 @@ def test_rays_whose_local_cells_were_all_found_build_no_local_system(monkeypatch
         spec = ",".join(["1"] + ["0"] * (int(name[1]) - 1))
         assert local_systems_built(monkeypatch, name, spec) == 1, name
     assert local_systems_built(monkeypatch, "A6", "1,0,0,0,0,0") < 21
+    # Rank 3 skips the same rays: B3 2,0,0 and 0,1,0 have 3 rays, C3 0,0,1
+    # has 4 and A3 2,0,0 has 6.
+    assert local_systems_built(monkeypatch, "B3", "2,0,0") == 1
+    assert local_systems_built(monkeypatch, "B3", "0,1,0") == 1
+    assert local_systems_built(monkeypatch, "C3", "0,0,1") == 2
+    assert local_systems_built(monkeypatch, "A3", "2,0,0") == 5
 
 
 @pytest.mark.parametrize(
@@ -1017,6 +1025,21 @@ def test_arrangements_need_normals_of_length_dim(dim):
             lp_feasible([good], [normal], dim)
         with pytest.raises(ValueError, match=f"kernel_basis needs vectors of length {dim}"):
             kernel_basis([good, normal], dim)
+
+
+def test_dimension_zero_and_below():
+    # Normals of the wrong length are refused before dimension 0 returns.
+    with pytest.raises(ValueError, match="^arrangement_rays needs vectors of length 0$"):
+        arrangement_rays([(1,)], 0)
+    with pytest.raises(ValueError, match="^arrangement_cells needs vectors of length 0$"):
+        arrangement_cells([(1,)], [], 0)
+    for dim in (-1, -3):
+        message = f"needs a non-negative dimension, got {dim}$"
+        with pytest.raises(ValueError, match=f"^arrangement_rays {message}"):
+            arrangement_rays([], dim)
+        with pytest.raises(ValueError, match=f"^arrangement_cells {message}"):
+            arrangement_cells([], [], dim)
+    assert arrangement_rays([], 0) == arrangement_cells([], [], 0) == []
 
 
 @relaxed

@@ -64,6 +64,27 @@ def test_parse_rejects_malformed_input():
             parse_highest_weight(A2, bad)
 
 
+# `int` alone reads each of these as some other weight: (10, 0), (3, 0),
+# (3, 0), (1, 0), (3, 0), 3*w1 and (1, 0).
+@pytest.mark.parametrize("bad", ["1_0,0", "３,0", "٣,0", "1,,0", "3,0,", "３*w1", "1 ,, 0"])
+def test_parse_reads_only_ascii_integers_separated_once(bad):
+    with pytest.raises(ParseError, match=r"^cannot parse weight specification "):
+        parse_highest_weight(A2, bad)
+
+
+def test_parse_accepts_signs_and_blanks_around_one_comma():
+    assert parse_highest_weight(A2, " +3 ,\t0 ").coeffs == (3, 0)
+    assert parse_highest_weight(A2, "2  1 0").coeffs == (1, 1)
+    assert parse_highest_weight(A2, "3 * w1").coeffs == (3, 0)
+
+
+def test_support_refusals_name_their_input():
+    with pytest.raises(ParseError, match=r"^weight list is empty$"):
+        support_from_weights(A2, [])
+    with pytest.raises(NonDominantError, match=r"^highest weight \(-1, 0\) is not dominant$"):
+        weight_support(A2, Weight(A2, (-1, 0)))
+
+
 def test_support_matches_monomial_enumeration_for_type_a():
     for rank in (1, 2, 3):
         group = make_group(f"A{rank}")

@@ -100,6 +100,24 @@ def test_make_group_accepts_split_arguments_and_lowercase():
     assert make_group("B", 2) is B2
     assert make_group("b2") is B2
     assert make_group("a 2") is A2
+    assert make_group("A", "2") is A2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("A٣",), "cannot parse group name 'A٣'; expected forms like 'B2'"),
+        (("A３",), "cannot parse group name 'A３'; expected forms like 'B2'"),
+        (("A", 2.5), "group rank must be an integer, got 2.5"),
+        (("A", True), "group rank must be an integer, got True"),
+        (("A", "2.0"), "group rank must be an integer, got '2.0'"),
+        (("A", "٣"), "group rank must be an integer, got '٣'"),
+    ],
+)
+def test_make_group_takes_only_int_or_ascii_digit_ranks(args, message):
+    with pytest.raises(ParseError) as raised:
+        make_group(*args)
+    assert str(raised.value) == message
 
 
 def test_group_accessors():
