@@ -68,10 +68,10 @@ def _guard_from_env(name, default):
     raw = os.environ.get(name)
     if raw is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"environment variable {name} must be an integer, got {raw!r}") from None
+    values = _parse_integers(raw)
+    if values is None or len(values) != 1:
+        raise ParseError(f"environment variable {name} must be an integer, got {raw!r}")
+    (value,) = values
     if value <= 0:
         raise ParseError(f"environment variable {name} must be positive, got {value}")
     return value

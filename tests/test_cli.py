@@ -472,10 +472,13 @@ def test_resource_guard_exits_with_three(capsys, monkeypatch):
     assert "guard" in err
 
 
-def test_bad_guard_environment_value_exits_with_two(capsys, monkeypatch):
-    monkeypatch.setenv("GITLOCI_SUPPORT_GUARD", "zero")
-    code, _, err = run(capsys, "solve", "A2", "--weight", "3,0,0")
+@pytest.mark.parametrize("raw", ["zero", "\u0665", "1_0", "\uff13", "5,5"])
+def test_bad_guard_environment_value_exits_with_two(capsys, monkeypatch, raw):
+    monkeypatch.setenv("GITLOCI_SUPPORT_GUARD", raw)
+    code, out, err = run(capsys, "solve", "A2", "--weight", "3,0,0")
     assert code == 2
+    assert out == ""
+    assert err == f"gitloci: error: environment variable GITLOCI_SUPPORT_GUARD must be an integer, got {raw!r}\n"
 
 
 @pytest.mark.parametrize(

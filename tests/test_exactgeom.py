@@ -21,7 +21,9 @@ from gitloci.exactgeom import (
     _cell_witnesses_by_lp,
     _cells_localised_at_rays,
     _dedupe_lines,
+    _double_description,
     _eliminate,
+    _flat_walk,
     _phase_one,
     _planar_cell_witnesses,
     _wall_sign,
@@ -759,7 +761,15 @@ def test_rays_whose_local_cells_were_all_found_build_no_local_system(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "name, spec", [*PRUNING_INPUTS, ("E7", "1,0,0,0,0,0,0"), ("E8", "0,0,0,0,0,0,0,1")]
+    "name, spec",
+    [
+        *PRUNING_INPUTS,
+        ("E7", "1,0,0,0,0,0,0"),
+        ("E8", "0,0,0,0,0,0,0,1"),
+        ("A4", "3,0,0,0"),
+        ("A4", "4,0,0,0"),
+        ("A5", "3,0,0,0,0"),
+    ],
 )
 def test_block_rays_match_the_unsplit_walk(name, spec):
     group = make_group(name)
@@ -797,6 +807,25 @@ def block_arrangements(draw):
 def test_block_rays_match_the_unsplit_walk_on_block_arrangements(arrangement):
     dim, normals = arrangement
     assert arrangement_rays(normals, dim) == unsplit_arrangement_rays(normals, dim)
+
+
+@st.composite
+def cutting_arrangements(draw):
+    """Distinct mixed-sign lines in dimension 3-6, with parallel and
+    coordinate-sparse lines likely: the input of one block's ray search."""
+    dim = draw(st.integers(3, 6))
+    entry = st.sampled_from((-2, -1, 0, 0, 0, 1, 1, 2))
+    vectors = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=9))
+    return dim, _dedupe_lines([v for v in vectors if min(v) < 0 < max(v)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(cutting_arrangements())
+def test_double_description_matches_the_flat_walk(arrangement):
+    dim, lines = arrangement
+    rays = _double_description(lines, dim)
+    assert len(set(rays)) == len(rays)
+    assert sorted(rays) == sorted(_flat_walk(lines, dim))
 
 
 def lp_results(monkeypatch, function, *args):
