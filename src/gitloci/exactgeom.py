@@ -7,7 +7,7 @@ hyperplanes ``{x : n . x = 0}`` restricted to the non-negative orthant
 ``{x : x_i >= 0 for every i}``, which is the fundamental chamber in
 fundamental-coweight coordinates; its coordinate walls are built here.
 `arrangement_rays` and `arrangement_cells` are its two halves. It takes a
-non-negative dim and integer normals of length dim only (a `ValueError`
+non-negative int dim and integer normals of length dim only (a `ValueError`
 says so otherwise): every line is canonicalised with `gcd` alone, and
 rays and witnesses come back as sorted lists of primitive integer points.
 
@@ -21,18 +21,24 @@ rays, cells and their witnesses are the same as with them.
 
 All elimination is fraction-free on integers: one step, `_eliminate`,
 cuts a kernel basis down by one line, and `kernel_basis` and `matrix_rank`
-are that step applied row by row. The cutting normals split the
-coordinates into blocks that none of them joins, and the orthant with the
-arrangement is the product of the blocks' orthants, so the rays are each
-block's rays padded with zeros and the cells are the products of the
-blocks' cells (Orlik-Terao): a block of one coordinate gives its axis and
-one cell, and each larger block is searched in its own dimension by double
-description over the cone complex (`_cone_complex`). The search adds one
-line at a time and keeps every cell as the set of its rays, the extreme
-rays of its closure; a line splits only the cells it crosses, and the rays
-it adds come from pairs of rays of one such cell that span a 2-face, which
+are that step applied row by row. The search is double description over
+the cone complex of the whole orthant (`_cone_complex`), in every
+dimension and whether or not the cutting lines split the coordinates into
+blocks. It starts from the orthant's axes and one cell, adds one line at a
+time and keeps every cell as the set of its rays, the extreme rays of its
+closure; a line splits only the cells it crosses, and the rays it adds
+come from pairs of rays of one such cell that span a 2-face, which
 `matrix_rank` of their common zeros decides. A cell's witness is the
 primitive sum of its rays, so no LP finds a cell.
+
+The signs of many points against the rows of one matrix are read off
+packed integers (`_field_width`, `_pack_columns`, `_sign_fields`): each
+column is one integer with a biased field per row, and one multiply-add
+per nonzero coordinate of a point gives all its pairings at once, the top
+bits of the fields marking the rows that pair >= 0 and, less one from
+every field, > 0. The search checks its witnesses this way against the
+cutting lines, and `gitsolver` reads its states this way against the
+support.
 
 There is one simplex, `_phase_one`, a revised simplex that pivots
 fraction-free on integers.
@@ -57,7 +63,7 @@ dual's normalisation sum(y) = 1 plays the part of rescaling ``f > 0`` to
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from math import gcd
 from operator import mul
 
@@ -93,16 +99,17 @@ def primitive_vector(v):
     return tuple(x // g for x in v)
 
 
-def _require_integers(rows, caller, what="entries", dim=None):
-    """Raise a ValueError naming `caller` unless every entry of every row is
-    an int (bool included), and, when `dim` is given, dim is non-negative
-    and every row has length dim; the type check looks at each distinct
-    entry type once."""
-    if dim is not None and dim < 0:
+def _require_integers(rows, caller, dim, what="entries"):
+    """Raise a ValueError naming `caller` unless dim is a non-negative int
+    and every row is a vector of dim ints (bool included); the type check
+    looks at each distinct entry type once."""
+    if not isinstance(dim, int):
+        raise ValueError(f"{caller} needs an integer dimension, got {dim!r}")
+    if dim < 0:
         raise ValueError(f"{caller} needs a non-negative dimension, got {dim}")
     if not all(map(issubclass, set(map(type, chain.from_iterable(rows))), repeat(int))):
         raise ValueError(f"{caller} needs integer {what}")
-    if dim is not None and any(len(row) != dim for row in rows):
+    if any(len(row) != dim for row in rows):
         raise ValueError(f"{caller} needs vectors of length {dim}")
 
 
@@ -209,7 +216,7 @@ def lp_feasible(weak, strict, dim):
     """
     weak = [tuple(row) for row in weak]
     strict = [tuple(row) for row in strict]
-    _require_integers((*weak, *strict), "lp_feasible", dim=dim)
+    _require_integers((*weak, *strict), "lp_feasible", dim)
     if not strict:
         return (0,) * dim
     rows = [*zip(*weak, *strict), (0,) * len(weak) + (1,) * len(strict)]
@@ -238,11 +245,9 @@ def zero_in_relative_interior(points):
     when the points are all zero nothing is left and the answer is yes.
     """
     pts = [tuple(p) for p in points]
-    _require_integers(pts, "zero_in_relative_interior")
     if not pts:
         raise ValueError("zero_in_relative_interior needs at least one point")
-    if any(len(p) != len(pts[0]) for p in pts):
-        raise ValueError("zero_in_relative_interior needs points of one dimension")
+    _require_integers(pts, "zero_in_relative_interior", len(pts[0]))
     rows = [row if sum(row) <= 0 else tuple(-c for c in row) for row in zip(*pts)]
     rhs = [-sum(row) for row in rows]
     return _phase_one(rows, rhs) is None
@@ -268,6 +273,48 @@ def _dedupe_lines(vectors):
     lines = dict.fromkeys(zip(*[[x // d for x, d in zip(column, divisors)] for column in columns]))
     lines.pop((0,) * len(columns), None)
     return list(lines)
+
+
+def _field_width(bound):
+    """The bytes per biased field of `_pack_columns` that hold every
+    integer of absolute value at most `bound` strictly inside the bias
+    2^(8 width - 1)."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack_columns(columns, length, width):
+    """The columns of a matrix, each of `length` entries, packed for
+    `_sign_fields`: each column is one integer with a field of `width` bytes
+    per entry, in row order, returned with the bias 2^(8 width - 1) in
+    every field (top) and 1 in every field (ones). Every entry must lie in
+    (-bias, bias)."""
+    bias = 1 << (8 * width - 1)
+    top = int.from_bytes(bias.to_bytes(width, "little") * length, "little")
+    ones = int.from_bytes((1).to_bytes(width, "little") * length, "little")
+    packed = [
+        int.from_bytes(b"".join([(u + bias).to_bytes(width, "little") for u in column]), "little") - top
+        for column in columns
+    ]
+    return top, ones, packed
+
+
+def _sign_fields(pack, points):
+    """For each point in turn, the masks (ge, gt) of the rows of a packed
+    matrix that pair >= 0 and > 0 with it, as the top bits of their fields.
+
+    The point's pairings with every row are one multiply-add per nonzero
+    coordinate on the bias in every field. When every pairing lies in
+    (-bias, bias), each biased field lies in [0, 2 bias) and no field
+    carries into the next: its top bit is set exactly when its pairing is
+    >= 0, and, less one, exactly when it is > 0. The masks are yielded one
+    point at a time, so a caller holds no more of them than it keeps."""
+    top, ones, packed = pack
+    for point in points:
+        fields = top
+        for c, column in zip(point, packed):
+            if c:
+                fields += c * column
+        yield fields & top, (fields - ones) & top
 
 
 def _eliminate(basis, values):
@@ -311,7 +358,7 @@ def kernel_basis(rows, dim):
     span of the earlier ones pairs to zero with the whole basis and leaves
     it as it is. The rows must be integer vectors."""
     rows = list(rows)
-    _require_integers(rows, "kernel_basis", dim=dim)
+    _require_integers(rows, "kernel_basis", dim)
     basis = _unit_vectors(dim)
     for row in rows:
         if not basis:
@@ -325,51 +372,14 @@ def kernel_basis(rows, dim):
 def matrix_rank(rows):
     """The rank of a list of integer rows."""
     rows = list(rows)
-    _require_integers(rows, "matrix_rank")
     dim = len(rows[0]) if rows else 0
+    _require_integers(rows, "matrix_rank", dim)
     return dim - len(kernel_basis(rows, dim))
-
-
-def _coordinate_blocks(lines, dim):
-    """The coordinate blocks of `lines`: the connected components of
-    range(dim) when a line joins every two coordinates of its support. Each
-    block is returned as its coordinates, in increasing order, and the
-    lines supported on it, restricted to those coordinates; a line's
-    support lies in one block. Once every coordinate is joined, the one
-    block is the whole range with the lines as they are, and the lines left
-    are not read."""
-    parent = list(range(dim))
-    count = dim
-
-    def root(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for line in lines:
-        if count == 1:
-            break
-        first, *rest = [i for i, x in enumerate(line) if x]
-        first = root(first)
-        for i in rest:
-            i = root(i)
-            if i != first:
-                parent[i] = first
-                count -= 1
-    if count == 1:
-        return [(range(dim), lines)]
-    blocks = {}
-    for i in range(dim):
-        blocks.setdefault(root(i), ([], []))[0].append(i)
-    for line in lines:
-        coords, members = blocks[root(next(i for i, x in enumerate(line) if x))]
-        members.append(tuple([line[i] for i in coords]))
-    return list(blocks.values())
 
 
 def _cone_complex(cutting, dim, guard):
     """The rays and cells of the distinct cutting lines `cutting` and the
-    walls of the non-negative orthant, in dimension dim >= 2, built one line
+    walls of the non-negative orthant, in dimension dim >= 1, built one line
     at a time over the cone complex (the double description method:
     Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda and Prodon, 1996).
     Returns the rays' primitive points and the cells, each the tuple of the
@@ -395,8 +405,14 @@ def _cone_complex(cutting, dim, guard):
     every cell whose closure holds the face holds that ray, so each pair
     builds its ray once per line and the cells sharing the face share it.
 
-    `guard` bounds the cells: a line that leaves more raises a
-    `ResourceGuardError` that names the line and the cells so far.
+    With no cutting line that is all there is, whatever the dimension, and
+    a split arrangement needs no more than this: the cells of a product of
+    orthants are the products of their cells, and a line of one factor
+    splits each cell of the product along that factor alone.
+
+    `guard` bounds the cells: the starting cell, or a line that leaves
+    more, raises a `ResourceGuardError` that names the line (0 for the
+    starting complex) and the cells so far.
     """
     points = _unit_vectors(dim)
     constraints = [*points, *cutting]
@@ -417,6 +433,14 @@ def _cone_complex(cutting, dim, guard):
             spans_face[common] = len(rows) >= target and matrix_rank(rows) == target
         return spans_face[common]
 
+    def check_guard(done):
+        if len(cells) > guard:
+            raise ResourceGuardError(
+                f"ray and cell search exceeded the guard of {guard} cells,"
+                f" with {len(cells)} cells at line {done} of {len(cutting)}"
+            )
+
+    check_guard(0)
     for index, line in enumerate(cutting):
         on = 1 << (dim + index)
         values = [sum(map(mul, line, p)) for p in points]
@@ -451,11 +475,7 @@ def _cone_complex(cutting, dim, guard):
                         new.append(k)
             cells[i] = (*[r for r in cell if r not in below], *new)
             cells.append((*[s for s in cell if s not in above], *new))
-        if len(cells) > guard:
-            raise ResourceGuardError(
-                f"ray and cell search exceeded the guard of {guard} cells,"
-                f" with {len(cells)} cells at line {index + 1} of {len(cutting)}"
-            )
+        check_guard(index + 1)
         for k, v in enumerate(values):
             if not v:
                 zeros[k] |= on
@@ -473,59 +493,34 @@ def _rays_and_cells(normals, dim, guard, caller):
     """`rays_and_cells`, with `caller` named in its input errors.
 
     The normals with entries of both signs cut the open orthant; they are
-    made distinct lines and split into coordinate blocks, and each block of
-    dimension >= 2 is searched by `_cone_complex`. A cell of the whole
-    orthant picks one cell of each block, its rays are theirs, and its
-    witness is the primitive sum of its rays. Every witness is checked to
-    pair strictly nonzero with every nonzero normal and to have every
-    coordinate positive, and no two to share a sign vector."""
+    made distinct lines and searched by `_cone_complex` in the whole
+    orthant, and each cell's witness is the primitive sum of its rays.
+    Every witness is checked to pair strictly nonzero with every nonzero
+    normal and to have every coordinate positive, and no two to share a
+    sign vector; the check reads one witness's signs on the cutting lines
+    at a time (`_sign_fields`)."""
     normals = [tuple(n) for n in normals]
-    _require_integers(normals, caller, "normals", dim)
+    _require_integers(normals, caller, dim, "normals")
     if dim == 0:
         return [], []
     cutting = _dedupe_lines([n for n in normals if min(n) < 0 < max(n)])
-    rays, factors = [], []
-    for coords, lines in _coordinate_blocks(cutting, dim):
-        points, cells = _cone_complex(lines, len(coords), guard) if lines else ([(1,)], [(0,)])
-        padded = []
-        for point in points:
-            full = [0] * dim
-            for i, x in zip(coords, point):
-                full[i] = x
-            padded.append(tuple(full))
-        rays += padded
-        factors.append([[padded[k] for k in cell] for cell in cells])
-    count = 1
-    for cells in factors:
-        count *= len(cells)
-    if count > guard:
-        raise ResourceGuardError(
-            f"ray and cell search exceeded the guard of {guard} cells,"
-            f" with {count} cells in the product of its blocks"
-        )
-    witnesses = sorted(
-        primitive_vector(tuple(map(sum, zip(*chain.from_iterable(choice))))) for choice in product(*factors)
-    )
-    # The witnesses' pairings with the cutting lines, read as in
-    # `gitsolver._sign_masks`: one biased field per line, wide enough that
-    # none carries, in one sum of packed columns per witness. A field's top
-    # bit is set when the pairing is >= 0, and still set after 1 is taken
-    # from every field when it is > 0. A sign-definite normal is nonzero on
-    # the open orthant and takes one sign on every cell there.
+    points, cells = _cone_complex(cutting, dim, guard)
+    witnesses = sorted(primitive_vector(tuple(map(sum, zip(*map(points.__getitem__, cell))))) for cell in cells)
+    del cells  # freed before the check, which keeps one mask per witness
+    # A witness is off every cutting line when its >= 0 and > 0 masks agree,
+    # and then two witnesses share a sign vector when they share a > 0 mask.
+    # A sign-definite normal is nonzero on the open orthant and takes one
+    # sign on every cell there.
     bound = max(map(max, witnesses)) * max((sum(map(abs, line)) for line in cutting), default=0)
-    width = bound.bit_length() + 2
-    ones = sum(1 << (width * k) for k in range(len(cutting)))
-    packed = [sum(x << (width * k) for k, x in enumerate(column)) for column in zip(*cutting)]
+    pack = _pack_columns(list(zip(*cutting)), len(cutting), _field_width(bound))
     seen_sign_vectors = set()
-    for point in witnesses:
-        total = (ones << (width - 1)) + sum(map(mul, point, packed))
-        signature = (total - ones) >> (width - 1) & ones
-        if min(point) <= 0 or total >> (width - 1) & ones != signature:
+    for point, (ge, gt) in zip(witnesses, _sign_fields(pack, witnesses)):
+        if min(point) <= 0 or ge != gt:
             raise RuntimeError("cell witness landed on a boundary; this is a bug")
-        if signature in seen_sign_vectors:
+        if gt in seen_sign_vectors:
             raise RuntimeError("two witnesses describe the same cell; this is a bug")
-        seen_sign_vectors.add(signature)
-    return sorted(rays), witnesses
+        seen_sign_vectors.add(gt)
+    return sorted(points), witnesses
 
 
 def arrangement_rays(normals, dim):
@@ -542,20 +537,14 @@ def arrangement_rays(normals, dim):
     the support of n, which the walls already say, so every sign class,
     and hence every ray, is the same set with or without n.
 
-    The cutting normals split the coordinates into blocks
-    (`_coordinate_blocks`): two coordinates share a block when a chain of
-    cutting normals links their supports. Every cutting normal lies in one
-    block and every wall is one coordinate, so the closed orthant with the
-    arrangement is the product of the blocks' orthants with their normals,
-    and the rays of a product of pointed cones are the rays of each factor,
-    padded with zeros (Orlik-Terao, *Arrangements of Hyperplanes*, 1992).
-    A block of one coordinate has no cutting normal, and its axis is its
-    one ray. Each larger block is searched in its own dimension by double
-    description (`_cone_complex`), which builds the cells with the rays: it
+    The rays come from one double description search over the whole
+    orthant (`_cone_complex`), which builds the cells with the rays: it
     pairs only rays of one cell, where a rays-only search must find the
     conformal pairs among all the rays on the two sides of each line (E6
     ``2,0,0,0,0,0``: 0.7-1.2 s for its rays and cells, against 1.4 s for
-    its rays alone that way; single runs on a 2-vCPU host).
+    its rays alone that way; single runs on a 2-vCPU host). The search
+    starts from the axes, so an orthant that no normal cuts has its axes
+    as its rays.
 
     A caller that needs the normals vanishing at a ray pairs them with its
     point.
@@ -575,10 +564,10 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     The search builds its own rays, so `rays` is only checked: from
     dimension 3 it must be `arrangement_rays(normals, dim)`, and a point
     outside the orthant or a missing axis is a `ValueError`. `guard`
-    bounds the cells the search holds after each line, and the cells of
-    the product of the blocks."""
+    bounds the cells the search holds at its start and after each line.
+    """
     normals = [tuple(n) for n in normals]
-    _require_integers(normals, "arrangement_cells", "normals", dim)
+    _require_integers(normals, "arrangement_cells", dim, "normals")
     if dim >= 3:
         points = set(rays)
         if any(len(point) != dim or min(point) < 0 for point in points):

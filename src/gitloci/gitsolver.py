@@ -41,13 +41,15 @@ check of the = 0 states is marked as failing on the inputs of item 1.
 
 States and the Weyl group
 -------------------------
-Inside the selection a state is a bitmask. Each pairing column is packed
-into one integer with a biased field per support weight, wide enough that
-no field carries, and kept on the problem until a call needs wider
-fields; one multiply-add per nonzero coordinate of a witness
-gives all its biased pairings at once: the weights that pair >= 0 are the
-set top bits, those that pair > 0 the top bits still set after one is
-taken from every field, and the = 0 state is the difference. Distinctness,
+Inside the selection a state is a bitmask, read by `exactgeom`'s
+packed-sign reader, the one the ray and cell search checks its witnesses
+with. Each pairing column is packed into one integer with a biased field
+per support weight, wide enough that no field carries, and kept on the
+problem until a call needs wider fields; one multiply-add per nonzero
+coordinate of a witness gives all its biased pairings at once: the
+weights that pair >= 0 are the set top bits, those that pair > 0 the top
+bits still set after one is taken from every field, and the = 0 state is
+the difference. Distinctness,
 maximality and the polystable certificates are tests on these masks.
 Outside the selection a state is the ascending tuple of its positions in
 the sorted support, so index order is coefficient order. `GITProblem` keeps
@@ -81,6 +83,9 @@ from .errors import ParseError, RankMismatchError
 from .exactgeom import (
     DEFAULT_CELL_GUARD,
     _dedupe_lines,
+    _field_width,
+    _pack_columns,
+    _sign_fields,
     arrangement_cells,  # unused here; the benchmark's tracer wraps it under this module
     arrangement_rays,  # unused here; the benchmark's tracer wraps it under this module
     dot_rows,
@@ -282,39 +287,19 @@ def _sign_masks(problem, points):
     with each point, and the field width in bytes that `_indices` reads
     them with.
 
-    Each pairing column is packed into one integer with a field of `width`
-    bytes per support weight, in support order, and the point's pairings
-    are then one multiply-add per nonzero coordinate on the bias
-    2^(8 width - 1) in every field. A width holds the points when every
-    column entry and every pairing of the points lies in (-bias, bias), so
-    each biased field lies in [0, 2 bias) and no field carries into the
-    next: a field's top bit is set exactly when its pairing is >= 0, and,
-    less one, exactly when it is > 0. The problem keeps the widest pack
-    made so far and reuses it whenever its width holds the points;
-    otherwise the columns are packed afresh at the least width that does,
-    and that pack is kept instead."""
+    The masks come from `exactgeom`'s packed-sign reader over the pairing
+    columns, one field per support weight in support order
+    (`exactgeom._sign_fields`). A width holds the points when every column
+    entry and every pairing of the points lies strictly inside its bias.
+    The problem keeps the widest pack made so far and reuses it whenever
+    its width holds the points; otherwise the columns are packed afresh at
+    the least width that does, and that pack is kept instead."""
     bounds = problem._column_bounds
-    bound = max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)])
-    width = bound.bit_length() // 8 + 1
+    width = _field_width(max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)]))
     if problem._packed is None or problem._packed[0] < width:
-        n = len(problem.index)
-        bias = 1 << (8 * width - 1)
-        top = int.from_bytes(bias.to_bytes(width, "little") * n, "little")
-        ones = int.from_bytes((1).to_bytes(width, "little") * n, "little")
-        packed = [
-            int.from_bytes(b"".join([(u + bias).to_bytes(width, "little") for u in column]), "little") - top
-            for column in problem._pairing_columns
-        ]
-        problem._packed = (width, top, ones, packed)
-    width, top, ones, packed = problem._packed
-    masks = []
-    for point in points:
-        fields = top
-        for c, column in zip(point, packed):
-            if c:
-                fields += c * column
-        masks.append((fields & top, (fields - ones) & top))
-    return masks, width
+        problem._packed = (width, _pack_columns(problem._pairing_columns, len(problem.index), width))
+    width, pack = problem._packed
+    return list(_sign_fields(pack, points)), width
 
 
 def _indices(problem, mask, width):

@@ -1101,7 +1101,7 @@ def unsplit_arrangement_rays(normals, dim):
     if dim <= 0:
         return []
     normals = [tuple(n) for n in normals]
-    _require_integers(normals, "arrangement_rays", "normals", dim)
+    _require_integers(normals, "arrangement_rays", dim, "normals")
     if dim == 1:
         return [(1,)]
     walled = range(dim)

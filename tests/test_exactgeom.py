@@ -443,11 +443,15 @@ def test_cell_guard_messages_name_the_stage_and_its_progress():
     lines = ((1, -1), (1, -2))
     with pytest.raises(ResourceGuardError, match=search + r"2 cells, with 3 cells at line 2 of 2$"):
         orthant_cells(lines, 2, guard=2)
-    # Two blocks of two cells each stay under the guard one at a time.
+    # Two coordinate blocks of two cells each make four cells in one search.
     blocks = ((1, -1, 0, 0), (0, 0, 1, -1))
-    with pytest.raises(ResourceGuardError, match=search + r"3 cells, with 4 cells in the product of its blocks$"):
+    with pytest.raises(ResourceGuardError, match=search + r"3 cells, with 4 cells at line 2 of 2$"):
         orthant_cells(blocks, 4, guard=3)
     assert len(orthant_cells(blocks, 4, guard=4)) == 4
+    # The starting orthant is one cell, so guard 0 trips with no cutting line.
+    for normals, dim in [((), 3), (((1, 1, 0),), 3), ((), 1)]:
+        with pytest.raises(ResourceGuardError, match=search + r"0 cells, with 1 cells at line 0 of 0$"):
+            rays_and_cells(normals, dim, guard=0)
     # A rays-only call runs the same search under the default guard.
     with pytest.raises(ResourceGuardError, match=search):
         rays_and_cells(chain, 3, guard=1)
@@ -810,9 +814,14 @@ def block_arrangements(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(block_arrangements())
-def test_block_rays_match_the_unsplit_walk_on_block_arrangements(arrangement):
+def test_block_rays_and_cells_match_the_oracles_on_block_arrangements(arrangement):
     dim, normals = arrangement
-    assert arrangement_rays(normals, dim) == unsplit_arrangement_rays(normals, dim)
+    rays, cells = rays_and_cells(normals, dim)
+    assert rays == unsplit_arrangement_rays(normals, dim)
+    reference = reference_cells(normals, dim, rays)
+    assert cell_signatures(cells, normals) == cell_signatures(reference, normals)
+    assert len(cells) == len(reference)
+    assert_witnesses_are_the_sums_of_their_rays(normals, dim, rays, cells)
 
 
 @st.composite
@@ -971,6 +980,19 @@ def test_arrangements_need_normals_of_length_dim(dim):
             lp_feasible([good], [normal], dim)
         with pytest.raises(ValueError, match=f"kernel_basis needs vectors of length {dim}"):
             kernel_basis([good, normal], dim)
+
+
+def test_a_dimension_that_is_not_an_int_is_refused():
+    calls = [
+        ("rays_and_cells", lambda: rays_and_cells([(1, -1)], 2.0)),
+        ("kernel_basis", lambda: kernel_basis([(1, -1)], 2.0)),
+        ("lp_feasible", lambda: lp_feasible([], [(1, -1)], 2.0)),
+        ("arrangement_rays", lambda: arrangement_rays([(1, -1)], "2")),
+        ("arrangement_cells", lambda: arrangement_cells([(1, -1)], [], None)),
+    ]
+    for caller, call in calls:
+        with pytest.raises(ValueError, match=f"^{caller} needs an integer dimension, got "):
+            call()
 
 
 def test_dimension_zero_and_below():
