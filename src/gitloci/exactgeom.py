@@ -27,9 +27,13 @@ dimension and whether or not the cutting lines split the coordinates into
 blocks. It starts from the orthant's axes and one cell, adds one line at a
 time and keeps every cell as the set of its rays, the extreme rays of its
 closure; a line splits only the cells it crosses, and the rays it adds
-come from pairs of rays of one such cell that span a 2-face, which
-`matrix_rank` of their common zeros decides. A cell's witness is the
-primitive sum of its rays, so no LP finds a cell.
+come from pairs of rays of one such cell that span a 2-face. A pair spans
+one exactly when no other ray of the cell vanishes on every wall and line
+that vanishes on both, read off the zero bitmasks the search keeps per
+ray; that holds because every wall and line added so far is sign-definite
+on the closure of each cell, whose rays are exactly its closure's extreme
+rays. No rank is computed. A cell's witness is the primitive sum of its
+rays, so no LP finds a cell.
 
 The signs of many points against the rows of one matrix are read off
 packed integers (`_field_width`, `_pack_columns`, `_sign_fields`): each
@@ -394,16 +398,23 @@ def _cone_complex(cutting, dim, guard):
     half ``H >= 0`` are its own extreme rays there and one point of H on
     each 2-face of it that H crosses. Such a face has two extreme rays r and
     s with ``H . r > 0 > H . s``, and H meets it at
-    ``(H . r) s - (H . s) r``, made primitive. Two rays of C's closure span
-    a 2-face of it exactly when the walls and lines added so far that vanish
-    on both have rank dim - 2: those constraints cut out the smallest face
-    holding both. In dimension 3 that is one shared constraint, and in
-    dimension 2 every pair of a cell's two rays spans it. The rank test is
-    `matrix_rank`, after a popcount, kept per common-zero mask for the whole
-    call. Each ray keeps the bitmask of its zeros over the constraints (the
-    walls, then the lines) added so far. A 2-face holds one ray on H, and
-    every cell whose closure holds the face holds that ray, so each pair
-    builds its ray once per line and the cells sharing the face share it.
+    ``(H . r) s - (H . s) r``, made primitive.
+
+    Which pairs span a 2-face is read off the cell alone (the combinatorial
+    adjacency test of Fukuda and Prodon). Each ray keeps the bitmask of its
+    zeros over the constraints (the walls, then the lines) added so far, and
+    every one of them is sign-definite on C's closure, since no constraint
+    added so far crosses C. So the smallest face of the closure holding r
+    and s is where the constraints of ``common = zeros[r] & zeros[s]``
+    vanish, and its extreme rays are the rays t of C with ``zeros[t]``
+    holding all of common; that needs C's tuple to be exactly its closure's
+    extreme rays. The face is 2-dimensional exactly when those are r and s
+    alone, so the pair spans a 2-face unless some other ray of C has every
+    zero of common. Whether it does agrees with whether the constraints of
+    common have rank dim - 2, which does not depend on the cell. A 2-face
+    holds one ray on H, and every cell whose closure holds the face holds
+    that ray, so each pair builds its ray once per line and the cells
+    sharing the face share it.
 
     With no cutting line that is all there is, whatever the dimension, and
     a split arrangement needs no more than this: the cells of a product of
@@ -415,23 +426,8 @@ def _cone_complex(cutting, dim, guard):
     starting complex) and the cells so far.
     """
     points = _unit_vectors(dim)
-    constraints = [*points, *cutting]
     zeros = [((1 << dim) - 1) ^ (1 << i) for i in range(dim)]
     cells = [tuple(range(dim))]
-    target = dim - 2
-    spans_face = {}
-
-    def spans(common):
-        if dim <= 3:
-            return dim == 2 or common != 0
-        if common not in spans_face:
-            rows, mask = [], common
-            while mask:
-                low = mask & -mask
-                rows.append(constraints[low.bit_length() - 1])
-                mask ^= low
-            spans_face[common] = len(rows) >= target and matrix_rank(rows) == target
-        return spans_face[common]
 
     def check_guard(done):
         if len(cells) > guard:
@@ -463,7 +459,7 @@ def _cone_complex(cutting, dim, guard):
                     if k is None:
                         common = zr & zeros[s]
                         k = -1
-                        if spans(common):
+                        if not any(zeros[t] & common == common for t in cell if t != r and t != s):
                             vs = values[s]
                             point = [vr * b - vs * a for a, b in zip(pr, points[s])]
                             g = gcd(*point)
@@ -541,8 +537,8 @@ def arrangement_rays(normals, dim):
     orthant (`_cone_complex`), which builds the cells with the rays: it
     pairs only rays of one cell, where a rays-only search must find the
     conformal pairs among all the rays on the two sides of each line (E6
-    ``2,0,0,0,0,0``: 0.7-1.2 s for its rays and cells, against 1.4 s for
-    its rays alone that way; single runs on a 2-vCPU host). The search
+    ``2,0,0,0,0,0``: about 0.4 s for its rays and cells, against 1.4 s for
+    its rays alone that way; on a 2-vCPU host). The search
     starts from the axes, so an orthant that no normal cuts has its axes
     as its rays.
 
@@ -561,19 +557,16 @@ def arrangement_cells(normals, rays, dim, guard=DEFAULT_CELL_GUARD):
     its cell's closure, the rays whose signs agree with it. The normals
     must be integer vectors of length dim.
 
-    The search builds its own rays, so `rays` is only checked: from
-    dimension 3 it must be `arrangement_rays(normals, dim)`, and a point
+    The search builds its own rays, so `rays` is only checked: it must be
+    `arrangement_rays(normals, dim)`, and in every dimension a point
     outside the orthant or a missing axis is a `ValueError`. `guard`
     bounds the cells the search holds at its start and after each line.
     """
     normals = [tuple(n) for n in normals]
     _require_integers(normals, "arrangement_cells", dim, "normals")
-    if dim >= 3:
-        points = set(rays)
-        if any(len(point) != dim or min(point) < 0 for point in points):
-            raise ValueError("cells got a ray outside the non-negative orthant")
-        if not points.issuperset(_unit_vectors(dim)):
-            raise ValueError(
-                "cells in dimension >= 3 need the arrangement's rays, every coordinate axis among them"
-            )
+    points = set(rays)
+    if any(len(point) != dim or min(point, default=0) < 0 for point in points):
+        raise ValueError("cells got a ray outside the non-negative orthant")
+    if not points.issuperset(_unit_vectors(dim)):
+        raise ValueError("cells need the arrangement's rays, every coordinate axis among them")
     return _rays_and_cells(normals, dim, guard, "arrangement_cells")[1]

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, compress, product, repeat
 from math import gcd, lcm
+from operator import mul
 
 
 def type_a_monomial_support(rank, degree):
@@ -1213,3 +1214,82 @@ def tuple_weight_support(group, highest):
                     nxt.append(cand)
         frontier = nxt
     return sorted(seen)
+
+
+def rank_test_cone_complex(cutting, dim, guard):
+    """`exactgeom._cone_complex` as it was when a rank test decided which
+    pairs of a cell's rays span a 2-face: the walls and lines added so far
+    that vanish on both rays must have rank dim - 2, with a shortcut in
+    dimension <= 3 and the answers kept per common-zero mask. Copied as it
+    stood, with the rank taken by `_rank_exact` over `Fraction` instead of
+    the package's fraction-free `matrix_rank`, and the axes built inline.
+    Returns the rays' primitive points and the cells, each the tuple of the
+    indices of its rays, in the order the search made them."""
+    from gitloci.errors import ResourceGuardError
+
+    points = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    constraints = [*points, *cutting]
+    zeros = [((1 << dim) - 1) ^ (1 << i) for i in range(dim)]
+    cells = [tuple(range(dim))]
+    target = dim - 2
+    spans_face = {}
+
+    def spans(common):
+        if dim <= 3:
+            return dim == 2 or common != 0
+        if common not in spans_face:
+            rows, mask = [], common
+            while mask:
+                low = mask & -mask
+                rows.append(constraints[low.bit_length() - 1])
+                mask ^= low
+            spans_face[common] = len(rows) >= target and _rank_exact(rows) == target
+        return spans_face[common]
+
+    def check_guard(done):
+        if len(cells) > guard:
+            raise ResourceGuardError(
+                f"ray and cell search exceeded the guard of {guard} cells,"
+                f" with {len(cells)} cells at line {done} of {len(cutting)}"
+            )
+
+    check_guard(0)
+    for index, line in enumerate(cutting):
+        on = 1 << (dim + index)
+        values = [sum(map(mul, line, p)) for p in points]
+        above = {k for k, v in enumerate(values) if v > 0}
+        below = {k for k, v in enumerate(values) if v < 0}
+        made = {}
+        for i in range(len(cells)):
+            cell = cells[i]
+            if above.isdisjoint(cell) or below.isdisjoint(cell):
+                continue
+            new = []
+            for r in cell:
+                if r not in above:
+                    continue
+                vr, pr, zr = values[r], points[r], zeros[r]
+                for s in cell:
+                    if s not in below:
+                        continue
+                    k = made.get((r, s))
+                    if k is None:
+                        common = zr & zeros[s]
+                        k = -1
+                        if spans(common):
+                            vs = values[s]
+                            point = [vr * b - vs * a for a, b in zip(pr, points[s])]
+                            g = gcd(*point)
+                            k = len(points)
+                            points.append(tuple([x // g for x in point]))
+                            zeros.append(common | on)
+                        made[r, s] = k
+                    if k >= 0:
+                        new.append(k)
+            cells[i] = (*[r for r in cell if r not in below], *new)
+            cells.append((*[s for s in cell if s not in above], *new))
+        check_guard(index + 1)
+        for k, v in enumerate(values):
+            if not v:
+                zeros[k] |= on
+    return points, cells

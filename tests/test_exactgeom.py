@@ -39,6 +39,7 @@ from _oracles import (
     lp_relint_reference,
     per_vector_dedupe_lines,
     primal_lp_reference,
+    rank_test_cone_complex,
     sign_vector,
     subset_rref_rays,
     tableau_phase_one,
@@ -698,12 +699,13 @@ def assert_witnesses_are_the_sums_of_their_rays(normals, dim, rays, cells):
         assert _rank_exact(conforming) == dim
 
 
-# Every input of scripts/compare_reports.py (the criterion-7 commands, the
-# benchmark's solve and classify inputs and `HEAVY`), and A5 4,0,0,0,0
-# (1389 rays and 4544 cells).
-@pytest.mark.parametrize(
-    "name, spec", [("A2", "3,0,0"), *dict.fromkeys([*BENCHMARK_INPUTS, *HEAVY]), ("A5", "4,0,0,0,0")]
-)
+# Every input of scripts/compare_reports.py: the criterion-7 commands, the
+# benchmark's solve and classify inputs and `HEAVY`.
+REPORT_INPUTS = [("A2", "3,0,0"), *dict.fromkeys([*BENCHMARK_INPUTS, *HEAVY])]
+
+
+# The report inputs and A5 4,0,0,0,0 (1389 rays and 4544 cells).
+@pytest.mark.parametrize("name, spec", [*REPORT_INPUTS, ("A5", "4,0,0,0,0")])
 def test_search_matches_the_flat_walk_and_the_localised_cells(name, spec):
     problem, normals, dim = problem_arrangement(name, spec)
     rays, cells = rays_and_cells(normals, dim)
@@ -714,6 +716,43 @@ def test_search_matches_the_flat_walk_and_the_localised_cells(name, spec):
     assert len(cells) == len(reference)
     if dim == 2:
         assert cells == sorted(reference)
+
+
+def cutting_lines(normals):
+    """The distinct lines of the normals that cut the open orthant: what
+    the search is given."""
+    return _dedupe_lines([n for n in normals if min(n) < 0 < max(n)])
+
+
+@pytest.mark.parametrize("name, spec", REPORT_INPUTS)
+def test_search_matches_the_rank_test_search_on_the_report_inputs(name, spec):
+    _, normals, dim = problem_arrangement(name, spec)
+    lines = cutting_lines(normals)
+    assert _cone_complex(lines, dim, 10**6) == rank_test_cone_complex(lines, dim, 10**6)
+
+
+@st.composite
+def repeated_and_block_lines(draw):
+    """Normals in dimension 2-6 with repeated and parallel (scaled or
+    negated) copies among them, and on some draws from dimension 3 each
+    normal kept inside one of two blocks of the coordinates."""
+    dim = draw(st.integers(2, 6))
+    entry = st.sampled_from((-2, -1, 0, 0, 1, 1, 2))
+    vectors = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=8))
+    if dim >= 3 and draw(st.booleans()):
+        block = set(draw(st.permutations(range(dim)))[: draw(st.integers(1, dim - 1))])
+        vectors = [[x if (i in block) == (j % 2 == 0) else 0 for i, x in enumerate(v)] for j, v in enumerate(vectors)]
+    copies = draw(st.lists(st.tuples(st.integers(0, 7), st.sampled_from((1, -1, 2, -3))), max_size=4))
+    vectors += [[c * x for x in vectors[k]] for k, c in copies if k < len(vectors)]
+    return dim, draw(st.permutations(vectors))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(repeated_and_block_lines())
+def test_search_matches_the_rank_test_search_on_arrangements(arrangement):
+    dim, normals = arrangement
+    lines = cutting_lines(normals)
+    assert _cone_complex(lines, dim, 10**6) == rank_test_cone_complex(lines, dim, 10**6)
 
 
 @pytest.mark.parametrize("name, spec", BENCHMARK_INPUTS)
@@ -757,7 +796,7 @@ def test_witnesses_on_a_line_or_sharing_signs_are_bugs(monkeypatch, extra, messa
 
     monkeypatch.setattr(exactgeom, "_cone_complex", broken)
     with pytest.raises(RuntimeError, match=f"^{message}; this is a bug$"):
-        arrangement_cells(((1, -1),), (), 2)
+        arrangement_cells(((1, -1),), [(0, 1), (1, 0), (1, 1)], 2)
 
 
 @pytest.mark.parametrize("name, spec", [("A2", "3,0"), *MIDRANK, *MINUSCULE, ("C5", "0,0,0,0,1")])
@@ -917,12 +956,14 @@ def test_cells_match_frozen_lp_cells(name, highest):
     assert len(cells) == len(LP_CELLS[(name, highest)])
 
 
-def test_cells_need_rays_from_dimension_three():
-    with pytest.raises(ValueError):
-        arrangement_cells(((1, -1, 0),), (), 3)
-    # Dimensions 1 and 2 do not read the rays.
-    assert arrangement_cells((), (), 1) == [(1,)]
-    assert arrangement_cells(((1, -1),), (), 2) == [(1, 2), (2, 1)]
+def test_cells_need_rays_in_every_dimension():
+    for normals, dim in [((), 1), (((1, -1),), 2), (((1, -1, 0),), 3)]:
+        with pytest.raises(ValueError, match="axis"):
+            arrangement_cells(normals, (), dim)
+    with pytest.raises(ValueError, match="orthant"):
+        arrangement_cells(((1, -1),), [(1, 0), (0, 1), (1, -1)], 2)
+    assert arrangement_cells((), arrangement_rays((), 1), 1) == [(1,)]
+    assert arrangement_cells(((1, -1),), arrangement_rays(((1, -1),), 2), 2) == [(1, 2), (2, 1)]
 
 
 def test_cells_reject_rays_missing_an_axis_or_outside_the_orthant():
