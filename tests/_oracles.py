@@ -739,7 +739,7 @@ def structured_report_reference(solution, loci, display):
             witness["H"] = list(display.witness(state.witness))
         return {
             "size": len(state.weights),
-            "weights": [list(display.weight(w)) for w in state.weights],
+            "weights": [list(display.weight(w.coeffs)) for w in state.weights],
             "witness": witness,
         }
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import threading
 
 import pytest
 
@@ -308,6 +310,37 @@ def test_structured_emitter_matches_the_reference_on_a_weights_file_support(name
     assert json.loads(report)["representation"]["source"] == "weights-file"
 
 
+# Every benchmark input with every locus, a group with warnings (D2) and a
+# weights-file support, without and with `--weyl-opt`: the json-like report
+# is its own document written again by `json.dumps(indent=2,
+# sort_keys=True)`, an oracle that needs no reference renderer.
+CANONICAL_CASES = [
+    *((key, ["--weight", key[1]]) for key in FROZEN_REPORTS_ALL_LOCI),
+    *((key, ["--weight", key[1]]) for key in FROZEN_REPORTS_NONSTABLE_UNSTABLE),
+    (("D2", "1,0"), ["--weight", "1,0"]),
+    (("B2", "weights file"), None),
+]
+
+
+@pytest.mark.parametrize(
+    "key, source", CANONICAL_CASES, ids=[" ".join(key) for key, _ in CANONICAL_CASES]
+)
+def test_json_like_report_is_the_canonical_dump_of_its_document(capsys, tmp_path, key, source):
+    if source is None:
+        rows = tmp_path / "weights.txt"
+        rows.write_text("1, 0\n-1, 2\n0, 0\n1, -2\n-1, 0\n")
+        source = ["--weights-file", str(rows)]
+    for extra in ([], ["--weyl-opt"]):
+        code, out, _ = run(capsys, "solve", key[0], *source, "--format", "json-like", *extra)
+        assert code == 0
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if key[0] == "D2":
+        assert doc["warnings"]
+    if source[0] == "--weights-file":
+        assert doc["representation"]["highest_weight_fundamental"] is None
+
+
 @pytest.mark.parametrize(
     "name, text", [("A1", "2"), ("A2", "3,0"), ("A2", "12,0"), ("A3", "2,0,0"), ("A4", "0,1,0,0")]
 )
@@ -320,7 +353,7 @@ def test_display_forms_equal_the_library_conversions(name, text):
     display = _Display(group, highest)
     trace = sum((i + 1) * c for i, c in enumerate(highest.coeffs))
     for w in problem.support:
-        form = display.weight(w)
+        form = display.weight(w.coeffs)
         assert form == convert_coordinates(group, w.coeffs, "fundamental-weight", "L", trace=trace)
         if w.is_dominant:
             assert parse_highest_weight(group, ",".join(map(str, form))) == weight(group, form, "L")
@@ -350,6 +383,45 @@ def test_unwritable_out_path_exits_with_two(capsys, tmp_path, command):
     assert err.startswith(f"gitloci: error: cannot write {target}: ")
     assert err.count("\n") == 1
     assert not target.parent.exists()
+
+
+IN_PLACE_COMMANDS = [
+    ["solve", "A2", "--weight", "3,0,0", "--format", "json-like"],
+    ["solve", "A2", "--weight", "3,0,0", "--format", "text"],
+    ["support", "A2", "--weight", "3,0", "--list-weights"],
+]
+
+
+@pytest.mark.parametrize("argv", IN_PLACE_COMMANDS, ids=[" ".join(a) for a in IN_PLACE_COMMANDS])
+def test_out_overwrites_a_longer_file_in_place(capsys, tmp_path, argv):
+    _, expected, _ = run(capsys, *argv)
+    target = tmp_path / "report"
+    target.write_bytes(b"#" * (3 * len(expected) + 1))
+    inode = target.stat().st_ino
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out, err) == (0, "", f"wrote {target}\n")
+    assert target.read_bytes() == expected.encode("utf-8")
+    assert target.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("command", ["solve", "support"])
+def test_out_to_a_device_is_written_without_truncation(capsys, command):
+    code, out, err = run(capsys, command, "A2", "--weight", "3,0", "--out", os.devnull)
+    assert (code, out, err) == (0, "", f"wrote {os.devnull}\n")
+
+
+def test_out_to_a_fifo_writes_the_whole_report(capsys, tmp_path):
+    argv = ["solve", "A2", "--weight", "3,0,0", "--format", "json-like"]
+    _, expected, _ = run(capsys, *argv)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, err = run(capsys, *argv, "--out", str(fifo))
+    reader.join(timeout=30)
+    assert (code, out, err) == (0, "", f"wrote {fifo}\n")
+    assert received == [expected.encode("utf-8")]
 
 
 def test_weights_file_input(capsys, tmp_path):
