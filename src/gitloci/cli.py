@@ -339,15 +339,27 @@ def _emit(report, out_path):
     default ``auto_da_alloc``) start writeback of the new data when the file
     is closed: writing the ten ``midrank`` benchmark reports over one path
     took 0.78-0.84 ms that way and 0.11-0.12 ms in place (in process,
-    median of 31, ext4, 2-vCPU host)."""
+    median of 31, ext4, 2-vCPU host).
+
+    A target that is the file standard output is open on, such as
+    ``/dev/stdout`` under ``>> file``, gets the report through standard
+    output instead, with no seek and no truncation: reopened, it starts at
+    offset 0 without the shell's append flag, and the report would
+    overwrite what the file held. With descriptor 1 closed at start-up,
+    `sys.stdout` is None and the target may have taken descriptor 1
+    itself, so it is never standard output then."""
     if not out_path:
         sys.stdout.write(report)
         return
     try:
         with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
-            handle.write(report.encode("utf-8"))
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                handle.truncate()
+            status = os.fstat(handle.fileno())
+            if sys.stdout is not None and os.path.samestat(status, os.fstat(1)):
+                sys.stdout.write(report)
+            else:
+                handle.write(report.encode("utf-8"))
+                if stat.S_ISREG(status.st_mode):
+                    handle.truncate()
     except OSError as exc:
         raise ParseError(f"cannot write {out_path}: {exc}") from None
     print(f"wrote {out_path}", file=sys.stderr)

@@ -44,12 +44,12 @@ States and the Weyl group
 Inside the selection a state is a bitmask, read by `exactgeom`'s
 packed-sign reader, the one the ray and cell search checks its witnesses
 with. Each pairing column is packed into one integer with a biased field
-per support weight, wide enough that no field carries, and kept on the
-problem until a call needs wider fields; one multiply-add per nonzero
-coordinate of a witness gives all its biased pairings at once: the
-weights that pair >= 0 are the set top bits, those that pair > 0 the top
-bits still set after one is taken from every field, and the = 0 state is
-the difference. Distinctness,
+per support weight, wide enough that no field carries; the problem packs
+its columns once, in the step that finds its rays and cells, for every
+ray and cell. One multiply-add per nonzero coordinate of a witness gives
+all its biased pairings at once: the weights that pair >= 0 are the set
+top bits, those that pair > 0 the top bits still set after one is taken
+from every field, and the = 0 state is the difference. Distinctness,
 maximality and the polystable certificates are tests on these masks.
 Outside the selection a state is the ascending tuple of its positions in
 the sorted support, so index order is coefficient order. `GITProblem` keeps
@@ -77,13 +77,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, starmap
+from itertools import starmap
 
 from .errors import ParseError, RankMismatchError
 from .exactgeom import (
     DEFAULT_CELL_GUARD,
     _dedupe_lines,
-    _field_width,
+    _mask_rows,
     _pack_columns,
     _sign_fields,
     arrangement_cells,  # unused here; the benchmark's tracer wraps it under this module
@@ -169,12 +169,12 @@ class GITProblem:
     are cached; `cell_guard` bounds that search. The arrangement's normals are
     the support's distinct lines: the pairing vectors of the nonzero
     weights, each line once, in first-seen order. `rays()` and `cells()`
-    are tuples of integer points. Each locus, and each `state_of` call,
-    reads the sign masks of all its points in one pass over the pairing
-    columns packed at a field width that holds them (`_sign_masks`); the
-    problem keeps the columns' bounds and the widest pack so far, so a
-    solve packs its columns once unless a later call needs wider fields,
-    and no pairing of a point is kept. The sorted maximal states of each mode,
+    are tuples of integer points. The search's step also packs the pairing
+    columns once, with fields that hold every column entry and every
+    pairing of a ray or a cell, and each locus reads the sign masks of all
+    its points off that pack in one pass (`_sign_masks`); no pairing of a
+    point is kept. `state_of` packs the columns for its own lam instead,
+    so it never runs the search. The sorted maximal states of each mode,
     before Weyl deduplication, are cached for the loci and
     `classify_torus`, and so are the Weyl orbit labels of the support
     positions that the deduplication buckets by.
@@ -205,11 +205,10 @@ class GITProblem:
             tuple(dot_rows(coefficient_columns, row)) for row in group.cartan_adjugate
         )
         self._pairing_vectors = tuple(zip(*self._pairing_columns))
-        self._column_bounds = [max(map(abs, column)) for column in self._pairing_columns]
-        self._packed = None
         self._normals = tuple(_dedupe_lines(self._pairing_vectors))
         self._rays = None
         self._cells = None
+        self._pack = None
         self._maximal = {}
         self._orbit_labels = None
 
@@ -217,6 +216,7 @@ class GITProblem:
         if self._rays is None:
             rays, cells = rays_and_cells(self._normals, self.group.rank, guard=self.cell_guard)
             self._rays, self._cells = tuple(rays), tuple(cells)
+            self._pack = _pack_for(self, rays + cells)
 
     def rays(self):
         self._search()
@@ -272,8 +272,9 @@ def state_of(problem, lam, mode):
         raise RankMismatchError("one-parameter subgroup belongs to a different group")
     if mode not in _MODES:
         raise ParseError(f"unknown mode {mode!r}; expected one of {sorted(_MODES)}")
-    masks, width = _sign_masks(problem, [lam.coeffs])
-    selected = _weights(problem, _indices(problem, _MODES[mode][1](*masks[0]), width))
+    pack = _pack_for(problem, [lam.coeffs])
+    ge, gt = next(_sign_fields(pack, [lam.coeffs]))
+    selected = _weights(problem, _mask_rows(pack, _MODES[mode][1](ge, gt)))
     return State(kind=_MODES[mode][0], weights=selected, witness=lam)
 
 
@@ -282,30 +283,27 @@ def _weights(problem, indices):
     return tuple(map(problem.support.weights.__getitem__, indices))
 
 
+def _pack_for(problem, points):
+    """The pairing columns packed (`exactgeom._pack_columns`) with fields
+    that hold every column entry and the bound sum_j |p_j| max|column j| on
+    every pairing of the points."""
+    bounds = [max(map(abs, column)) for column in problem._pairing_columns]
+    bound = max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)])
+    return _pack_columns(problem._pairing_columns, len(problem.index), bound)
+
+
 def _sign_masks(problem, points):
     """The masks (ge, gt) of the support weights that pair >= 0 and > 0
-    with each point, and the field width in bytes that `_indices` reads
-    them with.
-
-    The masks come from `exactgeom`'s packed-sign reader over the pairing
-    columns, one field per support weight in support order
-    (`exactgeom._sign_fields`). A width holds the points when every column
-    entry and every pairing of the points lies strictly inside its bias.
-    The problem keeps the widest pack made so far and reuses it whenever
-    its width holds the points; otherwise the columns are packed afresh at
-    the least width that does, and that pack is kept instead."""
-    bounds = problem._column_bounds
-    width = _field_width(max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)]))
-    if problem._packed is None or problem._packed[0] < width:
-        problem._packed = (width, _pack_columns(problem._pairing_columns, len(problem.index), width))
-    width, pack = problem._packed
-    return list(_sign_fields(pack, points)), width
+    with each point, read off the problem's pack by `exactgeom`'s
+    packed-sign reader, one field per support weight in support order
+    (`exactgeom._sign_fields`). The points must be rays or cells of the
+    problem: the pack's fields hold their pairings and no others."""
+    return list(_sign_fields(problem._pack, points))
 
 
-def _indices(problem, mask, width):
+def _indices(problem, mask):
     """The ascending support positions of a `_sign_masks` mask."""
-    n = len(problem.index)
-    return tuple(compress(range(n), mask.to_bytes(n * width, "little")[width - 1 :: width]))
+    return _mask_rows(problem._pack, mask)
 
 
 def _distinct(masks, witnesses):
@@ -409,9 +407,8 @@ def _sorted_maximal(problem, mode):
     entries = problem._maximal.get(mode)
     if entries is None:
         witnesses = problem.rays() if mode == ">=0" else problem.cells()
-        masks, width = _sign_masks(problem, witnesses)
-        first = _distinct(starmap(_MODES[mode][1], masks), witnesses)
-        entries = [(_indices(problem, m, width), first[m]) for m in _maximal_only(first)]
+        first = _distinct(starmap(_MODES[mode][1], _sign_masks(problem, witnesses)), witnesses)
+        entries = [(_indices(problem, m), first[m]) for m in _maximal_only(first)]
         entries.sort(key=lambda e: (-len(e[0]), e[0]))
         problem._maximal[mode] = entries
     return entries
@@ -443,8 +440,8 @@ def solve_strictly_polystable(problem):
     cell witness whose hull has the origin in its relative interior,
     deduplicated up to Weyl equivalence of the weight sets. Nested states
     are kept on purpose. No weight but 0 vanishes at a cell witness, so
-    `cells()[0]` gives {0} its witness when no ray does, and a support
-    without the zero weight reads the rays alone.
+    `cells()[0]` gives {0} its witness when no ray does; without the zero
+    weight its = 0 mask is empty and `_distinct` drops it.
 
     The origin is in the relative interior of the hull of the members' pairing
     vectors v_i exactly when sum c_i v_i = 0 for some c > 0. Each distinct
@@ -454,15 +451,13 @@ def solve_strictly_polystable(problem):
     * yes, when the v_i sum to 0, as then c = 1 works;
     * otherwise by the relative-interior simplex."""
     vectors = problem._pairing_vectors
-    witnesses = problem.rays()
-    if (0,) * problem.group.rank in problem.index:
-        witnesses = (*witnesses, *problem.cells()[:1])
-    masks, width = _sign_masks(problem, witnesses)
+    witnesses = (*problem.rays(), *problem.cells()[:1])
+    masks = _sign_masks(problem, witnesses)
     entries = []
     for zero, point in _distinct(starmap(_MODES["=0"][1], masks), witnesses).items():
         if any(ge & zero == zero and gt & zero for ge, gt in masks):
             continue
-        indices = _indices(problem, zero, width)
+        indices = _indices(problem, zero)
         members = [vectors[i] for i in indices]
         if not any(map(sum, zip(*members))) or zero_in_relative_interior(members):
             entries.append((indices, point))

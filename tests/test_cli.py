@@ -424,6 +424,46 @@ def test_out_to_a_fifo_writes_the_whole_report(capsys, tmp_path):
     assert received == [expected.encode("utf-8")]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("command", IN_PLACE_COMMANDS, ids=[" ".join(a) for a in IN_PLACE_COMMANDS])
+def test_out_to_own_stdout_keeps_an_append(capsys, tmp_path, command):
+    # `--out /dev/stdout >> file`: reopening /dev/stdout would write from
+    # the file's start, so the report goes through standard output instead.
+    import subprocess
+    import sys
+
+    _, expected, _ = run(capsys, *command)
+    target = tmp_path / "appended"
+    target.write_text("earlier line\n")
+    with open(target, "a") as stdout:
+        result = subprocess.run(
+            [sys.executable, "-m", "gitloci.cli", *command, "--out", "/dev/stdout"],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert (result.returncode, result.stderr) == (0, "wrote /dev/stdout\n")
+    assert target.read_text() == "earlier line\n" + expected
+
+
+def test_out_with_standard_output_closed_writes_the_file(capsys, tmp_path):
+    # The target then takes descriptor 1, and is not standard output.
+    import subprocess
+    import sys
+
+    argv = ["solve", "A2", "--weight", "3,0,0", "--format", "json-like"]
+    _, expected, _ = run(capsys, *argv)
+    target = tmp_path / "report.json"
+    script = 'exec "$0" -m gitloci.cli "$@" >&-'
+    result = subprocess.run(
+        ["sh", "-c", script, sys.executable, *argv, "--out", str(target)],
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert (result.returncode, result.stderr) == (0, f"wrote {target}\n")
+    assert target.read_text() == expected
+
+
 def test_weights_file_input(capsys, tmp_path):
     source = tmp_path / "weights.txt"
     source.write_text(

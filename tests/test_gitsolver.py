@@ -433,20 +433,20 @@ def test_witnesses_and_certificates_are_primitive(name, spec, weyl):
 
 @pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES + HEAVY_SOLVES)
 def test_sign_masks_select_what_the_pairing_row_selects(name, spec, monkeypatch):
-    # Every call the loci make, at the width each call chooses: the rays,
+    # Every call the loci make, all off the problem's one pack: the rays,
     # the cells, and the polystable witnesses, in all three modes.
     kernel = gitsolver._sign_masks
     seen = set()
 
     def checked(problem, points):
-        masks, width = kernel(problem, points)
+        masks = kernel(problem, points)
         assert len(masks) == len(points)
         for point, (ge, gt) in zip(points, masks):
             for mode in MODES:
                 mask = gitsolver._MODES[mode][1](ge, gt)
-                assert gitsolver._indices(problem, mask, width) == pairing_row_select(problem, point, mode)
+                assert gitsolver._indices(problem, mask) == pairing_row_select(problem, point, mode)
         seen.update(points)
-        return masks, width
+        return masks
 
     monkeypatch.setattr(gitsolver, "_sign_masks", checked)
     group = make_group(name)
@@ -544,17 +544,25 @@ def test_state_of_a_lambda_with_negative_entries(coeffs):
     assert_state_of_matches_the_pairing_row(b2_quintic_problem(), coeffs)
 
 
-def test_state_of_a_lambda_whose_pairings_need_fields_wider_than_64_bits():
+def test_state_of_a_lambda_whose_pairings_need_fields_wider_than_64_bits(monkeypatch):
+    # state_of packs the columns for its own lam and never runs the search,
+    # so it neither needs the problem's pack nor makes one.
+    def no_search(*args, **kwargs):
+        raise AssertionError("state_of ran the ray and cell search")
+
+    monkeypatch.setattr(gitsolver, "rays_and_cells", no_search)
     problem = b2_quintic_problem()
     for coeffs in [(10**30, 3 * 10**30 + 1), (-(10**30), 10**30), (10**31, 0)]:
-        assert gitsolver._sign_masks(problem, [coeffs])[1] > 8
+        assert field_width(problem, [coeffs]) > 8
         assert_state_of_matches_the_pairing_row(problem, coeffs)
+    assert problem._pack is None
 
 
 def test_field_width_covers_the_column_entries_that_a_lambda_does_not_reach():
     # The Weyl orbit of the G2 weight (0, 64): the pairing columns reach 64
     # and 128. lam = (1, 0) is 0 on the column of 128, so its pairings fit
-    # one byte, but packing that column needs two.
+    # one byte, but packing that column needs two; so does the problem's
+    # pack, whatever its rays and cells reach.
     orbit = {(0, 64)}
     frontier = list(orbit)
     while frontier:
@@ -564,26 +572,12 @@ def test_field_width_covers_the_column_entries_that_a_lambda_does_not_reach():
     problem = problem_from_weights(G2, sorted(orbit))
     assert [max(map(abs, column)) for column in problem._pairing_columns] == [64, 128]
     for coeffs in [(1, 0), (-1, 0)]:
-        assert gitsolver._sign_masks(problem, [coeffs])[1] == 2
+        assert field_width(problem, [coeffs]) == 2
         assert_state_of_matches_the_pairing_row(problem, coeffs)
-
-
-def test_masks_read_off_a_widened_pack_match_the_pairing_rows():
-    # The loci pack A2 2,0 at one byte; lam = (10^30, -10^29) needs wider
-    # fields, and the rays and cells are then read off that wider pack.
-    problem = new_problem(A2, parse_highest_weight(A2, "2,0"))
-    solve_all(problem)
-    narrow = problem._packed[0]
-    assert_state_of_matches_the_pairing_row(problem, (10**30, -(10**29)))
-    wide = problem._packed[0]
-    assert wide > narrow
-    for points in (problem.rays(), problem.cells()):
-        masks, width = gitsolver._sign_masks(problem, points)
-        assert width == wide
-        for point, (ge, gt) in zip(points, masks):
-            for mode in MODES:
-                mask = gitsolver._MODES[mode][1](ge, gt)
-                assert gitsolver._indices(problem, mask, width) == pairing_row_select(problem, point, mode)
+    problem.rays()
+    width = problem._pack[0]
+    assert 128 < 1 << (8 * width - 1)
+    assert width == field_width(problem, [*problem.rays(), *problem.cells()])
 
 
 def field_width(problem, points):
@@ -595,28 +589,36 @@ def field_width(problem, points):
     return next(width for width in range(1, 64) if bound < 1 << (8 * width - 1))
 
 
+@pytest.mark.parametrize("loci", ["nonstable,unstable,polystable", "polystable"])
 @pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
-def test_solve_all_packs_each_problems_columns_once_per_width(name, spec, monkeypatch):
-    # The rays need the width of the first pack; the cells repack only when
-    # they need wider fields, and the polystable locus never repacks.
-    kernel = gitsolver._sign_masks
-    packs = []
+def test_solve_all_packs_each_problems_columns_once(name, spec, loci, monkeypatch):
+    # One pack per solve, made with the rays and cells and wide enough for
+    # all of them, whichever loci are asked for; A2 9,0, B2 7*w1, B2 8*w1
+    # and A6 1,0,0,0,0,0 need wider fields for their cells than for their
+    # rays.
+    widths = []
 
-    def counted(problem, points):
-        before = problem._packed
-        masks, width = kernel(problem, points)
-        if problem._packed is not before:
-            packs.append(width)
-        return masks, width
+    def counted(columns, length, bound):
+        pack = pack_columns(columns, length, bound)
+        widths.append(pack[0])
+        return pack
 
-    monkeypatch.setattr(gitsolver, "_sign_masks", counted)
+    pack_columns = gitsolver._pack_columns
+    monkeypatch.setattr(gitsolver, "_pack_columns", counted)
     group = make_group(name)
     problem = new_problem(group, parse_highest_weight(group, spec))
-    solve_all(problem)
-    first, cells = field_width(problem, problem.rays()), field_width(problem, problem.cells())
-    assert packs == ([first, cells] if cells > first else [first])
-    if name in ("B6", "C6", "C7"):
-        assert packs == [1]
+    solve_all(problem, loci)
+    assert widths == [field_width(problem, [*problem.rays(), *problem.cells()])]
+
+
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
+def test_polystable_locus_alone_gives_what_an_all_loci_solve_gives(name, spec):
+    # The locus always reads the rays and the first cell, so it does not
+    # depend on what an earlier locus of the solve has read.
+    group = make_group(name)
+    highest = parse_highest_weight(group, spec)
+    alone = solve_all(new_problem(group, highest), "polystable").strictly_polystable
+    assert alone == solve_all(new_problem(group, highest)).strictly_polystable
 
 
 # Wider Weyl groups for the deduplication: the E7 adjoint, F4 and E6.
@@ -694,14 +696,16 @@ def test_only_the_zero_weight_vanishes_on_a_cell_witness(name, spec):
         ("A5", "0,0,1,0,0", [(2, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 0, 0, 0, 1), (0, 1, 0, 0, 0)]),
     ],
 )
-def test_polystable_locus_without_the_zero_weight_reads_no_cell(name, spec, witnesses):
-    # Neither support holds the zero weight, so no cell witness has a
-    # non-empty = 0 state. The witnesses are those read off the rays and
-    # the first cell before the cells were left out, all of them rays; each
-    # state is the set of weights vanishing at its witness.
+def test_polystable_locus_without_the_zero_weight_takes_every_state_from_a_ray(name, spec, witnesses):
+    # Neither support holds the zero weight, so the first cell, which the
+    # locus reads with the rays, has an empty = 0 mask and gives no state.
+    # Every witness is a ray, and each state is the set of weights
+    # vanishing at its witness.
     group = make_group(name)
     problem = new_problem(group, parse_highest_weight(group, spec))
     states = solve_strictly_polystable(problem)
+    [(ge, gt)] = gitsolver._sign_masks(problem, problem.cells()[:1])
+    assert ge ^ gt == 0
     assert {s.witness.coeffs for s in states} <= set(problem.rays())
     assert [s.witness.coeffs for s in states] == witnesses
     for state in states:
