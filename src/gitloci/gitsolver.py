@@ -177,8 +177,7 @@ class GITProblem:
     so it never runs the search. The sorted maximal states of each mode,
     before Weyl deduplication, are cached for the loci and
     `classify_torus`, and so are the Weyl orbit labels of the support
-    positions that the deduplication buckets by, and so is the table of
-    opposed weights that `classify_torus` orders its LPs by.
+    positions that the deduplication buckets by.
     `weyl_guard` bounds the Weyl set closure of the deduplication, which
     runs only for a kept state whose bucket a later candidate shares.
     """
@@ -212,7 +211,6 @@ class GITProblem:
         self._pack = None
         self._maximal = {}
         self._orbit_labels = None
-        self._negations = None
 
     def _search(self):
         if self._rays is None:
@@ -495,21 +493,6 @@ def hm_mu(problem, point_support, lam):
     return min(pairing(w, lam) for w in weights)
 
 
-def _negations(problem):
-    """The support position of -chi for each support weight chi whose
-    negative is in the support, keyed by the position of chi; the zero
-    weight maps to itself. Empty when the support holds no opposed pair.
-    Built on the first `classify_torus` call and cached."""
-    if problem._negations is None:
-        index = problem.index
-        problem._negations = {
-            i: j
-            for i, w in enumerate(problem.support.weights)
-            if (j := index.get(tuple(-c for c in w.coeffs))) is not None
-        }
-    return problem._negations
-
-
 @dataclass(frozen=True)
 class TorusClassification:
     verdict: str
@@ -531,19 +514,15 @@ def classify_torus(problem, point_support):
     is a lam != 0 that is >= 0 on S. Otherwise, unless S is T-unstable, the
     balanced solution is the T-non-stable-semistable lam.
 
-    Which system is posed first is read off the opposed weights of the
-    support (`_negations`). An S that holds some chi and -chi, or the zero
-    weight, is never T-unstable, since <chi, lam> > 0 forces
-    <-chi, lam> < 0; only the balanced system is posed, so one LP decides
-    every verdict. An S that holds no opposed pair, in a support that
-    does, poses the strict system first and the balanced one only when
-    that is infeasible: one LP for a T-unstable point, two for any other.
-    A support with no opposed pair at all keeps the balanced system first
-    and poses the strict one only after a balanced solution: one LP for a
-    T-stable point or a T-non-stable-semistable one certified by a kernel
-    vector, and two for any other. Every lam comes from the
-    same call in every order, so the verdict and the certificate do not
-    depend on it.
+    Which system is posed first is read off S itself. An S that holds some
+    chi and -chi, or the zero weight, is never T-unstable, since
+    <chi, lam> > 0 forces <-chi, lam> < 0; the pairing map is linear and
+    injective, so such a pair shows as a pairing vector of S whose negative
+    is in S too. Such an S poses only the balanced system, and one LP
+    decides every verdict. Any other S poses the strict system first and
+    the balanced one only when that is infeasible: one LP for a T-unstable
+    point, two for any other. Every lam comes from the same call in either
+    order, so the verdict and the certificate do not depend on it.
 
     The certificate comes from the cached loci, so that they stay under
     test: lam is reflected into the fundamental chamber by simple
@@ -561,13 +540,10 @@ def classify_torus(problem, point_support):
     group = problem.group
     rank = group.rank
     vectors = [problem._pairing_vectors[i] for i in indices]
-    target = set(indices)
-    negations = _negations(problem)
-    lam = None
-    # The strict system first only when S may be T-unstable and the
-    # support has opposed pairs; see the docstring.
-    if negations and not any(negations.get(i) in target for i in indices):
-        lam = lp_feasible((), vectors, rank)
+    present = set(vectors)
+    # An S with an opposed pair is never T-unstable; see the docstring.
+    opposed = any(tuple(-x for x in v) in present for v in present)
+    lam = None if opposed else lp_feasible((), vectors, rank)
     if lam is not None:
         verdict, mode = "T-unstable", ">0"
     else:
@@ -578,12 +554,9 @@ def classify_torus(problem, point_support):
             if not kernel:
                 return TorusClassification(verdict="T-stable", certificate=None)
             lam = kernel[0]
-        elif not negations:
-            strict = lp_feasible((), vectors, rank)
-            if strict is not None:
-                verdict, mode, lam = "T-unstable", ">0", strict
     cartan = group.cartan
     word = _chamber_word(cartan, lam, reflect_coweight_coeffs)[1]
+    target = set(indices)
     for i in word:
         target = set(map(problem.reflections[i].__getitem__, target))
     for state, point in _sorted_maximal(problem, mode):

@@ -421,47 +421,6 @@ def instability_first_classify_torus(problem, point_support):
     )
 
 
-def balanced_first_classify_torus(problem, point_support):
-    """`gitsolver.classify_torus` as it was before it read the order of its
-    LPs off the opposed weights of the support: the balanced system first
-    on every query, and the strict system only after a balanced solution.
-    Like `instability_first_classify_torus` it runs on the package's own LP
-    and loci, since what it pins is the order of the LPs."""
-    from gitloci.exactgeom import kernel_basis, lp_feasible
-    from gitloci.gitsolver import TorusClassification, _sorted_maximal, _support_indices
-    from gitloci.rootdata import OneParameterSubgroup, _chamber_word, reflect_coweight_coeffs
-
-    indices = _support_indices(problem, point_support, "classify_torus")
-    group = problem.group
-    rank = group.rank
-    vectors = [problem._pairing_vectors[i] for i in indices]
-    verdict, mode = "T-non-stable-semistable", ">=0"
-    lam = lp_feasible(vectors, [tuple(map(sum, zip(*vectors)))], rank)
-    if lam is None:
-        kernel = kernel_basis(vectors, rank)
-        if not kernel:
-            return TorusClassification(verdict="T-stable", certificate=None)
-        lam = kernel[0]
-    else:
-        strict = lp_feasible((), vectors, rank)
-        if strict is not None:
-            verdict, mode, lam = "T-unstable", ">0", strict
-    cartan = group.cartan
-    word = _chamber_word(cartan, lam, reflect_coweight_coeffs)[1]
-    target = set(indices)
-    for i in word:
-        target = set(map(problem.reflections[i].__getitem__, target))
-    for state, point in _sorted_maximal(problem, mode):
-        if target.issubset(state):
-            for i in reversed(word):
-                point = reflect_coweight_coeffs(cartan, point, i)
-            return TorusClassification(verdict=verdict, certificate=OneParameterSubgroup(group, point))
-    raise RuntimeError(
-        f"no maximal {mode} chamber state contains the reflected support of a"
-        f" {verdict} point; the loci are incomplete, which is a bug"
-    )
-
-
 def _bland_phase_one(rows, rhs):
     """Some z >= 0 with rows * z = rhs (rhs >= 0), or None, by a textbook
     phase-one simplex over Fraction: one artificial column per row, Bland's

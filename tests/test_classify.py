@@ -5,10 +5,8 @@ torus Hilbert-Mumford criterion from the convex hull of the pairing
 functionals with its own Fraction arithmetic. Certificates are checked with
 `_oracles.pairing_oracle`. The problems are those of the benchmark's
 classify workload. `_oracles.instability_first_classify_torus` keeps the
-order of LPs that posed the strict system first, and
-`_oracles.balanced_first_classify_torus` the one that posed the balanced
-system first on every query; the classifications must not depend on the
-order.
+order of LPs that posed the strict system first on every query; the
+classifications must not depend on the order.
 """
 
 import random
@@ -25,7 +23,6 @@ from gitloci.repsupport import parse_highest_weight
 from gitloci.rootdata import OneParameterSubgroup, Weight, make_group
 
 from _oracles import (
-    balanced_first_classify_torus,
     instability_first_classify_torus,
     pairing_functionals,
     pairing_oracle,
@@ -132,27 +129,13 @@ def test_classify_torus_equals_the_instability_first_order_on_kernel_supports(
 
 
 # Supports with no weight whose negative is in the support, and no zero
-# weight: their queries keep the balanced system first.
+# weight: every query of theirs poses the strict system first.
 UNOPPOSED_PROBLEMS = [("A2", "1,0"), ("A2", "4,0"), ("A3", "1,0,0"), ("E6", "1,0,0,0,0,0")]
 RANDOM_SUBSETS = 40
 
 
-@pytest.mark.parametrize("name,spec", CLASSIFY_PROBLEMS)
-def test_classify_torus_equals_the_balanced_first_order(name, spec):
-    group = make_group(name)
-    highest = parse_highest_weight(group, spec)
-    support = sorted(w.coeffs for w in new_problem(group, highest).support)
-    queries = _queries(group.cartan, support, random.Random(f"classify:{name}:{spec}"))
-    for weyl_optimisation in (False, True):
-        problem = new_problem(group, highest, weyl_optimisation=weyl_optimisation)
-        for query in [*queries, support]:  # the last is the full support
-            points = [Weight(group, c) for c in query]
-            expected = balanced_first_classify_torus(problem, points)
-            assert classify_torus(problem, points) == expected, query
-
-
 @pytest.mark.parametrize("name,spec", UNOPPOSED_PROBLEMS)
-def test_classify_torus_equals_the_balanced_first_order_without_opposed_weights(name, spec):
+def test_classify_torus_equals_the_instability_first_order_without_opposed_weights(name, spec):
     group = make_group(name)
     problem = new_problem(group, parse_highest_weight(group, spec))
     support = sorted(w.coeffs for w in problem.support)
@@ -160,12 +143,12 @@ def test_classify_torus_equals_the_balanced_first_order_without_opposed_weights(
     queries = _queries(group.cartan, support, random.Random(f"unopposed:{name}:{spec}"))
     for query in [*queries, support]:
         points = [Weight(group, c) for c in query]
-        expected = balanced_first_classify_torus(problem, points)
+        expected = instability_first_classify_torus(problem, points)
         assert classify_torus(problem, points) == expected, query
 
 
 @pytest.mark.parametrize("name,spec", [*CLASSIFY_PROBLEMS, *UNOPPOSED_PROBLEMS])
-def test_classify_torus_equals_the_balanced_first_order_on_random_subsets(name, spec):
+def test_classify_torus_equals_the_instability_first_order_on_random_subsets(name, spec):
     group = make_group(name)
     problem = new_problem(group, parse_highest_weight(group, spec))
     support = list(problem.support)
@@ -174,17 +157,16 @@ def test_classify_torus_equals_the_balanced_first_order_on_random_subsets(name, 
     for _ in range(RANDOM_SUBSETS):
         # Sizes skewed small, so that unstable subsets are drawn too.
         points = rng.sample(support, rng.randint(1, rng.randint(1, len(support))))
-        expected = balanced_first_classify_torus(problem, points)
+        expected = instability_first_classify_torus(problem, points)
         assert classify_torus(problem, points) == expected, [w.coeffs for w in points]
         verdicts.add(expected.verdict)
     assert "T-unstable" in verdicts and "T-stable" in verdicts
 
 
-def test_the_lp_order_follows_the_opposed_weights_of_the_query_and_its_support(monkeypatch):
-    """A query that holds an opposed pair poses the balanced LP alone; one
-    that holds none, in a support that does, poses the strict LP first and
-    the balanced one only when that fails; a support with no opposed pair
-    keeps the balanced LP first."""
+def test_the_lp_order_follows_the_opposed_weights_of_the_query(monkeypatch):
+    """A query that holds an opposed pair poses the balanced LP alone; any
+    other poses the strict LP first and the balanced one only when that
+    fails, whether or not its support holds opposed pairs."""
     calls = []
     lp_feasible = gitsolver.lp_feasible
 
@@ -204,12 +186,13 @@ def test_the_lp_order_follows_the_opposed_weights_of_the_query_and_its_support(m
     for problem, points, verdict, lps in (
         (cubics, list(cubics.support), "T-stable", 1),
         (cubics, [cubic[(1, 1)], cubic[(-1, -1)]], "T-non-stable-semistable", 1),
+        (cubics, [cubic[(0, 0)]], "T-non-stable-semistable", 1),
         (cubics, [w for w in cubics.support if hm_mu(cubics, [w], lam) > 0], "T-unstable", 1),
         (cubics, [w for w in cubics.support if hm_mu(cubics, [w], lam) >= 0], "T-non-stable-semistable", 1),
         (adjoint, [root[(2, -1)], root[(-1, 2)], root[(-1, -1)]], "T-stable", 2),
-        (lines, list(lines.support), "T-stable", 1),
-        (lines, [line[(1, 0)]], "T-unstable", 2),
-        (lines, [line[(1, 0)], line[(-1, 1)]], "T-unstable", 2),
+        (lines, list(lines.support), "T-stable", 2),
+        (lines, [line[(1, 0)]], "T-unstable", 1),
+        (lines, [line[(1, 0)], line[(-1, 1)]], "T-unstable", 1),
     ):
         calls.clear()
         assert classify_torus(problem, points).verdict == verdict
