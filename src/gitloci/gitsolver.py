@@ -78,6 +78,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import starmap
+from operator import mul, neg
 
 from .errors import ParseError, RankMismatchError
 from .exactgeom import (
@@ -469,13 +470,14 @@ def solve_strictly_polystable(problem):
 def _support_indices(problem, point_support, caller):
     """The support positions of the point's weights, checked to be
     `Weight`s, non-empty and inside the problem's support."""
+    group = problem.group
     indices = []
     for w in point_support:
         if not isinstance(w, Weight):
             raise ParseError(f"{caller} needs Weight members, got {w!r}")
-        if w.group != problem.group:
+        if w.group is not group and w.group != group:
             raise RankMismatchError(
-                f"weight {w.coeffs} belongs to {w.group.name}, not {problem.group.name}"
+                f"weight {w.coeffs} belongs to {w.group.name}, not {group.name}"
             )
         i = problem.index.get(w.coeffs)
         if i is None:
@@ -514,15 +516,26 @@ def classify_torus(problem, point_support):
     is a lam != 0 that is >= 0 on S. Otherwise, unless S is T-unstable, the
     balanced solution is the T-non-stable-semistable lam.
 
-    Which system is posed first is read off S itself. An S that holds some
-    chi and -chi, or the zero weight, is never T-unstable, since
+    Which LPs are posed is read off S itself. An S that holds some chi and
+    -chi, or the zero weight (its own negative), is never T-unstable, since
     <chi, lam> > 0 forces <-chi, lam> < 0; the pairing map is linear and
     injective, so such a pair shows as a pairing vector of S whose negative
-    is in S too. Such an S poses only the balanced system, and one LP
-    decides every verdict. Any other S poses the strict system first and
-    the balanced one only when that is infeasible: one LP for a T-unstable
-    point, two for any other. Every lam comes from the same call in either
-    order, so the verdict and the certificate do not depend on it.
+    is in S too. A lam >= 0 on chi and -chi is 0 on chi, so every lam the
+    balanced system allows lies in the kernel K of the opposed pairs, and
+    so does the kernel of S. When K = 0 the balanced system is infeasible
+    and the kernel of S is 0: the point is T-stable, with no LP. When K is
+    the line through k, the balanced solutions are the positive multiples
+    of k when S pairs >= 0 with k and > 0 somewhere, of -k when it pairs
+    <= 0 and < 0 somewhere, and there are none otherwise; lam is read off
+    those signs, with no LP, and the kernel step below decides the rest.
+    When K is larger the balanced system alone is posed. An S with no
+    opposed pair poses the strict system first and the balanced one only
+    when that is infeasible: one LP for a T-unstable point, two for any
+    other. On a line K the balanced LP would return a positive multiple of
+    the same lam, every other lam comes from the same call in any order,
+    and the certificate depends on lam only through the signs met while
+    reflecting it into the chamber, so the verdict and the certificate do
+    not depend on which LPs are posed.
 
     The certificate comes from the cached loci, so that they stay under
     test: lam is reflected into the fundamental chamber by simple
@@ -541,14 +554,27 @@ def classify_torus(problem, point_support):
     rank = group.rank
     vectors = [problem._pairing_vectors[i] for i in indices]
     present = set(vectors)
-    # An S with an opposed pair is never T-unstable; see the docstring.
-    opposed = any(tuple(-x for x in v) in present for v in present)
+    # An S with an opposed pair is never T-unstable, and every lam >= 0 on
+    # S lies in the kernel of its opposed pairs; see the docstring.
+    opposed = [v for v in vectors if tuple(map(neg, v)) in present]
+    span = kernel_basis(opposed, rank) if opposed else ()
+    if opposed and not span:
+        return TorusClassification(verdict="T-stable", certificate=None)
     lam = None if opposed else lp_feasible((), vectors, rank)
     if lam is not None:
         verdict, mode = "T-unstable", ">0"
     else:
         verdict, mode = "T-non-stable-semistable", ">=0"
-        lam = lp_feasible(vectors, [tuple(map(sum, zip(*vectors)))], rank)
+        if len(span) == 1:
+            (k,) = span
+            values = [sum(map(mul, v, k)) for v in vectors]
+            low, high = min(values), max(values)
+            if low >= 0 < high:
+                lam = k
+            elif high <= 0 > low:
+                lam = tuple(map(neg, k))
+        else:
+            lam = lp_feasible(vectors, [tuple(map(sum, zip(*vectors)))], rank)
         if lam is None:
             kernel = kernel_basis(vectors, rank)
             if not kernel:

@@ -18,11 +18,13 @@ import pytest
 
 from gitloci import gitsolver
 from gitloci.errors import ParseError, RankMismatchError
+from gitloci.exactgeom import kernel_basis
 from gitloci.gitsolver import classify_torus, hm_mu, new_problem
 from gitloci.repsupport import parse_highest_weight
 from gitloci.rootdata import OneParameterSubgroup, Weight, make_group
 
 from _oracles import (
+    _rank_exact,
     instability_first_classify_torus,
     pairing_functionals,
     pairing_oracle,
@@ -163,10 +165,18 @@ def test_classify_torus_equals_the_instability_first_order_on_random_subsets(nam
     assert "T-unstable" in verdicts and "T-stable" in verdicts
 
 
-def test_the_lp_order_follows_the_opposed_weights_of_the_query(monkeypatch):
-    """A query that holds an opposed pair poses the balanced LP alone; any
-    other poses the strict LP first and the balanced one only when that
-    fails, whether or not its support holds opposed pairs."""
+def _opposed_kernel_dimension(rank, query):
+    """The dimension of the kernel K of the query's opposed pairs (a weight
+    whose negative is in the query, the zero weight included), or None when
+    it holds none. The pairing map is linear and injective, so the rank of
+    the coefficient vectors is that of their pairing functionals."""
+    present = set(query)
+    opposed = [c for c in query if tuple(-x for x in c) in present]
+    return rank - _rank_exact(opposed) if opposed else None
+
+
+def _counted_lp_calls(monkeypatch):
+    """The argument tuples of every `gitsolver.lp_feasible` call from now on."""
     calls = []
     lp_feasible = gitsolver.lp_feasible
 
@@ -175,28 +185,118 @@ def test_the_lp_order_follows_the_opposed_weights_of_the_query(monkeypatch):
         return lp_feasible(*args)
 
     monkeypatch.setattr(gitsolver, "lp_feasible", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,spec", CLASSIFY_PROBLEMS)
+def test_the_lp_budget_of_the_seeded_queries(name, spec, monkeypatch):
+    """No LP when the opposed pairs leave a kernel K of dimension 0 or 1,
+    the balanced LP alone when they leave more, and the strict LP first,
+    then the balanced one unless the point is T-unstable, when there is no
+    opposed pair."""
+    calls = _counted_lp_calls(monkeypatch)
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    support = sorted(w.coeffs for w in problem.support)
+    queries = _queries(group.cartan, support, random.Random(f"classify:{name}:{spec}"))
+    spared = 0
+    for query in [*queries, support]:
+        points = [Weight(group, c) for c in query]
+        expected = instability_first_classify_torus(problem, points)
+        calls.clear()
+        assert classify_torus(problem, points) == expected, query
+        dimension = _opposed_kernel_dimension(group.rank, query)
+        if dimension is None:
+            lps = 1 if expected.verdict == "T-unstable" else 2
+        else:
+            lps = int(dimension > 1)
+        assert len(calls) == lps, (query, dimension)
+        spared += not calls
+    assert spared
+
+
+SYMMETRISED_SUBSETS = 30
+
+
+@pytest.mark.parametrize("name,spec", CLASSIFY_PROBLEMS)
+def test_symmetrised_random_subsets_match_both_oracles(name, spec):
+    """S together with every negative of S in the support: never
+    T-unstable, and its opposed pairs leave kernels of every dimension."""
+    group = make_group(name)
+    cartan = group.cartan
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    support = sorted(w.coeffs for w in problem.support)
+    inside = set(support)
+    rng = random.Random(f"symmetrised:{name}:{spec}")
+    dimensions = set()
+    for _ in range(SYMMETRISED_SUBSETS):
+        drawn = set(rng.sample(support, rng.randint(1, rng.randint(1, len(support) // 2))))
+        query = sorted(drawn | {tuple(-x for x in c) for c in drawn} & inside)
+        points = [Weight(group, c) for c in query]
+        result = classify_torus(problem, points)
+        assert result.verdict == torus_verdict_oracle(cartan, query), query
+        assert result == instability_first_classify_torus(problem, points), query
+        dimension = _opposed_kernel_dimension(group.rank, query)
+        dimensions.add(dimension if dimension is None else min(dimension, 2))
+    # In rank 2 a kernel of dimension 2 needs S = {0}, which no draw hits.
+    assert ({0, 1} if group.rank == 2 else {0, 1, 2}) <= dimensions, dimensions
+
+
+def test_the_lp_order_follows_the_opposed_weights_of_the_query(monkeypatch):
+    """A query that holds an opposed pair poses no LP when the kernel K of
+    its opposed pairs is 0 or a line, and the balanced LP alone otherwise;
+    any other poses the strict LP first and the balanced one only when that
+    fails, whether or not its support holds opposed pairs."""
+    calls = _counted_lp_calls(monkeypatch)
+
+    def problem_of(name, spec):
+        group = make_group(name)
+        problem = new_problem(group, parse_highest_weight(group, spec))
+        return problem, {w.coeffs: w for w in problem.support}
+
     a2 = make_group("A2")
     lam = OneParameterSubgroup(a2, (1, 0))
-    cubics = new_problem(a2, parse_highest_weight(a2, "3,0"))
-    cubic = {w.coeffs: w for w in cubics.support}
-    adjoint = new_problem(a2, parse_highest_weight(a2, "1,1"))
-    root = {w.coeffs: w for w in adjoint.support}
-    lines = new_problem(a2, parse_highest_weight(a2, "1,0"))
-    line = {w.coeffs: w for w in lines.support}
+    cubics, cubic = problem_of("A2", "3,0")
+    adjoint, root = problem_of("A2", "1,1")
+    lines, line = problem_of("A2", "1,0")
+    octics, octic = problem_of("B2", "8*w1")
+    quadrics, quadric = problem_of("A3", "2,0,0")
+    pair = [cubic[(1, 1)], cubic[(-1, -1)]]
+    # K of the pair is the line through k; (-1, 2) lies on the side of k
+    # and (2, -1) on the side of -k.
+    (k,) = kernel_basis([cubics._pairing_vectors[cubics.index[w.coeffs]] for w in pair], 2)
+    k = OneParameterSubgroup(a2, k)
+    assert hm_mu(cubics, [cubic[(2, -1)]], k) < 0 < hm_mu(cubics, [cubic[(-1, 2)]], k)
     for problem, points, verdict, lps in (
-        (cubics, list(cubics.support), "T-stable", 1),
-        (cubics, [cubic[(1, 1)], cubic[(-1, -1)]], "T-non-stable-semistable", 1),
+        # The opposed pairs span the space: no LP.
+        (cubics, list(cubics.support), "T-stable", 0),
+        # They leave a line: lam = k, lam = -k, the kernel step on an S
+        # inside k^perp, with or without a weight outside the pairs, and the
+        # kernel step on an S with a weight on either side of k^perp.
+        (cubics, [*pair, cubic[(-1, 2)]], "T-non-stable-semistable", 0),
+        (cubics, [*pair, cubic[(2, -1)]], "T-non-stable-semistable", 0),
+        (cubics, [w for w in cubics.support if hm_mu(cubics, [w], lam) >= 0], "T-non-stable-semistable", 0),
+        (cubics, pair, "T-non-stable-semistable", 0),
+        (cubics, [*pair, cubic[(0, 0)]], "T-non-stable-semistable", 0),
+        (octics, [octic[(1, 0)], octic[(-1, 0)], octic[(2, 0)]], "T-non-stable-semistable", 0),
+        (cubics, [*pair, cubic[(-1, 2)], cubic[(2, -1)]], "T-stable", 0),
+        # They leave the plane, or a plane in rank 3: the balanced LP alone.
         (cubics, [cubic[(0, 0)]], "T-non-stable-semistable", 1),
+        (quadrics, [quadric[(0, 1, 0)], quadric[(0, -1, 0)], quadric[(2, 0, 0)]], "T-non-stable-semistable", 1),
+        # No opposed pair in S: the strict LP first.
         (cubics, [w for w in cubics.support if hm_mu(cubics, [w], lam) > 0], "T-unstable", 1),
-        (cubics, [w for w in cubics.support if hm_mu(cubics, [w], lam) >= 0], "T-non-stable-semistable", 1),
         (adjoint, [root[(2, -1)], root[(-1, 2)], root[(-1, -1)]], "T-stable", 2),
         (lines, list(lines.support), "T-stable", 2),
         (lines, [line[(1, 0)]], "T-unstable", 1),
         (lines, [line[(1, 0)], line[(-1, 1)]], "T-unstable", 1),
     ):
         calls.clear()
-        assert classify_torus(problem, points).verdict == verdict
+        result = classify_torus(problem, points)
+        assert result.verdict == verdict, [w.coeffs for w in points]
         assert len(calls) == lps, ([w.coeffs for w in points], verdict)
+        if result.certificate is not None:
+            assert hm_mu(problem, points, result.certificate) >= 0
+        assert result == instability_first_classify_torus(problem, points)
 
 
 def test_classify_torus_does_not_enumerate_the_weyl_group():
