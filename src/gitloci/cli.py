@@ -34,8 +34,8 @@ from .gitsolver import (
 )
 from .repsupport import (
     DEFAULT_SUPPORT_GUARD,
+    _sorted_support,
     parse_highest_weight,
-    support_from_weights,
     weight_support,
 )
 from .rootdata import DEFAULT_WEYL_GUARD, _parse_integers, _suffix_sums, make_group
@@ -379,7 +379,7 @@ def _run_solve(args):
     weyl_guard = _guard_from_env("GITLOCI_WEYL_GUARD", DEFAULT_WEYL_GUARD)
     if args.weights_file:
         rows = _read_weights_file(args.weights_file, group.rank)
-        support = support_from_weights(group, rows)
+        support = _sorted_support(group, rows)
         highest = None
     else:
         highest = parse_highest_weight(group, args.weight)

@@ -38,7 +38,7 @@ rays, so no LP finds a cell.
 The signs of many points against the rows of one matrix are read off
 packed integers, and the packed format stays in this module: `_pack_columns`
 packs each column into one integer with a biased field per row, at the
-least field width that holds the largest magnitude its caller names, and
+least field width that holds every entry and pairing of its points, and
 the pack carries that width; `_sign_fields` gives each point's pairings
 with every row at once by one multiply-add per nonzero coordinate, the
 top bits of the fields marking the rows that pair >= 0 and, less one from
@@ -281,14 +281,17 @@ def _dedupe_lines(vectors):
     return list(lines)
 
 
-def _pack_columns(columns, length, bound):
-    """The columns of a matrix, each of `length` entries, packed for
-    `_sign_fields` at the fewest bytes per field, width, that hold every
-    integer of absolute value at most `bound` strictly inside the bias
-    2^(8 width - 1). Returns width, the bias in every field (top), 1 in
-    every field (ones) and one integer per column, a field per entry in row
-    order. Every entry, and every pairing that `_sign_fields` is to read,
-    must be at most `bound` in absolute value."""
+def _pack_columns(columns, points):
+    """The columns of a matrix packed for `_sign_fields` over the points, at
+    the fewest bytes per field, width, that hold strictly inside the bias
+    2^(8 width - 1) every column entry and the bound
+    sum_j |p_j| max|column j| on every pairing of a point p. Returns width,
+    the bias in every field (top), 1 in every field (ones) and one integer
+    per column, a field per entry in row order. `_sign_fields` reads the
+    pack only for the points it was sized for."""
+    length = len(columns[0]) if columns else 0
+    bounds = [max(map(abs, column)) for column in columns]
+    bound = max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)])
     width = bound.bit_length() // 8 + 1
     bias = 1 << (8 * width - 1)
     top = int.from_bytes(bias.to_bytes(width, "little") * length, "little")
@@ -512,8 +515,7 @@ def _rays_and_cells(normals, dim, guard, caller):
     # and then two witnesses share a sign vector when they share a > 0 mask.
     # A sign-definite normal is nonzero on the open orthant and takes one
     # sign on every cell there.
-    bound = max(map(max, witnesses)) * max((sum(map(abs, line)) for line in cutting), default=0)
-    pack = _pack_columns(list(zip(*cutting)), len(cutting), bound)
+    pack = _pack_columns(list(zip(*cutting)), witnesses)
     seen_sign_vectors = set()
     for point, (ge, gt) in zip(witnesses, _sign_fields(pack, witnesses)):
         if min(point) <= 0 or ge != gt:

@@ -77,13 +77,13 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import starmap
 from operator import mul, neg
 
 from .errors import ParseError, RankMismatchError
 from .exactgeom import (
     DEFAULT_CELL_GUARD,
-    _dedupe_lines,
     _mask_rows,
     _pack_columns,
     _sign_fields,
@@ -99,7 +99,7 @@ from .repsupport import (
     DEFAULT_SUPPORT_GUARD,
     RepresentationSupport,
     _reflection_table,
-    support_from_weights,
+    _sorted_support,
     weight_support,
 )
 from .rootdata import (
@@ -109,7 +109,7 @@ from .rootdata import (
     Weight,
     _chamber_word,
     _closure,
-    pairing,
+    _require_same_group,
     reflect_coweight_coeffs,
     reflect_weight_coeffs,
     weyl_elements,  # unused here; the benchmark's tracer wraps it under this module
@@ -160,22 +160,20 @@ class GITProblem:
     reflections; otherwise `ParseError` is raised. `index` maps coefficients to support positions, and
     `reflections[i]` maps each position to that of its i-th reflection.
     The support-sized tables are built column-wise: the reflection table
-    by `repsupport`'s packed integer keys, each pairing column by one
+    by `repsupport`'s packed integer keys, and each pairing column by one
     `dot_rows` of a row of the Cartan adjugate with the coefficient
-    columns, and the distinct lines by `exactgeom`'s column passes.
+    columns.
 
     Ray and cell candidates are computed lazily in the fundamental chamber,
     which in coweight coordinates is the non-negative orthant, by one
     search (`rays_and_cells`) the first time either is asked for, and both
     are cached; `cell_guard` bounds that search. The arrangement's normals are
-    the support's distinct lines: the pairing vectors of the nonzero
-    weights, each line once, in first-seen order. `rays()` and `cells()`
-    are tuples of integer points. The search's step also packs the pairing
-    columns once, with fields that hold every column entry and every
-    pairing of a ray or a cell, and each locus reads the sign masks of all
-    its points off that pack in one pass (`_sign_masks`); no pairing of a
-    point is kept. `state_of` packs the columns for its own lam instead,
-    so it never runs the search. The sorted maximal states of each mode,
+    the pairing vectors, which the search makes distinct lines itself.
+    `rays()` and `cells()` are tuples of integer points. The search's step
+    also packs the pairing columns once for every ray and cell
+    (`exactgeom._pack_columns`), and the loci read the sign masks of their
+    points off that pack; no pairing of a point is kept. `state_of` packs the columns for its own lam instead, so it never
+    runs the search. The sorted maximal states of each mode,
     before Weyl deduplication, are cached for the loci and
     `classify_torus`, and so are the Weyl orbit labels of the support
     positions that the deduplication buckets by.
@@ -206,7 +204,6 @@ class GITProblem:
             tuple(dot_rows(coefficient_columns, row)) for row in group.cartan_adjugate
         )
         self._pairing_vectors = tuple(zip(*self._pairing_columns))
-        self._normals = tuple(_dedupe_lines(self._pairing_vectors))
         self._rays = None
         self._cells = None
         self._pack = None
@@ -215,9 +212,9 @@ class GITProblem:
 
     def _search(self):
         if self._rays is None:
-            rays, cells = rays_and_cells(self._normals, self.group.rank, guard=self.cell_guard)
+            rays, cells = rays_and_cells(self._pairing_vectors, self.group.rank, guard=self.cell_guard)
             self._rays, self._cells = tuple(rays), tuple(cells)
-            self._pack = _pack_for(self, rays + cells)
+            self._pack = _pack_columns(self._pairing_columns, rays + cells)
 
     def rays(self):
         self._search()
@@ -257,7 +254,7 @@ def problem_from_weights(
     weyl_guard=DEFAULT_WEYL_GUARD,
 ):
     """Build a problem from an explicit, Weyl-closed weight list."""
-    support = support_from_weights(group, coeff_rows)
+    support = _sorted_support(group, coeff_rows)
     return GITProblem(
         group,
         support,
@@ -273,7 +270,7 @@ def state_of(problem, lam, mode):
         raise RankMismatchError("one-parameter subgroup belongs to a different group")
     if mode not in _MODES:
         raise ParseError(f"unknown mode {mode!r}; expected one of {sorted(_MODES)}")
-    pack = _pack_for(problem, [lam.coeffs])
+    pack = _pack_columns(problem._pairing_columns, [lam.coeffs])
     ge, gt = next(_sign_fields(pack, [lam.coeffs]))
     selected = _weights(problem, _mask_rows(pack, _MODES[mode][1](ge, gt)))
     return State(kind=_MODES[mode][0], weights=selected, witness=lam)
@@ -282,29 +279,6 @@ def state_of(problem, lam, mode):
 def _weights(problem, indices):
     """The support weights at the indices."""
     return tuple(map(problem.support.weights.__getitem__, indices))
-
-
-def _pack_for(problem, points):
-    """The pairing columns packed (`exactgeom._pack_columns`) with fields
-    that hold every column entry and the bound sum_j |p_j| max|column j| on
-    every pairing of the points."""
-    bounds = [max(map(abs, column)) for column in problem._pairing_columns]
-    bound = max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)])
-    return _pack_columns(problem._pairing_columns, len(problem.index), bound)
-
-
-def _sign_masks(problem, points):
-    """The masks (ge, gt) of the support weights that pair >= 0 and > 0
-    with each point, read off the problem's pack by `exactgeom`'s
-    packed-sign reader, one field per support weight in support order
-    (`exactgeom._sign_fields`). The points must be rays or cells of the
-    problem: the pack's fields hold their pairings and no others."""
-    return list(_sign_fields(problem._pack, points))
-
-
-def _indices(problem, mask):
-    """The ascending support positions of a `_sign_masks` mask."""
-    return _mask_rows(problem._pack, mask)
 
 
 def _distinct(masks, witnesses):
@@ -408,8 +382,8 @@ def _sorted_maximal(problem, mode):
     entries = problem._maximal.get(mode)
     if entries is None:
         witnesses = problem.rays() if mode == ">=0" else problem.cells()
-        first = _distinct(starmap(_MODES[mode][1], _sign_masks(problem, witnesses)), witnesses)
-        entries = [(_indices(problem, m), first[m]) for m in _maximal_only(first)]
+        first = _distinct(starmap(_MODES[mode][1], _sign_fields(problem._pack, witnesses)), witnesses)
+        entries = [(_mask_rows(problem._pack, m), first[m]) for m in _maximal_only(first)]
         entries.sort(key=lambda e: (-len(e[0]), e[0]))
         problem._maximal[mode] = entries
     return entries
@@ -453,12 +427,12 @@ def solve_strictly_polystable(problem):
     * otherwise by the relative-interior simplex."""
     vectors = problem._pairing_vectors
     witnesses = (*problem.rays(), *problem.cells()[:1])
-    masks = _sign_masks(problem, witnesses)
+    masks = list(_sign_fields(problem._pack, witnesses))
     entries = []
     for zero, point in _distinct(starmap(_MODES["=0"][1], masks), witnesses).items():
         if any(ge & zero == zero and gt & zero for ge, gt in masks):
             continue
-        indices = _indices(problem, zero)
+        indices = _mask_rows(problem._pack, zero)
         members = [vectors[i] for i in indices]
         if not any(map(sum, zip(*members))) or zero_in_relative_interior(members):
             entries.append((indices, point))
@@ -490,9 +464,12 @@ def _support_indices(problem, point_support, caller):
 
 def hm_mu(problem, point_support, lam):
     """Hilbert-Mumford pairing floor: min over the point's support of
-    <chi, lam>. The point is non-stable for lam exactly when this is >= 0."""
-    weights = _weights(problem, _support_indices(problem, point_support, "hm_mu"))
-    return min(pairing(w, lam) for w in weights)
+    <chi, lam>, a Fraction. The point is non-stable for lam exactly when
+    this is >= 0; the least det-scaled pairing over the Cartan determinant."""
+    indices = _support_indices(problem, point_support, "hm_mu")
+    _require_same_group(problem.support, lam)
+    vectors = problem._pairing_vectors
+    return Fraction(min(sum(map(mul, vectors[i], lam.coeffs)) for i in indices), problem.group.cartan_det)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,13 @@ def support_from_weights(group, coeff_rows):
     validating closure under the Weyl group (the solver's correctness and the
     meaning of its outputs both need a Weyl-stable weight set). Each
     coefficient must be an `int` or a `Fraction` with denominator 1."""
+    support = _sorted_support(group, coeff_rows)
+    _reflection_table(group, support.weights, {w.coeffs: i for i, w in enumerate(support.weights)})
+    return support
+
+
+def _sorted_support(group, coeff_rows):
+    """`support_from_weights` less its closure check, which `GITProblem` makes."""
     coeffs = set()
     for row in coeff_rows:
         row = tuple(row)
@@ -181,7 +188,6 @@ def support_from_weights(group, coeff_rows):
                 f"weight {row} has length {len(row)}; group {group.name} has rank {group.rank}"
             )
     weights = tuple(Weight(group, c) for c in coeffs)
-    _reflection_table(group, weights, {c: i for i, c in enumerate(coeffs)})
     return RepresentationSupport(group=group, highest=None, weights=weights)
 
 

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from gitloci import gitsolver, repsupport
 from gitloci.cli import _Display, _render_structured, main
 from gitloci.errors import ParseError
 from gitloci.gitsolver import GITProblem, new_problem, parse_loci, solve_all
@@ -487,6 +488,26 @@ def test_weights_file_rejects_non_closed_sets(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "A2", "--weights-file", str(source))
     assert code == 2
     assert "not closed" in err
+
+
+def test_weights_file_solve_builds_one_reflection_table(capsys, tmp_path, monkeypatch):
+    # The file's rows are checked and sorted, and `GITProblem` builds and
+    # checks the one table, closed or not.
+    calls = []
+    table = repsupport._reflection_table
+
+    def counted(*args):
+        calls.append(1)
+        return table(*args)
+
+    monkeypatch.setattr(repsupport, "_reflection_table", counted)
+    monkeypatch.setattr(gitsolver, "_reflection_table", counted)
+    source = tmp_path / "weights.txt"
+    for body, expected in (("1, 0\n-1 1\n0,-1\n0 0\n", 0), ("1, 0\n", 2)):
+        source.write_text(body)
+        calls.clear()
+        assert run(capsys, "solve", "A2", "--weights-file", str(source))[0] == expected
+        assert len(calls) == 1
 
 
 def test_non_closed_weights_read_the_same_from_library_and_cli(capsys, tmp_path):

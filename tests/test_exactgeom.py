@@ -1,7 +1,8 @@
 """Unit tests for the exact rational geometry kernel."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,10 @@ from gitloci.exactgeom import (
     _cone_complex,
     _dedupe_lines,
     _eliminate,
+    _mask_rows,
+    _pack_columns,
     _phase_one,
+    _sign_fields,
 )
 from gitloci.gitsolver import new_problem
 from gitloci.repsupport import parse_highest_weight
@@ -668,7 +672,7 @@ def problem_arrangement(name, spec):
     reads."""
     group = make_group(name)
     problem = new_problem(group, parse_highest_weight(group, spec))
-    return problem, list(problem._normals), group.rank
+    return problem, _dedupe_lines(problem._pairing_vectors), group.rank
 
 
 def reference_cells(normals, dim, rays):
@@ -822,7 +826,7 @@ def test_rays_and_cells_pose_no_lp(monkeypatch, name, spec):
 )
 def test_block_rays_match_the_unsplit_walk(name, spec):
     group = make_group(name)
-    normals = list(new_problem(group, parse_highest_weight(group, spec))._normals)
+    normals = _dedupe_lines(new_problem(group, parse_highest_weight(group, spec))._pairing_vectors)
     assert arrangement_rays(normals, group.rank) == unsplit_arrangement_rays(normals, group.rank)
 
 
@@ -1146,3 +1150,32 @@ def test_dedupe_lines_keeps_first_seen_order_and_drops_zero_vectors():
     assert _dedupe_lines([(0, 0)] * 3) == []
     assert _dedupe_lines([]) == []
     assert _dedupe_lines(v for v in [(-4,), (2,)]) == [(1,)]
+
+
+def test_packed_signs_match_direct_pairings_on_random_columns():
+    # Seeded draws: 1-6 columns of 1-9 rows with entries up to 3, 2^8, 2^64
+    # or 2^100, and up to 6 points of either sign, every tenth draw with no
+    # point at all. The fields are the fewest bytes that hold every entry
+    # and the bound sum_j |p_j| max|column j|, and the masks select the rows
+    # whose direct pairing with the point is >= 0 and > 0.
+    draw = Random(0)
+    magnitudes = (0, 3, 2**8, 2**64, 2**100)
+    for trial in range(300):
+        dim, length = draw.randint(1, 6), draw.randint(1, 9)
+        columns = [tuple(draw.randint(-m, m) for _ in range(length)) for m in draw.choices(magnitudes, k=dim)]
+        points = [
+            tuple(draw.randint(-m, m) for m in draw.choices(magnitudes, k=dim))
+            for _ in range(0 if trial % 10 == 0 else draw.randint(1, 6))
+        ]
+        pack = _pack_columns(columns, points)
+        bounds = [max(map(abs, column)) for column in columns]
+        bound = max([*bounds, *(sum(abs(c) * b for c, b in zip(p, bounds)) for p in points)])
+        assert pack[0] == next(width for width in count(1) if bound < 1 << (8 * width - 1))
+        masks = list(_sign_fields(pack, points))
+        assert len(masks) == len(points)
+        for point, (ge, gt) in zip(points, masks):
+            row = [sum(c * column[i] for c, column in zip(point, columns)) for i in range(length)]
+            assert _mask_rows(pack, ge) == tuple(i for i, v in enumerate(row) if v >= 0)
+            assert _mask_rows(pack, gt) == tuple(i for i, v in enumerate(row) if v > 0)
+    # No columns, as for a search with no cutting line: no row to select.
+    assert list(_sign_fields(_pack_columns([], [(1, 2)]), [(1, 2)])) == [(0, 0)]

@@ -6,14 +6,16 @@ destabilizing witnesses below were derived that way before being frozen here.
 """
 
 from collections import Counter
+from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitloci import gitsolver, rootdata
+from gitloci import exactgeom, gitsolver, repsupport, rootdata
 from gitloci.errors import GitLociError, ParseError, RankMismatchError
-from gitloci.exactgeom import dot, zero_in_relative_interior
+from gitloci.exactgeom import _dedupe_lines, dot, zero_in_relative_interior
 from gitloci.gitsolver import (
     GITProblem,
     classify_torus,
@@ -30,6 +32,7 @@ from gitloci.gitsolver import (
 from gitloci.repsupport import RepresentationSupport, parse_highest_weight, weight_support
 from gitloci.rootdata import (
     OneParameterSubgroup,
+    Weight,
     make_group,
     one_param_subgroup,
     pairing,
@@ -435,20 +438,21 @@ def test_witnesses_and_certificates_are_primitive(name, spec, weyl):
 def test_sign_masks_select_what_the_pairing_row_selects(name, spec, monkeypatch):
     # Every call the loci make, all off the problem's one pack: the rays,
     # the cells, and the polystable witnesses, in all three modes.
-    kernel = gitsolver._sign_masks
+    kernel = gitsolver._sign_fields
     seen = set()
 
-    def checked(problem, points):
-        masks = kernel(problem, points)
+    def checked(pack, points):
+        assert pack is problem._pack
+        masks = list(kernel(pack, points))
         assert len(masks) == len(points)
         for point, (ge, gt) in zip(points, masks):
             for mode in MODES:
                 mask = gitsolver._MODES[mode][1](ge, gt)
-                assert gitsolver._indices(problem, mask) == pairing_row_select(problem, point, mode)
+                assert gitsolver._mask_rows(pack, mask) == pairing_row_select(problem, point, mode)
         seen.update(points)
-        return masks
+        return iter(masks)
 
-    monkeypatch.setattr(gitsolver, "_sign_masks", checked)
+    monkeypatch.setattr(gitsolver, "_sign_fields", checked)
     group = make_group(name)
     problem = new_problem(group, parse_highest_weight(group, spec))
     solve_all(problem)
@@ -598,8 +602,9 @@ def test_solve_all_packs_each_problems_columns_once(name, spec, loci, monkeypatc
     # rays.
     widths = []
 
-    def counted(columns, length, bound):
-        pack = pack_columns(columns, length, bound)
+    def counted(columns, points):
+        assert columns is problem._pairing_columns
+        pack = pack_columns(columns, points)
         widths.append(pack[0])
         return pack
 
@@ -704,7 +709,7 @@ def test_polystable_locus_without_the_zero_weight_takes_every_state_from_a_ray(n
     group = make_group(name)
     problem = new_problem(group, parse_highest_weight(group, spec))
     states = solve_strictly_polystable(problem)
-    [(ge, gt)] = gitsolver._sign_masks(problem, problem.cells()[:1])
+    [(ge, gt)] = gitsolver._sign_fields(problem._pack, problem.cells()[:1])
     assert ge ^ gt == 0
     assert {s.witness.coeffs for s in states} <= set(problem.rays())
     assert [s.witness.coeffs for s in states] == witnesses
@@ -721,7 +726,76 @@ def test_pairing_tables_match_the_pairing_vector_per_weight(name, spec):
     vectors = tuple(pairing_vector(group, w.coeffs) for w in problem.support)
     assert problem._pairing_vectors == vectors
     assert problem._pairing_columns == tuple(zip(*vectors))
-    assert list(problem._normals) == per_vector_dedupe_lines(vectors)
+    assert _dedupe_lines(problem._pairing_vectors) == per_vector_dedupe_lines(vectors)
+
+
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
+def test_each_problems_search_dedupes_its_lines_once(name, spec, monkeypatch):
+    # The problem hands the search its raw pairing vectors, and the search
+    # makes them distinct lines: one dedupe per problem, whatever is asked.
+    calls = []
+    dedupe = exactgeom._dedupe_lines
+    monkeypatch.setattr(exactgeom, "_dedupe_lines", lambda vectors: calls.append(1) or dedupe(vectors))
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    assert not calls
+    solve_all(problem)
+    problem.rays(), problem.cells()
+    classify_torus(problem, list(problem.support))
+    assert len(calls) == 1
+
+
+def test_a_weight_list_problem_builds_one_reflection_table(monkeypatch):
+    # `problem_from_weights` leaves the closure check to `GITProblem`,
+    # whose table it is; `support_from_weights` builds the one it checks.
+    calls = []
+    table = repsupport._reflection_table
+
+    def counted(*args):
+        calls.append(1)
+        return table(*args)
+
+    monkeypatch.setattr(repsupport, "_reflection_table", counted)
+    monkeypatch.setattr(gitsolver, "_reflection_table", counted)
+    for name, spec in BENCHMARK_SOLVES:
+        group = make_group(name)
+        rows = [w.coeffs for w in weight_support(group, parse_highest_weight(group, spec))]
+        calls.clear()
+        problem = problem_from_weights(group, reversed(rows))
+        assert len(calls) == 1, name
+        assert problem.reflections == new_problem(group, parse_highest_weight(group, spec)).reflections
+        calls.clear()
+        repsupport.support_from_weights(group, rows)
+        assert len(calls) == 1, name
+    with pytest.raises(ParseError, match=r"^support is not closed under the Weyl group: reflection 1 maps"):
+        problem_from_weights(A2, [(1, 0)])
+
+
+@pytest.mark.parametrize("name, spec", BENCHMARK_SOLVES)
+def test_hm_mu_is_the_least_pairing_over_the_points(name, spec):
+    group = make_group(name)
+    problem = new_problem(group, parse_highest_weight(group, spec))
+    draw = Random(f"{name} {spec}")
+    support = list(problem.support)
+    for _ in range(5):
+        coeffs = tuple(draw.randint(-9, 9) for _ in range(group.rank))
+        lam = OneParameterSubgroup(group, coeffs if any(coeffs) else (1, *coeffs[1:]))
+        points = draw.sample(support, draw.randint(1, len(support)))
+        assert hm_mu(problem, points, lam) == min(pairing(w, lam) for w in points)
+        assert type(hm_mu(problem, points, lam)) is Fraction
+
+
+def test_hm_mu_refuses_a_subgroup_of_another_group_after_the_support_checks():
+    problem = new_problem(G2, parse_highest_weight(G2, "1,0"))
+    lam = OneParameterSubgroup(A2, (1, 0))
+    with pytest.raises(RankMismatchError, match=r"^operands belong to G2 and A2$"):
+        pairing(problem.support.weights[0], lam)
+    with pytest.raises(RankMismatchError, match=r"^operands belong to G2 and A2$"):
+        hm_mu(problem, list(problem.support), lam)
+    with pytest.raises(ParseError, match=r"^hm_mu needs a non-empty support$"):
+        hm_mu(problem, [], lam)
+    with pytest.raises(ParseError, match=r"^weight \(9, 9\) is not in the problem's support$"):
+        hm_mu(problem, [Weight(G2, (9, 9))], lam)
 
 
 def test_user_input_errors_are_parse_errors():
